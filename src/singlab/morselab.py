@@ -10,12 +10,13 @@ are rejected rather than resolved.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .critmap import sign_relation_check
-from .errors import (BoxEscape, DegenerateParameter, InconsistentDegree,
-                     InsufficientAcceptance, UnsupportedDimension)
+from .errors import (BoxEscape, DegenerateParameter, IdentityViolation,
+                     InconsistentDegree, InsufficientAcceptance,
+                     UnsupportedDimension)
 from .intervals import RatInterval, eval_interval
 from .milnor import Unfolding
 from .poly import Polynomial
@@ -107,6 +108,32 @@ def _interval_of(iv: IsolatingInterval) -> RatInterval:
     return RatInterval(iv.lo, iv.hi)
 
 
+def _roots_in_box(p: Polynomial, r: Fraction,
+                  what: str) -> list[IsolatingInterval]:
+    """Isolating intervals of p's real roots, each certified inside (-r, r).
+
+    The window holds the Cauchy bound, so a root outside the box raises
+    BoxEscape, as does one straddling the boundary after 80 halvings."""
+    coeffs = p.univariate_coeffs()
+    lead = coeffs[-1]
+    bound = 1 + max(abs(c / lead) for c in coeffs[:-1]) if len(coeffs) > 1 \
+        else Fraction(0)
+    window = max(bound + 1, r + 1)
+    inside = []
+    for iv in isolate_real_roots(p, (-window, window)):
+        for _ in range(80):
+            if not (iv.lo < -r < iv.hi or iv.lo < r < iv.hi):
+                break
+            iv = iv.refine(iv.width() / 2)
+        else:
+            raise BoxEscape(f"{what} on the box boundary")
+        if iv.hi <= -r or iv.lo >= r:
+            raise BoxEscape(f"{what} near {float(iv.mid()):.3f} "
+                            f"outside [-{r}, {r}]")
+        inside.append(iv)
+    return inside
+
+
 # -- n = 1 ------------------------------------------------------------------
 
 def _critical_points_1d(u: Unfolding, t: ParameterPoint, r: Fraction,
@@ -116,31 +143,12 @@ def _critical_points_1d(u: Unfolding, t: ParameterPoint, r: Fraction,
     p = Ft.diff(zname)
     if p.is_zero():
         raise DegenerateParameter("derivative vanishes identically")
-    coeffs = p.univariate_coeffs()
-    factors = squarefree_decomposition(list(coeffs))
+    factors = squarefree_decomposition(p.univariate_coeffs())
     if any(mult > 1 for _, mult in factors):
         raise DegenerateParameter("F_t has a degenerate critical point")
-    # Cauchy bound on all real roots, to detect escapes from the box
-    lead = coeffs[-1]
-    bound = 1 + max(abs(c / lead) for c in coeffs[:-1]) if len(coeffs) > 1 \
-        else Fraction(0)
-    window = max(bound + 1, r + 1)
-    roots = isolate_real_roots(p, (-window, window))
-    inside = []
-    for iv in roots:
-        for _ in range(80):
-            if not (iv.lo < -r < iv.hi or iv.lo < r < iv.hi):
-                break
-            iv = iv.refine(iv.width() / 2)
-        else:
-            raise BoxEscape("critical point on the box boundary")
-        if iv.hi <= -r or iv.lo >= r:
-            raise BoxEscape(f"critical point near {float(iv.mid()):.3f} "
-                            f"outside |z| <= {r}")
-        inside.append(iv)
     h = p.diff(zname)
     points = []
-    for iv in inside:
+    for iv in _roots_in_box(p, r, "critical point"):
         iv = iv.refine(VALUE_WIDTH)
         box = {zname: _interval_of(iv)}
         hv = eval_interval(h, box)
@@ -169,45 +177,44 @@ def _eliminate_var(p1: Polynomial, p2: Polynomial, var: str) -> Polynomial:
         return p1.restrict() if not p1.is_zero() else p1
     if d2 <= 0:
         return p2.restrict()
-    res = resultant(p1, p2, var)
-    return res
+    return resultant(p1, p2, var)
 
 
-def _certify_box(eqs, jac, box: dict[str, RatInterval], depth: int = 0):
+def _newton_step(eqs, jac, box: dict[str, RatInterval]):
+    """The interval Newton image of box, rounded outward to dyadics, or None
+    when the sign of the Jacobian determinant on box is unknown."""
+    x, y = box
+    J = [[eval_interval(jac[i][j], box) for j in range(2)] for i in range(2)]
+    det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
+    if det.sign() is None:
+        return None
+    mid = {v: RatInterval.point(box[v].mid()) for v in box}
+    fm = [eval_interval(e, mid) for e in eqs]
+    inv_det = det.inverse()
+    return {x: _dyadic(mid[x] - (J[1][1] * fm[0] - J[0][1] * fm[1]) * inv_det),
+            y: _dyadic(mid[y] - (J[0][0] * fm[1] - J[1][0] * fm[0]) * inv_det)}
+
+
+def _certify_box(eqs, jac, box: dict[str, RatInterval]):
     """Interval Newton: 'in' (unique root, contracted box), 'out', or split."""
     names = list(box)
     for _ in range(40):
         vals = [eval_interval(e, box) for e in eqs]
         if any(v.sign() not in (None, 0) for v in vals):
             return "out", box
-        J = [[eval_interval(jac[i][j], box) for j in range(2)]
-             for i in range(2)]
-        det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
-        if det.sign() is None:
+        nbox = _newton_step(eqs, jac, box)
+        if nbox is None:
             return "unknown", box
-        mid = {v: RatInterval.point(box[v].mid()) for v in names}
-        fm = [eval_interval(e, mid) for e in eqs]
-        inv_det = det.inverse()
-        n0 = mid[names[0]] - (J[1][1] * fm[0] - J[0][1] * fm[1]) * inv_det
-        n1 = mid[names[1]] - (J[0][0] * fm[1] - J[1][0] * fm[0]) * inv_det
-        nbox = {names[0]: _dyadic(n0), names[1]: _dyadic(n1)}
         if all(nbox[v].subset_of(box[v]) and nbox[v].width() < box[v].width()
                for v in names):
             # certified: contract further for tight output
             for _ in range(30):
                 prev = nbox
-                mid = {v: RatInterval.point(nbox[v].mid()) for v in names}
-                fm = [eval_interval(e, mid) for e in eqs]
-                J = [[eval_interval(jac[i][j], nbox) for j in range(2)]
-                     for i in range(2)]
-                det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
-                if det.sign() is None:
+                step = _newton_step(eqs, jac, nbox)
+                if step is None:
                     break
-                inv_det = det.inverse()
-                c0 = mid[names[0]] - (J[1][1] * fm[0] - J[0][1] * fm[1]) * inv_det
-                c1 = mid[names[1]] - (J[0][0] * fm[1] - J[1][0] * fm[0]) * inv_det
-                i0 = _dyadic(c0).intersect(nbox[names[0]])
-                i1 = _dyadic(c1).intersect(nbox[names[1]])
+                i0 = step[names[0]].intersect(nbox[names[0]])
+                i1 = step[names[1]].intersect(nbox[names[1]])
                 if i0 is None or i1 is None:
                     break
                 nbox = {names[0]: i0, names[1]: i1}
@@ -255,38 +262,16 @@ def _critical_points_2d(u: Unfolding, t: ParameterPoint, r: Fraction,
     rw = _eliminate_var(p1, p2, z1)
     if rz.is_zero() or rw.is_zero():
         raise DegenerateParameter("elimination collapsed; system not finite")
-    roots_by_var = {}
-    for var, poly in ((z1, rz), (z2, rw)):
-        if poly.is_constant():
-            roots_by_var[var] = []
-            continue
-        coeffs = poly.univariate_coeffs()
-        lead = coeffs[-1]
-        bound = 1 + max(abs(c / lead) for c in coeffs[:-1]) \
-            if len(coeffs) > 1 else Fraction(0)
-        window = max(bound + 1, r + 1)
-        ivs = isolate_real_roots(poly, (-window, window))
-        kept = []
-        for iv in ivs:
-            for _ in range(80):
-                if not (iv.lo < -r < iv.hi or iv.lo < r < iv.hi):
-                    break
-                iv = iv.refine(iv.width() / 2)
-            else:
-                raise BoxEscape("elimination root on the box boundary")
-            if iv.hi <= -r or iv.lo >= r:
-                raise BoxEscape(
-                    f"elimination root near {float(iv.mid()):.3f} in {var} "
-                    f"outside the box")
-            kept.append(iv)
-        roots_by_var[var] = kept
-    if not roots_by_var[z1] or not roots_by_var[z2]:
+    roots = [[] if q.is_constant() else
+             _roots_in_box(q, r, f"elimination root in {var}")
+             for var, q in ((z1, rz), (z2, rw))]
+    if not all(roots):
         return []
     eqs = (p1, p2)
     jac = [[p1.diff(z1), p1.diff(z2)], [p2.diff(z1), p2.diff(z2)]]
     certified = []
-    for ivz in roots_by_var[z1]:
-        for ivw in roots_by_var[z2]:
+    for ivz in roots[0]:
+        for ivw in roots[1]:
             box = {z1: _interval_of(ivz), z2: _interval_of(ivw)}
             for status, out in _resolve_candidate(eqs, jac, box):
                 if status == "in":
@@ -295,18 +280,15 @@ def _critical_points_2d(u: Unfolding, t: ParameterPoint, r: Fraction,
     H = [[Ft.diff(a).diff(b) for b in (z1, z2)] for a in (z1, z2)]
     points = []
     for box in certified:
-        hv = [[eval_interval(H[i][j], box) for j in range(2)]
-              for i in range(2)]
-        det = hv[0][0] * hv[1][1] - hv[0][1] * hv[1][0]
-        tries = 0
-        while det.sign() is None and tries < 20:
-            status, box = _certify_box(eqs, jac, box)
-            if status != "in":
-                raise DegenerateParameter("lost certification while refining")
+        for tries in range(21):
             hv = [[eval_interval(H[i][j], box) for j in range(2)]
                   for i in range(2)]
             det = hv[0][0] * hv[1][1] - hv[0][1] * hv[1][0]
-            tries += 1
+            if det.sign() is not None or tries == 20:
+                break
+            status, box = _certify_box(eqs, jac, box)
+            if status != "in":
+                raise DegenerateParameter("lost certification while refining")
         if det.sign() is None or det.mignitude() < margin:
             raise DegenerateParameter("hessian determinant too close to zero")
         if det.sign() < 0:
@@ -344,8 +326,10 @@ def critical_points(u: Unfolding, t: ParameterPoint,
     else:
         raise UnsupportedDimension(f"n = {u.n} not supported")
     for p in pts:
-        assert sign_relation_check(
-            Fraction(p.hessian_det_sign), p.index, u.n)
+        if not sign_relation_check(Fraction(p.hessian_det_sign), p.index, u.n):
+            raise IdentityViolation(
+                f"hessian sign {p.hessian_det_sign} contradicts index "
+                f"{p.index}")
     return pts
 
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlab.critmap import sign_relation_check
-from singlab.errors import DegenerateParameter
+from singlab import morselab
+from singlab.errors import BoxEscape, DegenerateParameter, IdentityViolation
 from singlab.milnor import unfold_germ
 from singlab.morselab import (ParameterPoint, critical_points,
                               degree_invariance_scan, euler_fiber_check,
@@ -47,6 +48,21 @@ class TestCriticalPoints1D:
         for p in pts:
             assert -4 < p.location[0].lo and p.location[0].hi < 4
 
+    def test_point_outside_box_escapes(self):
+        # critical points at z = +-1 lie outside |z| <= 1/2
+        with pytest.raises(BoxEscape, match="outside"):
+            critical_points(U("z^3", ("z",)), T(-3), box_radius=Fraction(1, 2))
+
+    def test_point_on_boundary_escapes(self):
+        with pytest.raises(BoxEscape, match="boundary"):
+            critical_points(U("z^3", ("z",)), T(-3), box_radius=Fraction(1))
+
+    def test_sign_relation_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(morselab, "sign_relation_check",
+                            lambda *args: False)
+        with pytest.raises(IdentityViolation):
+            critical_points(U("z^3", ("z",)), T(-3), box_radius=R2)
+
 
 class TestCriticalPoints2D:
     def test_cubic_surface_four_points(self):
@@ -56,6 +72,11 @@ class TestCriticalPoints2D:
         mids = sorted((round(p.midpoint()[0]), round(p.midpoint()[1]))
                       for p in pts)
         assert mids == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+
+    def test_elimination_root_outside_box_escapes(self):
+        with pytest.raises(BoxEscape, match="elimination root in z"):
+            critical_points(U("z^3 + w^3", ("z", "w")), T(-3, -3, 0),
+                            box_radius=Fraction(1, 2))
 
     def test_sign_relation_on_all_points(self):
         pts = critical_points(U("z^3 + w^3", ("z", "w")), T(-3, -3, 0),
