@@ -18,7 +18,7 @@ from pathlib import Path
 from . import figures, serialize
 from .discriminant import (cerf_trace, equal_level_search,
                            exact_discriminant_1d, maxwell_scan, slice_sample)
-from .errors import ManifestError, SinglabError
+from .errors import InvalidInput, ManifestError, SinglabError
 from .milnor import analyze_germ, unfold_germ
 from .morselab import (DEFAULT_BOX_RADIUS, DEFAULT_DELTA, DEFAULT_MARGIN,
                        ParameterPoint, degree_invariance_scan,
@@ -693,9 +693,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, ok = args.handler(args)
-    except ManifestError as exc:
-        error = {"error": {"type": "ManifestError", "message": str(exc),
-                           "field": exc.field}}
+    except InvalidInput as exc:
+        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        if isinstance(exc, ManifestError):
+            error["error"]["field"] = exc.field
         if not args.quiet:
             sys.stdout.write(serialize.dumps(error))
         return EXIT_USAGE

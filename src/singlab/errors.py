@@ -93,7 +93,11 @@ class OrderMismatch(SinglabError):
     """Embedding series orders do not match the semigroup generators."""
 
 
-class ManifestError(SinglabError):
+class InvalidInput(SinglabError, ValueError):
+    """An argument is outside the documented domain of the operation."""
+
+
+class ManifestError(InvalidInput):
     """Manifest failed schema validation."""
 
     def __init__(self, message, field=None):

@@ -1,15 +1,25 @@
-"""Buchberger's algorithm with reduced bases and a hard step budget.
+"""Buchberger's algorithm with reduced bases and one step budget.
 
-Pair selection is deterministic (lexicographically smallest key of the
-lcm of leading terms), so the returned reduced basis is a canonical
-function of the input and the order.  The budget is read from the
-SINGLAB_BUDGET environment variable unless passed explicitly.
+Leading exponents are computed once and kept beside the basis.  Critical
+pairs wait in a heap keyed by (order key of the lcm of the leading terms,
+i, j), so the pair with the smallest lcm comes first.  Each new element
+prunes the pairs by the Gebauer-Moeller update (Gebauer & Moeller, JSC
+1988): among its own pairs, criteria M and F keep one pair per minimal
+lcm and Buchberger's criterion drops coprime ones; criterion B drops an
+old pair whose lcm the new leading term divides unless it equals the lcm
+of the new term with either member; and elements whose leading term the
+new one divides stop forming pairs and reducing.  The reduced basis is
+canonical, so none of these choices shows in the result.
+
+One step counter bounds a whole computation: every pair popped and every
+division step, in the pair loop and in the final inter-reduction, counts
+against the cap read from SINGLAB_BUDGET unless one is passed explicitly.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
-from fractions import Fraction
 
 from .errors import BudgetExceeded, VariableMismatch
 from .poly import GREVLEX, Exponents, MonomialOrder, Polynomial
@@ -17,10 +27,19 @@ from .poly import GREVLEX, Exponents, MonomialOrder, Polynomial
 DEFAULT_BUDGET = 200_000
 
 
-def _budget(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    return int(os.environ.get("SINGLAB_BUDGET", DEFAULT_BUDGET))
+class _Budget:
+    """Step counter shared by every stage of one computation."""
+
+    def __init__(self, explicit: int | None, what: str):
+        self.cap = explicit if explicit is not None else \
+            int(os.environ.get("SINGLAB_BUDGET", DEFAULT_BUDGET))
+        self.what = what
+        self.used = 0
+
+    def step(self) -> None:
+        self.used += 1
+        if self.used > self.cap:
+            raise BudgetExceeded(f"{self.what} exceeded {self.cap} steps")
 
 
 def _divides(a: Exponents, b: Exponents) -> bool:
@@ -31,6 +50,42 @@ def _lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _check_variables(polys: list[Polynomial], variables) -> None:
+    for g in polys:
+        if g.variables != variables:
+            raise VariableMismatch(f"{g.variables} vs {variables}")
+
+
+def _reduce(work: dict, divisors: list[tuple[Exponents, dict]],
+            order: MonomialOrder, budget: _Budget) -> dict:
+    """Remainder of the term map work (consumed) under full division.
+
+    divisors are (leading exponent, terms) of monic polynomials, tried in
+    list order; each step of the division takes one budget step.
+    """
+    key = order.key
+    rem = {}
+    while work:
+        budget.step()
+        we = max(work, key=key)
+        wc = work.pop(we)
+        for ge, g in divisors:
+            if _divides(ge, we):
+                shift = [b - a for a, b in zip(ge, we)]
+                for e, c in g.items():
+                    if e != ge:
+                        m = tuple(a + b for a, b in zip(e, shift))
+                        v = work.get(m, 0) - wc * c
+                        if v:
+                            work[m] = v
+                        else:
+                            del work[m]
+                break
+        else:
+            rem[we] = wc
+    return rem
+
+
 def normal_form(p: Polynomial, basis: list[Polynomial],
                 order: MonomialOrder = GREVLEX,
                 budget: int | None = None) -> Polynomial:
@@ -39,45 +94,13 @@ def normal_form(p: Polynomial, basis: list[Polynomial],
     Unique when basis is a Groebner basis for the order.  Divisors are
     tried in decreasing leading-term order for determinism.
     """
-    for g in basis:
-        if g.variables != p.variables:
-            raise VariableMismatch(f"{g.variables} vs {p.variables}")
-    divisors = sorted((g for g in basis if not g.is_zero()),
-                      key=lambda g: order.key(g.leading(order)[0]),
-                      reverse=True)
-    lead = [g.leading(order) for g in divisors]
-    steps = 0
-    cap = _budget(budget)
-    rem = Polynomial.zero(p.variables)
-    work = p
-    while not work.is_zero():
-        steps += 1
-        if steps > cap:
-            raise BudgetExceeded(f"normal_form exceeded {cap} steps")
-        we, wc = work.leading(order)
-        for g, (ge, gc) in zip(divisors, lead):
-            if _divides(ge, we):
-                q = Polynomial.monomial(
-                    tuple(a - b for a, b in zip(we, ge)), wc / gc, p.variables)
-                work = work - g * q
-                break
-        else:
-            t = Polynomial.monomial(we, wc, p.variables)
-            rem = rem + t
-            work = work - t
-    return rem
-
-
-def _s_polynomial(f: Polynomial, g: Polynomial,
-                  order: MonomialOrder) -> Polynomial:
-    fe, fc = f.leading(order)
-    ge, gc = g.leading(order)
-    l = _lcm(fe, ge)
-    mf = Polynomial.monomial(tuple(a - b for a, b in zip(l, fe)),
-                             1 / fc, f.variables)
-    mg = Polynomial.monomial(tuple(a - b for a, b in zip(l, ge)),
-                             1 / gc, g.variables)
-    return f * mf - g * mg
+    _check_variables(basis, p.variables)
+    divisors = sorted(((g.leading(order)[0], g.monic(order).terms)
+                       for g in basis if not g.is_zero()),
+                      key=lambda d: order.key(d[0]), reverse=True)
+    rem = _reduce(dict(p.terms), divisors, order,
+                  _Budget(budget, "normal_form"))
+    return Polynomial(p.variables, rem)
 
 
 def groebner_basis(generators: list[Polynomial],
@@ -87,67 +110,68 @@ def groebner_basis(generators: list[Polynomial],
     if not generators:
         raise ValueError("empty generator list")
     variables = generators[0].variables
-    for g in generators:
-        if g.variables != variables:
-            raise VariableMismatch(f"{g.variables} vs {variables}")
-    cap = _budget(budget)
+    _check_variables(generators, variables)
+    steps = _Budget(budget, "groebner_basis")
 
-    basis = [g.monic(order) for g in generators if not g.is_zero()]
+    basis = [g.monic(order).terms for g in generators if not g.is_zero()]
     if not basis:
         return [Polynomial.zero(variables)]
+    leads = [max(g, key=order.key) for g in basis]
+    live: list[int] = []    # elements that still form pairs and reduce
+    pairs: list = []        # heap of (order key of lcm, i, j, lcm), i > j
 
-    def pair_key(i: int, j: int):
-        l = _lcm(basis[i].leading(order)[0], basis[j].leading(order)[0])
-        return (order.key(l), i, j)
+    def update(h: int) -> None:
+        nonlocal live, pairs
+        mh = leads[h]
+        new = [(_lcm(mh, leads[g]), g) for g in live]
+        kept = []
+        for k, (l, g) in enumerate(new):
+            coprime = l == tuple(a + b for a, b in zip(mh, leads[g]))
+            # criteria M and F: a later new pair's lcm, or a kept one's,
+            # divides this lcm; coprime pairs stay as witnesses
+            if coprime or not any(_divides(o[0], l)
+                                  for o in new[k + 1:] + kept):
+                kept.append((l, g, coprime))
+        pairs = [p for p in pairs
+                 if not _divides(mh, p[3])
+                 or _lcm(leads[p[1]], mh) == p[3]
+                 or _lcm(leads[p[2]], mh) == p[3]]
+        pairs += [(order.key(l), h, g, l) for l, g, coprime in kept
+                  if not coprime]
+        heapq.heapify(pairs)
+        live = [g for g in live if not _divides(mh, leads[g])] + [h]
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
-    steps = 0
+    for h in range(len(basis)):
+        update(h)
     while pairs:
-        steps += 1
-        if steps > cap:
-            raise BudgetExceeded(f"groebner_basis exceeded {cap} pair steps")
-        i, j = min(pairs, key=lambda p: pair_key(p[0], p[1]))
-        pairs.discard((i, j))
-        fe = basis[i].leading(order)[0]
-        ge = basis[j].leading(order)[0]
-        # Buchberger's first criterion: coprime leading terms reduce to 0.
-        if _lcm(fe, ge) == tuple(a + b for a, b in zip(fe, ge)):
-            continue
-        s = _s_polynomial(basis[i], basis[j], order)
-        r = normal_form(s, basis, order, budget=cap)
-        if not r.is_zero():
-            basis.append(r.monic(order))
-            k = len(basis) - 1
-            pairs.update((k, m) for m in range(k))
-    return _reduce_basis(basis, order, cap)
-
-
-def _reduce_basis(basis: list[Polynomial], order: MonomialOrder,
-                  cap: int) -> list[Polynomial]:
-    # Minimalize: drop elements whose leading term another's divides.
-    leads = [g.leading(order)[0] for g in basis]
-    minimal = []
-    for i in range(len(basis)):
-        li = leads[i]
-        dominated = False
-        for j in range(len(basis)):
-            if i == j:
-                continue
-            lj = leads[j]
-            if _divides(lj, li) and (lj != li or j < i):
-                dominated = True
-                break
-        if not dominated:
-            minimal.append(basis[i])
-    # Tail-reduce each element against the others.
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others, order, budget=cap) if others else g
-        if not r.is_zero():
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
-    return reduced
+        steps.step()
+        _, i, j, l = heapq.heappop(pairs)
+        # the first division step of x^(l - lead i) * basis[i], by basis[j],
+        # leaves the S-polynomial
+        shift = [a - b for a, b in zip(l, leads[i])]
+        work = {tuple(a + b for a, b in zip(e, shift)): c
+                for e, c in basis[i].items()}
+        r = _reduce(work, [(leads[j], basis[j])]
+                    + [(leads[g], basis[g]) for g in live], order, steps)
+        if r:
+            lead = max(r, key=order.key)
+            lc = r[lead]
+            basis.append({e: c / lc for e, c in r.items()})
+            leads.append(lead)
+            update(len(basis) - 1)
+    # Minimalize (the update leaves no two equal leading terms), then
+    # tail-reduce each element against the others.
+    keep = sorted((g for g in live
+                   if not any(_divides(leads[o], leads[g])
+                              for o in live if o != g)),
+                  key=lambda g: order.key(leads[g]))
+    out = []
+    for g in keep:
+        tail = {e: c for e, c in basis[g].items() if e != leads[g]}
+        r = _reduce(tail, [(leads[o], basis[o]) for o in keep if o != g],
+                    order, steps)
+        out.append(Polynomial(variables, {leads[g]: 1, **r}))
+    return out
 
 
 def ideal_contains(p: Polynomial, basis: list[Polynomial],

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NotCritical, NotIsolated, OrderTooLow, VariableMismatch
+from .errors import (IdentityViolation, NotCritical, NotIsolated,
+                     OrderTooLow, VariableMismatch)
 from .groebner import groebner_basis, normal_form, staircase_monomials
 from .poly import GREVLEX, Polynomial
 
@@ -159,7 +160,9 @@ def miniversal_unfolding(a: GermAnalysis) -> Unfolding:
     # order >= 3 puts every z_i under the staircase, so this reindexing
     # is a permutation of cobasis minus the constant
     monomials = (linear + rest) if a.mu > 1 else []
-    assert len(monomials) + 1 == a.mu
+    if len(monomials) + 1 != a.mu:
+        raise IdentityViolation(
+            f"{len(monomials)} deformation monomials for mu = {a.mu}")
     t_names = tuple(f"t{k}" for k in range(1, len(monomials) + 1))
     for t in t_names:
         if t in names:

@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from .errors import (DimensionTooLarge, GcdNotOne, NonBinomialElement,
-                     NotABranch, OrderMismatch, RegularizationBudget,
+from .errors import (DimensionTooLarge, GcdNotOne, IdentityViolation,
+                     InvalidInput, NonBinomialElement, NotABranch,
+                     OrderMismatch, RegularizationBudget,
                      TruncationInsufficient)
 from .groebner import eliminate
 from .poly import Polynomial
@@ -66,7 +66,7 @@ def semigroup_from_generators(gens: list[int]) -> NumericalSemigroup:
     """Semigroup data via dynamic programming up to the conductor."""
     gens = sorted(set(int(g) for g in gens))
     if not gens or gens[0] <= 0:
-        raise ValueError("generators must be positive integers")
+        raise InvalidInput("generators must be positive integers")
     if math.gcd(*gens) != 1:
         raise GcdNotOne(f"gcd of {gens} is not 1")
     m = gens[0]
@@ -178,7 +178,7 @@ def toric_ideal(gamma: NumericalSemigroup, budget: int | None = None
     """Eliminate T from {U_i - T^{gamma_i}}; certify the result binomial."""
     gens = gamma.minimal_generators
     if len(gens) < 2:
-        raise ValueError("toric ideal needs at least two generators (g >= 1)")
+        raise InvalidInput("toric ideal needs at least two generators (g >= 1)")
     unames = tuple(f"U{i}" for i in range(len(gens)))
     ring = ("T",) + unames
     T = Polynomial.variable("T", ring)
@@ -287,30 +287,42 @@ def _stellar(fan: list[Cone], v: Vector) -> list[Cone]:
     return out
 
 
+def _adjugate(m: list[list[int]]) -> list[list[int]]:
+    """Integer matrix adj with m * adj = det(m) * identity."""
+    n = len(m)
+    return [[(-1) ** (i + j) * _int_det([[m[r][c] for c in range(n) if c != i]
+                                       for r in range(n) if r != j])
+             for j in range(n)] for i in range(n)]
+
+
 def _parallelepiped_point(cone: Cone) -> Vector:
     """Minimal nonzero lattice point of the fundamental parallelepiped.
 
     Minimality is (sum of barycentric coordinates, lexicographic), the
-    deterministic pivot rule for regularization.
+    deterministic pivot rule for regularization.  The lattice points are
+    sum(c_j rays_j) / |det| for the c in the subgroup of (Z/|det|)^d that
+    the columns of |det| * V^-1 generate; it has exactly |det| elements.
     """
-    det = abs(cone.determinant())
-    d = cone.dim
-    best = None
-    for combo in product(range(det), repeat=d):
-        if all(c == 0 for c in combo):
-            continue
-        lam = [Fraction(c, det) for c in combo]
-        point = tuple(
-            sum(lam[j] * cone.rays[j][i] for j in range(d))
-            for i in range(d))
-        if any(x.denominator != 1 for x in point):
-            continue
-        point = tuple(int(x) for x in point)
-        key = (sum(lam), point)
-        if best is None or key < best[0]:
-            best = (key, point)
-    assert best is not None  # |det| > 1 guarantees an interior lattice point
-    return best[1]
+    m = cone.matrix()
+    det = _int_det(m)
+    n, d = abs(det), cone.dim
+    adj = _adjugate(m)
+    group = {(0,) * d}
+    for i in range(d):  # add the multiples of column i of |det| * V^-1
+        step = [det // n * adj[j][i] for j in range(d)]
+        group = {tuple((a + k * b) % n for a, b in zip(c, step))
+                 for c in group for k in range(n)}
+    points = []
+    for c in group:
+        raw = [sum(c[j] * cone.rays[j][i] for j in range(d))
+               for i in range(d)]
+        if any(c) and not any(x % n for x in raw):
+            points.append((sum(c), tuple(x // n for x in raw)))
+    if n < 2 or len(points) != n - 1:
+        raise IdentityViolation(
+            f"cone {cone.rays} with |det| = {n} has {len(points)} nonzero "
+            "lattice points in its fundamental parallelepiped")
+    return min(points)[1]
 
 
 @dataclass(frozen=True)
@@ -335,7 +347,7 @@ def resolve_monomial_curve(gamma: NumericalSemigroup,
     if d > 3:
         raise DimensionTooLarge(f"ambient dimension {d} > 3")
     if d < 2:
-        raise ValueError("resolution needs g >= 1")
+        raise InvalidInput("resolution needs g >= 1")
     orthant = Cone(rays=tuple(
         tuple(1 if i == j else 0 for j in range(d)) for i in range(d)))
     fan = _stellar([orthant], tuple(gens))
@@ -352,8 +364,10 @@ def resolve_monomial_curve(gamma: NumericalSemigroup,
     gvec = _primitive(tuple(gens))
     chart = next(i for i, c in enumerate(cones) if gvec in c.rays)
     sol = _solve(cones[chart].matrix(), list(gens))
+    if sorted(sol) != [0] * (d - 1) + [1]:
+        raise IdentityViolation(f"chart exponents ({', '.join(map(str, sol))})"
+                                f" of {gens} are not a unit vector")
     exponents = tuple(int(x) for x in sol)
-    assert sorted(exponents) == [0] * (d - 1) + [1]
     return ResolutionCertificate(fan=Fan(cones=cones), chart=chart,
                                  exponents=exponents, gamma=gvec)
 
@@ -539,8 +553,10 @@ def verify_strict_transform(xi: list[Series],
                 f"xi_{i} precision {s.prec} < conductor + buffer = {need}")
     cone = cert.chart_cone()
     det = cone.determinant()
-    inv = [[_cofactor(cone.matrix(), j, i, det) for i in range(d)]
-           for j in range(d)]
+    if abs(det) != 1:
+        raise IdentityViolation(f"chart cone {cone.rays} has determinant "
+                                f"{det}, not +-1")
+    inv = [[det * a for a in row] for row in _adjugate(cone.matrix())]
     orders = []
     units = []
     for j in range(d):
@@ -561,21 +577,6 @@ def verify_strict_transform(xi: list[Series],
         f"orders {orders} != expected {list(expected)}"
     return TransformReport(orders=tuple(orders), leading_units=tuple(units),
                            expected=expected, ok=ok, detail=detail)
-
-
-def _cofactor(m: list[list[int]], i: int, j: int, det: int) -> int:
-    """Entry (i, j) of the exact inverse of an integer matrix, det +-1."""
-    n = len(m)
-    minor = [[m[r][c] for c in range(n) if c != i]
-             for r in range(n) if r != j]
-    sign = (-1) ** (i + j)
-    if n == 1:
-        cof = 1
-    else:
-        cof = _int_det(minor)
-    val = Fraction(sign * cof, det)
-    assert val.denominator == 1
-    return int(val)
 
 
 # -- weights and overweight deformations ------------------------------------

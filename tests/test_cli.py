@@ -54,6 +54,16 @@ class TestCommands:
         assert out["minimal_generators"] == [4, 6, 13]
         assert out["characteristic_exponents"] == [4, 6, 7]
 
+    @pytest.mark.parametrize("argv", [
+        ("semigroup", "--generators", "0,3"),
+        ("toric-ideal", "--generators", "1"),
+        ("toric-resolve", "--generators", "1"),
+    ])
+    def test_bad_generators_exit_two(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out["error"]["type"] == "InvalidInput"
+
     def test_overweight_fail_exit_three(self, capsys):
         code, out = run_cli(capsys, "overweight",
                             "--variables", "U0,U1",
@@ -156,6 +166,19 @@ class TestManifest:
         assert not ok
         result = report["jobs"][0]["tasks"][0]["result"]
         assert result["error"]["type"] == "DegenerateParameter"
+
+
+    def test_bad_generators_recorded_as_task_error(self):
+        doc = {"schema": "singlab-manifest/1",
+               "jobs": [{"kind": "semigroup", "generators": [0, 3],
+                         "tasks": [{"op": "semigroup"}]},
+                        {"kind": "semigroup", "generators": [2, 3],
+                         "tasks": [{"op": "toric-ideal"}]}]}
+        report, ok = run_manifest(doc)
+        assert not ok
+        first, second = (job["tasks"][0] for job in report["jobs"])
+        assert first["result"]["error"]["type"] == "InvalidInput"
+        assert second["ok"] is True
 
 
 class TestFigures:

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singlab import groebner
 from singlab.errors import BudgetExceeded
 from singlab.groebner import (eliminate, groebner_basis, ideal_contains,
                               normal_form, staircase_monomials)
@@ -64,6 +65,32 @@ class TestAgainstSympy:
         ours = groebner_basis(gens, LEX)
         assert _as_sympy_set(ours, names, "lex") == \
             _sympy_groebner(gens, names, "lex")
+
+
+def _random_polynomial(names):
+    """Two or three terms of total degree <= 3, small coefficients."""
+    n = len(names)
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
+    terms = st.dictionaries(exps, st.integers(-3, 3).filter(bool),
+                            min_size=2, max_size=3)
+    return terms.map(lambda t: Polynomial(names, t))
+
+
+@st.composite
+def _random_ideal(draw):
+    names = ("x", "y", "z")[:draw(st.integers(2, 3))]
+    return draw(st.lists(_random_polynomial(names), min_size=2, max_size=3)), \
+        names
+
+
+class TestRandomIdealsAgainstSympy:
+    @given(_random_ideal(), st.sampled_from(["grevlex", "lex"]))
+    @settings(max_examples=40, deadline=None)
+    def test_reduced_basis_agrees(self, ideal, order):
+        gens, names = ideal
+        ours = groebner_basis(gens, GREVLEX if order == "grevlex" else LEX)
+        assert _as_sympy_set(ours, names, order) == \
+            _sympy_groebner(gens, names, order)
 
 
 class TestNormalForm:
@@ -126,3 +153,31 @@ def test_budget_is_enforced(monkeypatch):
     with pytest.raises(BudgetExceeded):
         groebner_basis([P("z^3 - 2*z*w", names),
                         P("z^2*w - 2*w^2 + z", names)], GREVLEX)
+
+
+def test_budget_bounds_the_whole_computation(monkeypatch):
+    # Record each reduction's steps and the shared counter's final total.
+    runs, counters = [], []
+    real = groebner._reduce
+
+    def recording(work, divisors, order, budget):
+        before = budget.used
+        out = real(work, divisors, order, budget)
+        runs.append(budget.used - before)
+        counters.append(budget)
+        return out
+
+    monkeypatch.setattr(groebner, "_reduce", recording)
+    names = ("T", "U0", "U1", "U2")
+    gens = [P("U0 - T^5", names), P("U1 - T^7", names), P("U2 - T^9", names)]
+    groebner_basis(gens, LEX)
+    total = counters[-1].used
+    pair_steps = total - sum(runs)
+    cap = max(pair_steps, max(runs))
+    # the pair loop and every single reduction fit the cap; their sum does not
+    assert cap < total
+    with pytest.raises(BudgetExceeded):
+        groebner_basis(gens, LEX, budget=cap)
+    monkeypatch.setenv("SINGLAB_BUDGET", str(cap))
+    with pytest.raises(BudgetExceeded):
+        eliminate(gens, ["T"])

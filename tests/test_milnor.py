@@ -9,7 +9,8 @@ import itertools
 import pytest
 import sympy
 
-from singlab.errors import NotCritical, NotIsolated
+from singlab import milnor
+from singlab.errors import IdentityViolation, NotCritical, NotIsolated
 from singlab.milnor import analyze_germ, miniversal_unfolding, unfold_germ
 from singlab.poly import parse_polynomial
 
@@ -120,3 +121,11 @@ class TestUnfolding:
         u = miniversal_unfolding(analyze_germ(P("z^2", ("z",))))
         assert u.parameter_names == ()
         assert u.F == P("z^2", ("z",))
+
+    def test_monomial_count_mismatch_raises(self, monkeypatch):
+        # a repeated constant monomial raises mu without adding a parameter
+        real = milnor.staircase_monomials
+        monkeypatch.setattr(milnor, "staircase_monomials",
+                            lambda gb, order: real(gb, order) + [(0,)])
+        with pytest.raises(IdentityViolation):
+            unfold_germ(P("z^3", ("z",)))

@@ -5,16 +5,21 @@ orders ord_t g(x(t), y(t)) for branch value semigroups, exact monomial
 substitution for toric ideal membership.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from singlab.errors import (GcdNotOne, NonBinomialElement, NotABranch,
-                            OrderMismatch, TruncationInsufficient)
+from singlab import semitoric
+from singlab.errors import (GcdNotOne, IdentityViolation, InvalidInput,
+                            NonBinomialElement, NotABranch, OrderMismatch,
+                            TruncationInsufficient)
 from singlab.groebner import groebner_basis, ideal_contains
 from singlab.poly import LEX, parse_polynomial
 from singlab.semitoric import (Cone, OverweightDeformation, PlaneBranch,
@@ -95,6 +100,10 @@ class TestNumericalSemigroup:
     def test_redundant_generators_dropped(self):
         s = semigroup_from_generators([4, 6, 13, 10, 17])
         assert s.minimal_generators == (4, 6, 13)
+
+    def test_nonpositive_generator_is_an_input_error(self):
+        with pytest.raises(InvalidInput):
+            semigroup_from_generators([0, 3])
 
     def test_gcd_not_one_rejected(self):
         with pytest.raises(GcdNotOne):
@@ -181,6 +190,31 @@ class TestToricIdeal:
         with pytest.raises(ValueError):
             toric_ideal(semigroup_from_generators([1]))
 
+    def test_single_generator_is_an_input_error(self):
+        with pytest.raises(InvalidInput):
+            toric_ideal(semigroup_from_generators([1]))
+        with pytest.raises(InvalidInput):
+            resolve_monomial_curve(semigroup_from_generators([1]))
+
+    @pytest.mark.parametrize("gens", [(2, 3), (4, 6, 13), (5, 7, 9),
+                                      (3, 4, 5), (6, 10, 11), (4, 10, 11)])
+    def test_matches_sympy_elimination(self, gens):
+        # the T-free elements of sympy's lex basis of {U_i - T^g_i}, monic
+        ideal = toric_ideal(semigroup_from_generators(list(gens)))
+        t, *us = sympy.symbols(["T"] + list(ideal.variables))
+        basis = sympy.groebner([u - t ** g for u, g in zip(us, gens)],
+                               t, *us, order="lex")
+        oracle = {sympy.expand(e / sympy.LC(e, order="lex", gens=us))
+                  for e in basis.exprs if not e.has(t)}
+        ours = set()
+        for p in ideal.binomials:
+            expr = sum(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*[u ** k for u, k in zip(us, e)])
+                       for e, c in p.terms.items())
+            ours.add(sympy.expand(expr / sympy.LC(expr, order="lex",
+                                                   gens=us)))
+        assert ours == oracle
+
 
 class TestResolution:
     def test_cusp_chart(self):
@@ -226,6 +260,71 @@ class TestResolution:
                 assert all(any(c == 0 for c in coeffs) for coeffs in hits)
                 boundary += 1
         assert interior > 0
+
+
+def _walk_all_coefficients(cone):
+    """The det^d walk over every coefficient vector: the reference."""
+    det = abs(cone.determinant())
+    d = cone.dim
+    best = None
+    for combo in product(range(det), repeat=d):
+        if all(c == 0 for c in combo):
+            continue
+        lam = [Fraction(c, det) for c in combo]
+        point = tuple(sum(lam[j] * cone.rays[j][i] for j in range(d))
+                      for i in range(d))
+        if any(x.denominator != 1 for x in point):
+            continue
+        point = tuple(int(x) for x in point)
+        key = (sum(lam), point)
+        if best is None or key < best[0]:
+            best = (key, point)
+    return best[1]
+
+
+@st.composite
+def _small_det_cone(draw):
+    d = draw(st.integers(2, 3))
+    entry = st.integers(-4, 4)
+    rays = draw(st.tuples(*[st.tuples(*[entry] * d)] * d))
+    cone = Cone(rays=rays)
+    assume(1 < abs(cone.determinant()) <= 12)
+    return cone
+
+
+class TestParallelepipedPoint:
+    @given(_small_det_cone())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_walk(self, cone):
+        assert semitoric._parallelepiped_point(cone) == \
+            _walk_all_coefficients(cone)
+
+    def test_wrong_group_raises(self, monkeypatch):
+        cone = Cone(rays=((1, 0), (1, 2)))
+        monkeypatch.setattr(semitoric, "_adjugate",
+                            lambda m: [[0] * len(m) for _ in m])
+        with pytest.raises(IdentityViolation):
+            semitoric._parallelepiped_point(cone)
+
+    def test_unimodular_cone_raises(self):
+        with pytest.raises(IdentityViolation):
+            semitoric._parallelepiped_point(Cone(rays=((1, 0), (1, 1))))
+
+
+class TestResolutionInvariants:
+    def test_chart_exponents_not_unit_raise(self):
+        # a generator vector with gcd 2 puts 2 in the chart exponents
+        gamma = dataclasses.replace(semigroup_from_generators([2, 3]),
+                                    minimal_generators=(2, 4))
+        with pytest.raises(IdentityViolation):
+            resolve_monomial_curve(gamma)
+
+    def test_non_unimodular_chart_raises(self, monkeypatch):
+        gamma, xi = branch_embedding(PlaneBranch(2, ((3, Fraction(1)),)))
+        cert = resolve_monomial_curve(gamma)
+        monkeypatch.setattr(semitoric.Cone, "determinant", lambda self: 2)
+        with pytest.raises(IdentityViolation):
+            verify_strict_transform(xi, gamma, cert)
 
 
 class TestStrictTransform:
