@@ -64,11 +64,16 @@ def _y_terms(text: str) -> tuple[tuple[int, Fraction], ...]:
     out = []
     for chunk in text.split(","):
         e, _, c = chunk.partition(":")
-        out.append((int(e.strip()), Fraction(c.strip() or "1")))
+        try:
+            out.append((int(e.strip()), Fraction(c.strip() or "1")))
+        except (ValueError, ZeroDivisionError):
+            raise InvalidInput(f"y term {chunk!r} is not exponent:rational")
     return tuple(out)
 
 
 def _branch(args) -> PlaneBranch:
+    if args.x_exponent is None or args.y is None:
+        raise InvalidInput("give --generators, or --x-exponent and --y")
     return PlaneBranch(x_exponent=args.x_exponent, y_terms=_y_terms(args.y))
 
 
@@ -209,23 +214,21 @@ def cmd_slice(args):
 
 
 def cmd_semigroup(args):
-    if args.generators:
-        s = semigroup_from_generators(
-            [int(x) for x in args.generators.split(",")])
-        payload = serialize.jsonable(s)
-    else:
-        b = _branch(args)
-        s = branch_semigroup(b)
-        payload = serialize.jsonable(s)
-        payload["characteristic_exponents"] = characteristic_exponents(b)
+    payload = serialize.jsonable(_semigroup_of(args))
+    if not args.generators:
+        payload["characteristic_exponents"] = \
+            characteristic_exponents(_branch(args))
     return payload, True
 
 
 def _semigroup_of(args):
-    if args.generators:
-        return semigroup_from_generators(
-            [int(x) for x in args.generators.split(",")])
-    return branch_semigroup(_branch(args))
+    if not args.generators:
+        return branch_semigroup(_branch(args))
+    try:
+        gens = [int(x) for x in args.generators.split(",")]
+    except ValueError:
+        raise InvalidInput(f"generators {args.generators!r} are not integers")
+    return semigroup_from_generators(gens)
 
 
 def cmd_toric_ideal(args):
@@ -327,6 +330,14 @@ def _validate_manifest(doc) -> None:
             _require(isinstance(job.get("y"), list),
                      "y must be a list of [exponent, coefficient] pairs",
                      f"{where}.y")
+            for k, pair in enumerate(job["y"]):
+                try:  # the conversions the runner makes
+                    e, c = pair
+                    int(e), serialize.parse_rational(c)
+                except (TypeError, ValueError, ZeroDivisionError):
+                    raise ManifestError(
+                        "y term must be an [exponent, coefficient] pair",
+                        field=f"{where}.y[{k}]")
             allowed = _CURVE_OPS
         elif kind == "semigroup":
             gens = job.get("generators")
@@ -693,18 +704,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, ok = args.handler(args)
-    except InvalidInput as exc:
+    except SinglabError as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         if isinstance(exc, ManifestError):
             error["error"]["field"] = exc.field
         if not args.quiet:
             sys.stdout.write(serialize.dumps(error))
-        return EXIT_USAGE
-    except SinglabError as exc:
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        if not args.quiet:
-            sys.stdout.write(serialize.dumps(error))
-        return EXIT_ERROR
+        return EXIT_USAGE if isinstance(exc, InvalidInput) else EXIT_ERROR
     if not args.quiet:
         sys.stdout.write(serialize.dumps(payload))
     return EXIT_OK if ok else EXIT_FAILED

@@ -112,11 +112,6 @@ class Polynomial:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.variables), Fraction(0))
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def order(self) -> int:
         """Order of vanishing at the origin (min total degree of support)."""
         if not self.terms:
@@ -248,12 +243,6 @@ class Polynomial:
             ne = tuple(e[i] for i in idx)
             terms[ne] = terms.get(ne, Fraction(0)) + c
         return Polynomial(tuple(keep), terms)
-
-    def rename(self, mapping: Mapping[str, str]) -> "Polynomial":
-        newvars = tuple(mapping.get(v, v) for v in self.variables)
-        if len(set(newvars)) != len(newvars):
-            raise VariableMismatch("rename collision")
-        return Polynomial(newvars, self.terms)
 
     def extend(self, variables: Iterable[str]) -> "Polynomial":
         """Reinterpret over a larger variable tuple (superset, any order)."""

@@ -44,11 +44,7 @@ class NumericalSemigroup:
         return len(self.minimal_generators) - 1
 
     def contains(self, x: int) -> bool:
-        if x < 0:
-            return False
-        if x >= self.conductor:
-            return True
-        return x not in set(self.gaps)
+        return x >= 0 and (x >= self.conductor or x not in self.gaps)
 
 
 def _achievable(gens: list[int], bound: int) -> list[bool]:
@@ -235,9 +231,6 @@ class Cone:
 class Fan:
     cones: tuple[Cone, ...]
 
-    def containing(self, v) -> list[Cone]:
-        return [c for c in self.cones if c.contains(v)]
-
 
 def _int_det(m: list[list[int | Fraction]]):
     n = len(m)
@@ -399,15 +392,18 @@ class Series:
         return self.terms.get(e, Fraction(0))
 
     def mul(self, other: "Series") -> "Series":
-        prec = min(self.prec + (other.order() or 0),
-                   other.prec + (self.order() or 0)) \
-            if self.terms and other.terms else min(self.prec, other.prec)
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                if e1 + e2 < prec:
-                    out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
-        return Series(out, prec)
+        if not (self.terms and other.terms):
+            return Series({}, min(self.prec, other.prec))
+        prec = min(self.prec + other.order(), other.prec + self.order())
+        da, a = _integral(self.terms)
+        db, b = _integral(other.terms)
+        out: dict[int, int] = {}
+        for e1, c1 in a:
+            for e2, c2 in b:
+                if e1 + e2 >= prec:
+                    break
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return Series({e: Fraction(c, da * db) for e, c in out.items()}, prec)
 
     def add(self, other: "Series") -> "Series":
         prec = min(self.prec, other.prec)
@@ -419,42 +415,45 @@ class Series:
     def scale(self, c: Fraction) -> "Series":
         return Series({e: c * v for e, v in self.terms.items()}, self.prec)
 
-    def shift(self, k: int) -> "Series":
-        return Series({e + k: c for e, c in self.terms.items()},
-                      self.prec + k)
-
-    def inverse(self, prec: int) -> "Series":
-        """1/self for a unit series (order 0, nonzero constant term)."""
-        if self.order() != 0:
-            raise ValueError("can only invert a unit series")
-        c0 = self.terms[0]
-        inv = {0: 1 / c0}
-        for e in range(1, min(prec, self.prec)):
-            acc = Fraction(0)
-            for k, c in self.terms.items():
-                if 0 < k <= e:
-                    acc += c * inv.get(e - k, Fraction(0))
-            inv[e] = -acc / c0
-        return Series(inv, min(prec, self.prec))
-
     def power(self, k: int, prec: int) -> "Series":
-        """self**k for integer k (negative allowed for t^m * unit form)."""
+        """self**k for integer k: t^(k m) u^k for self = t^m u, u(0) != 0.
+
+        J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) gives u^k in
+        O(prec * terms) for any k, with no inverse: g_0 = a_0^k and
+        n a_0 g_n = sum_{i=1..n} ((k+1) i - n) a_i g_{n-i}.  u^k is exact
+        below min(prec + |k m| + 1, self.prec - m), for k < 0 also below
+        prec + |k| max(m, 0) + 1; u^0 = 1 is exact below prec + 1.
+        """
         ordr = self.order()
         if ordr is None:
             if k <= 0:
                 raise ValueError("cannot take nonpositive power of zero")
             return Series({}, prec)
-        unit = Series({e - ordr: c for e, c in self.terms.items()},
-                      self.prec - ordr)
+        if k == 0:
+            return Series({0: Fraction(1)}, prec + 1)
+        p = min(prec + abs(k * ordr) + 1, self.prec - ordr)
         if k < 0:
-            unit = unit.inverse(prec + abs(k) * max(ordr, 0) + 1)
-            base, n = unit, -k
-        else:
-            base, n = unit, k
-        acc = Series({0: Fraction(1)}, prec + abs(k * ordr) + 1)
-        for _ in range(n):
-            acc = acc.mul(base)
-        return acc.shift(k * ordr)
+            p = min(p, prec - k * max(ordr, 0) + 1)
+        # on integers: u = U / den, c0 = U_0, g_n = a_0^k G_n / c0^n, and
+        # n G_n = sum ((k+1) i - n) U_i c0^(i-1) G_{n-i} divides exactly
+        den, unit = _integral({e - ordr: c for e, c in self.terms.items()})
+        c0 = unit[0][1]
+        w = [(i, u * c0 ** (i - 1)) for i, u in unit[1:] if i < p]
+        g = [1]
+        for n in range(1, p):
+            g.append(sum(((k + 1) * i - n) * u * g[n - i]
+                         for i, u in w if i <= n) // n)
+        a0k = Fraction(c0, den) ** k
+        return Series({n + k * ordr: Fraction(x * a0k.numerator,
+                                              a0k.denominator * c0 ** n)
+                       for n, x in enumerate(g) if x}, p + k * ordr)
+
+
+def _integral(terms: dict[int, Fraction]) -> tuple[int, list[tuple]]:
+    """Common denominator and the (exponent, integer numerator) pairs."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, sorted((e, c.numerator * (den // c.denominator))
+                       for e, c in terms.items())
 
 
 @dataclass
@@ -501,6 +500,10 @@ def branch_embedding(b: PlaneBranch, prec: int | None = None
         prec = gamma.conductor + 60
     x, y = branch_series(b, prec)
     xi = [x, y]
+    for i, s in enumerate(xi[:len(gens)]):  # the semiroot loop needs both
+        if s.order() != gens[i]:
+            raise OrderMismatch(
+                f"ord xi_{i} = {s.order()}, expected {gens[i]}")
     e = [gens[0]]
     for g in gens[1:]:
         e.append(math.gcd(e[-1], g))

@@ -1,9 +1,14 @@
 """CLI behavior: JSON reports, error objects, exit codes, manifests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import singlab
 from singlab.cli import main, run_manifest
 from singlab.errors import ManifestError
 
@@ -12,6 +17,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out else None
+
+
+def run_cli_process(*argv, timeout=60):
+    """The CLI in a child process, so that a hang fails instead of blocking."""
+    env = dict(os.environ, PYTHONPATH=str(Path(singlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "singlab.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+    return proc.returncode, json.loads(proc.stdout) if proc.stdout else None
 
 
 class TestCommands:
@@ -63,6 +77,25 @@ class TestCommands:
         code, out = run_cli(capsys, *argv)
         assert code == 2
         assert out["error"]["type"] == "InvalidInput"
+
+    @pytest.mark.parametrize("argv", [
+        ("semigroup", "--generators", "a,3"),
+        ("strict-transform", "--x-exponent", "4", "--y", "10:1,x:1"),
+        ("semigroup",),
+    ], ids=["generators-not-integers", "y-exponent-not-integer",
+            "no-curve-source"])
+    def test_bad_curve_input_exit_two(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out["error"]["type"] == "InvalidInput"
+
+    @pytest.mark.parametrize("x_exponent,y", [
+        ("6", "4:1,5:1"), ("9", "6:1,7:1"), ("8", "6:1,7:1"), ("4", "3:1")])
+    def test_y_below_x_is_order_mismatch(self, x_exponent, y):
+        code, out = run_cli_process("strict-transform", "--x-exponent",
+                                    x_exponent, "--y", y)
+        assert code == 1
+        assert out["error"]["type"] == "OrderMismatch"
 
     def test_overweight_fail_exit_three(self, capsys):
         code, out = run_cli(capsys, "overweight",
@@ -167,6 +200,27 @@ class TestManifest:
         result = report["jobs"][0]["tasks"][0]["result"]
         assert result["error"]["type"] == "DegenerateParameter"
 
+
+    def test_bad_y_term_rejected(self):
+        bad = {"schema": "singlab-manifest/1",
+               "jobs": [{"kind": "branch", "x_exponent": 4,
+                         "y": [[6, "1"], ["x", 1]],
+                         "tasks": [{"op": "semigroup"}]}]}
+        with pytest.raises(ManifestError) as err:
+            run_manifest(bad)
+        assert err.value.field == "jobs[0].y[1]"
+
+    def test_y_below_x_recorded_as_task_error(self, tmp_path):
+        doc = {"schema": "singlab-manifest/1",
+               "jobs": [{"kind": "branch", "x_exponent": 6,
+                         "y": [[4, "1"], [5, "1"]],
+                         "tasks": [{"op": "strict-transform"}]}]}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli_process("run", str(path))
+        assert code == 3
+        result = out["jobs"][0]["tasks"][0]["result"]
+        assert result["error"]["type"] == "OrderMismatch"
 
     def test_bad_generators_recorded_as_task_error(self):
         doc = {"schema": "singlab-manifest/1",

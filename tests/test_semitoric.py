@@ -416,11 +416,80 @@ class TestOverweight:
         assert overweight_check(d)[0].ok
 
 
+def _reference_mul(a, b):
+    """The double-loop Fraction product that Series.mul replaced."""
+    prec = min(a.prec + (b.order() or 0), b.prec + (a.order() or 0)) \
+        if a.terms and b.terms else min(a.prec, b.prec)
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            if e1 + e2 < prec:
+                out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+    return Series(out, prec)
+
+
+def _reference_inverse(s, prec):
+    c0 = s.terms[0]
+    inv = {0: 1 / c0}
+    for e in range(1, min(prec, s.prec)):
+        acc = Fraction(0)
+        for k, c in s.terms.items():
+            if 0 < k <= e:
+                acc += c * inv.get(e - k, Fraction(0))
+        inv[e] = -acc / c0
+    return Series(inv, min(prec, s.prec))
+
+
+def _reference_power(s, k, prec):
+    """|k| products by the unit, or by its inverse for k < 0."""
+    ordr = s.order()
+    unit = Series({e - ordr: c for e, c in s.terms.items()}, s.prec - ordr)
+    if k < 0:
+        unit = _reference_inverse(unit, prec + abs(k) * max(ordr, 0) + 1)
+    acc = Series({0: Fraction(1)}, prec + abs(k * ordr) + 1)
+    for _ in range(abs(k)):
+        acc = _reference_mul(acc, unit)
+    return Series({e + k * ordr: c for e, c in acc.terms.items()},
+                  acc.prec + k * ordr)
+
+
+_rational = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def _series(draw, allow_zero=False):
+    order = draw(st.integers(-8, 8))
+    terms = draw(st.dictionaries(st.integers(order, order + 10), _rational,
+                                 max_size=5))
+    if not allow_zero:
+        terms[order] = draw(_rational.filter(bool))
+    return Series(terms, draw(st.integers(order + 1, order + 24)))
+
+
 class TestSeries:
     def test_inverse_of_unit(self):
         s = Series({0: Fraction(1), 1: Fraction(1)}, 8)
-        inv = s.inverse(8)
+        inv = s.power(-1, 8)
         assert [inv.coefficient(k) for k in range(4)] == [1, -1, 1, -1]
+
+    @given(_series(), st.integers(-12, 12), st.integers(-4, 24))
+    @settings(max_examples=150, deadline=None)
+    def test_power_matches_repeated_products(self, s, k, prec):
+        got, want = s.power(k, prec), _reference_power(s, k, prec)
+        assert got.terms == want.terms and got.prec == want.prec
+
+    @given(_series(allow_zero=True), _series(allow_zero=True))
+    @settings(max_examples=150, deadline=None)
+    def test_mul_matches_double_loop(self, a, b):
+        got, want = a.mul(b), _reference_mul(a, b)
+        assert got.terms == want.terms and got.prec == want.prec
+
+    def test_power_of_zero(self):
+        zero = Series({}, 5)
+        assert not zero.power(3, 7).terms and zero.power(3, 7).prec == 7
+        for k in (0, -1, -12):
+            with pytest.raises(ValueError):
+                zero.power(k, 5)
 
     def test_negative_power(self):
         # (t^2)^-1 shifts orders down by 2
