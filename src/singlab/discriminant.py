@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (BoxEscape, DegenerateParameter, PathOutsideBox,
-                     UnsupportedDimension)
+from .errors import (BoxEscape, DegenerateParameter, InvalidInput,
+                     PathOutsideBox, UnsupportedDimension)
 from .milnor import Unfolding
 from .morselab import (DEFAULT_BOX_RADIUS, DEFAULT_DELTA, CriticalPoint,
                        MorseReport, ParameterPoint, critical_points,
@@ -185,9 +185,9 @@ def cerf_trace(u: Unfolding, path: list[ParameterPoint], steps: int,
                hessian_tol: Fraction = HESSIAN_TOL) -> CerfTrace:
     """Critical values along a piecewise-linear parameter path, with events."""
     if steps < 2:
-        raise ValueError("need at least 2 steps")
+        raise InvalidInput("need at least 2 steps")
     if len(path) < 2:
-        raise ValueError("path needs at least 2 breakpoints")
+        raise InvalidInput("path needs at least 2 breakpoints")
     for p in path:
         if any(abs(x) > delta for x in p.t):
             raise PathOutsideBox(f"breakpoint {p.t} outside |t| <= {delta}")

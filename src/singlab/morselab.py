@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .critmap import sign_relation_check
 from .errors import (BoxEscape, DegenerateParameter, IdentityViolation,
-                     InconsistentDegree, InsufficientAcceptance,
+                     InconsistentDegree, InsufficientAcceptance, InvalidInput,
                      UnsupportedDimension)
 from .intervals import RatInterval, eval_interval
 from .milnor import Unfolding
@@ -318,7 +318,7 @@ def critical_points(u: Unfolding, t: ParameterPoint,
             f"expected {len(u.parameter_names)}")
     r = Fraction(box_radius)
     if r <= 0:
-        raise ValueError("box radius must be positive")
+        raise InvalidInput("box radius must be positive")
     if u.n == 1:
         pts = _critical_points_1d(u, t, r, margin)
     elif u.n == 2:
@@ -369,7 +369,7 @@ def degree_invariance_scan(u: Unfolding, samples: int,
                            draw_budget: int | None = None) -> ScanReport:
     """Accepted samples must agree on the alternating sum."""
     if samples < 2:
-        raise ValueError("need at least 2 samples")
+        raise InvalidInput("need at least 2 samples")
     rng = random.Random(seed)
     budget = draw_budget if draw_budget is not None else 50 * samples
     dim = len(u.parameter_names)

@@ -14,7 +14,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping
 
-from .errors import DegreeError, VariableMismatch, ZeroPolynomial
+from .errors import (DegreeError, InvalidInput, VariableMismatch,
+                     ZeroPolynomial)
 
 Exponents = tuple[int, ...]
 
@@ -394,7 +395,7 @@ class _Parser:
         while pos < len(text):
             m = _TOKEN.match(text, pos)
             if not m:
-                raise ValueError(f"bad character at {text[pos:pos + 10]!r}")
+                raise InvalidInput(f"bad character at {text[pos:pos + 10]!r}")
             self.tokens.append(m.group(1))
             pos = m.end()
         self.i = 0
@@ -431,7 +432,7 @@ class _Parser:
                 p = p * q
             else:
                 if not q.is_constant() or q.constant_term() == 0:
-                    raise ValueError("division only by nonzero rationals")
+                    raise InvalidInput("division only by nonzero rationals")
                 p = p * (1 / q.constant_term())
         return p
 
@@ -445,20 +446,20 @@ class _Parser:
                 neg = True
             tok = self.next()
             if tok is None or not tok.isdigit():
-                raise ValueError("exponent must be a nonnegative integer")
+                raise InvalidInput("exponent must be a nonnegative integer")
             if neg:
-                raise ValueError("negative exponents not allowed")
+                raise InvalidInput("negative exponents not allowed")
             return base ** int(tok)
         return base
 
     def atom(self) -> Polynomial:
         tok = self.next()
         if tok is None:
-            raise ValueError("unexpected end of expression")
+            raise InvalidInput("unexpected end of expression")
         if tok == "(":
             p = self.expr()
             if self.next() != ")":
-                raise ValueError("unbalanced parentheses")
+                raise InvalidInput("unbalanced parentheses")
             return p
         if tok == "-":
             return -self.factor()
@@ -466,7 +467,7 @@ class _Parser:
             return Polynomial.constant(int(tok), self.variables)
         if tok in self.variables:
             return Polynomial.variable(tok, self.variables)
-        raise ValueError(f"unknown variable {tok!r}")
+        raise InvalidInput(f"unknown variable {tok!r}")
 
 
 def parse_polynomial(text: str, variables: Iterable[str]) -> Polynomial:
@@ -475,7 +476,7 @@ def parse_polynomial(text: str, variables: Iterable[str]) -> Polynomial:
     parser = _Parser(text, variables)
     p = parser.expr()
     if parser.peek() is not None:
-        raise ValueError(f"trailing input at token {parser.peek()!r}")
+        raise InvalidInput(f"trailing input at token {parser.peek()!r}")
     return p
 
 

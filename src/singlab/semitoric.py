@@ -610,10 +610,11 @@ def overweight_check(d: OverweightDeformation) -> list[OverweightVerdict]:
     """PASS iff each series' minimal-weight part is its expected binomial."""
     for b in d.expected_initials:
         if len(b.terms) != 2:
-            raise ValueError(f"expected initial {b} is not a binomial")
+            raise InvalidInput(f"expected initial {b} is not a binomial")
         (e1, _), (e2, _) = b.terms.items()
         if _weight_of_exps(e1, d.weights) != _weight_of_exps(e2, d.weights):
-            raise ValueError(f"expected initial {b} is not weight-homogeneous")
+            raise InvalidInput(
+                f"expected initial {b} is not weight-homogeneous")
     out = []
     for s, expected in zip(d.series, d.expected_initials):
         w = weight(s, d.weights)

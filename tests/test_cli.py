@@ -2,15 +2,26 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import singlab
-from singlab.cli import main, run_manifest
-from singlab.errors import ManifestError
+from singlab import serialize
+from singlab.cli import OPS, main, run_manifest
+from singlab.discriminant import cerf_trace
+from singlab.errors import InvalidInput, ManifestError
+from singlab.milnor import unfold_germ
+from singlab.morselab import (ParameterPoint, critical_points,
+                              degree_invariance_scan)
+from singlab.poly import parse_polynomial
+from singlab.semitoric import OverweightDeformation, overweight_check
+
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +125,35 @@ class TestCommands:
         lines = csv.read_text().splitlines()
         assert lines[0] == "t1,N0,N1,alt_sum"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "z^^3"),
+        ("morse", "z^3", "--t", "abc"),
+        ("morse", "z^3", "--t", "-3", "--box-radius", "abc"),
+        ("cerf", "z^3", "--path=-1/2;1/2", "--steps", "1"),
+        ("degree-scan", "z^3", "--samples", "1"),
+        ("overweight", "--variables", "U0,U1", "--weights", "a,3",
+         "--series", "U1^2 - U0^3", "--expected", "U1^2 - U0^3"),
+        ("maxwell", "z^4", "--segment=-1,-2"),
+        ("overweight", "--variables", "U0,U1", "--weights", "2,3",
+         "--series", "U1^2 - U0^3", "--expected", "U1^2"),
+        ("overweight", "--variables", "U0,U1", "--weights", "2,3",
+         "--series", "U1^2 - U0^3", "--series", "U1^2 - U0^3 + U0",
+         "--expected", "U1^2 - U0^3"),
+    ], ids=["germ-syntax", "t-not-rational", "box-radius-not-rational",
+            "one-cerf-step", "one-scan-sample", "weights-not-integers",
+            "segment-of-one-point", "expected-not-binomial",
+            "series-without-expected"])
+    def test_bad_input_exit_two(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out["error"]["type"] == "InvalidInput"
+
+    def test_cerf_unresolved_is_negative_verdict(self, capsys):
+        code, out = run_cli(capsys, "cerf", "z^3", "--path=-1/2;0",
+                            "--steps", "2")
+        assert code == 3
+        assert [e["kind"] for e in out["events"]] == ["unresolved"]
 
     def test_cerf_svg_emitted(self, capsys, tmp_path):
         svg = tmp_path / "trace.svg"
@@ -233,6 +273,151 @@ class TestManifest:
         first, second = (job["tasks"][0] for job in report["jobs"])
         assert first["result"]["error"]["type"] == "InvalidInput"
         assert second["ok"] is True
+
+
+    def test_source_error_recorded_and_next_job_runs(self):
+        doc = {"schema": "singlab-manifest/1",
+               "jobs": [{"kind": "unfolding", "germ": "z^2*w^2",
+                         "tasks": [{"op": "analyze"}, {"op": "unfold"}]},
+                        {"kind": "unfolding", "germ": "z^3",
+                         "tasks": [{"op": "analyze"}]}]}
+        report, ok = run_manifest(doc)
+        assert not ok
+        first, second = report["jobs"]
+        assert [t["result"]["error"]["type"] for t in first["tasks"]] == \
+            ["NotIsolated", "NotIsolated"]
+        assert second["tasks"][0]["ok"] is True
+
+    @pytest.mark.parametrize("job,field", [
+        ({"kind": "unfolding", "germ": "z^^3",
+          "tasks": [{"op": "analyze"}]}, "jobs[0].germ"),
+        ({"kind": "unfolding", "germ": "z^3",
+          "tasks": [{"op": "analyze"}, {"op": "morse", "t": ["abc"]}]},
+         "jobs[0].tasks[1].t[0]"),
+        ({"kind": "branch", "x_exponent": 4, "y": [[6.9, "1"], [7, "1"]],
+          "tasks": [{"op": "semigroup"}]}, "jobs[0].y[0]"),
+        ({"kind": "branch", "x_exponent": True, "y": [[6, "1"], [7, "1"]],
+          "tasks": [{"op": "semigroup"}]}, "jobs[0].x_exponent"),
+        ({"kind": "unfolding", "germ": "z^3",
+          "tasks": [{"op": "degree-scan", "sampels": 6}]},
+         "jobs[0].tasks[0].sampels"),
+        ({"kind": "unfolding", "germ": "z^3", "box_radus": "2",
+          "tasks": [{"op": "analyze"}]}, "jobs[0].box_radus"),
+    ], ids=["germ-syntax", "t-not-rational", "y-exponent-not-integral",
+            "x-exponent-bool", "unknown-task-key", "unknown-job-key"])
+    def test_bad_field_rejected_at_validation(self, job, field):
+        with pytest.raises(ManifestError) as err:
+            run_manifest({"schema": "singlab-manifest/1", "jobs": [job]})
+        assert err.value.field == field
+
+
+# One case per op: the command line, and the job and task giving the same
+# inputs to a manifest.
+GERM = {"kind": "unfolding", "germ": "z^3"}
+QUARTIC = {"kind": "unfolding", "germ": "z^4"}
+BRANCH = {"kind": "branch", "x_exponent": 4, "y": [[6, "1"], [7, "1"]]}
+PARITY = {
+    "analyze": (["z^3"], GERM, {}),
+    "unfold": (["z^4"], QUARTIC, {}),
+    "verify-identity": (["z^3"], GERM, {}),
+    "morse": (["z^3", "--t", "-3", "--box-radius", "2"], GERM,
+              {"t": ["-3"], "box_radius": "2"}),
+    "degree-scan": (["z^3", "--samples", "5"], GERM, {"samples": 5}),
+    "euler-check": (["z^4", "--t", "0,-2"], QUARTIC, {"t": [0, "-2"]}),
+    "herman-probe": (["z^3", "--budget", "20"], GERM, {"budget": 20}),
+    "discriminant": (["z^3"], GERM, {}),
+    "cerf": (["z^3", "--path=-1/2;1/2", "--steps", "16"], GERM,
+             {"path": [["-1/2"], ["1/2"]], "steps": 16}),
+    "maxwell": (["z^4", "--segment=-1,-2;1,-2"], QUARTIC,
+                {"segment": [["-1", "-2"], ["1", "-2"]]}),
+    "equal-level": (["z^4", "--index", "0", "--budget", "20"], QUARTIC,
+                    {"index": 0, "budget": 20}),
+    "slice": (["z^3", "--t-axis", "t1", "--lambda-range=-2,2",
+               "--t-range=-2,2", "--grid", "4"], GERM,
+              {"t_axis": "t1", "lambda_range": ["-2", "2"],
+               "t_range": ["-2", "2"], "grid": 4}),
+    "semigroup": (["--generators", "4,6,13"],
+                  {"kind": "semigroup", "generators": [4, 6, 13]}, {}),
+    "toric-ideal": (["--x-exponent", "4", "--y", "6:1,7:1"], BRANCH, {}),
+    "toric-resolve": (["--generators", "2,3"],
+                      {"kind": "semigroup", "generators": [2, 3]}, {}),
+    "strict-transform": (["--x-exponent", "4", "--y", "6:1,7:1"], BRANCH,
+                         {}),
+    "overweight": (["--variables", "U0,U1", "--weights", "2,3",
+                    "--series", "U1^2 - U0^3 + U0",
+                    "--expected", "U1^2 - U0^3"],
+                   {"kind": "overweight", "variables": ["U0", "U1"],
+                    "weights": [2, 3], "series": ["U1^2 - U0^3 + U0"],
+                    "expected": ["U1^2 - U0^3"]}, {}),
+}
+
+
+def _one_task(job, task):
+    doc = {"schema": "singlab-manifest/1",
+           "jobs": [{**job, "tasks": [task]}]}
+    report, _ = run_manifest(doc)
+    out = report["jobs"][0]["tasks"][0]
+    return json.loads(serialize.dumps(out["result"])), out["ok"]
+
+
+class TestOpTable:
+    def test_every_op_has_a_parity_case(self):
+        assert set(PARITY) == set(OPS)
+
+    @pytest.mark.parametrize("op", sorted(PARITY))
+    def test_cli_and_manifest_agree(self, capsys, op):
+        argv, job, fields = PARITY[op]
+        code, cli_payload = run_cli(capsys, op, *argv)
+        assert code in (0, 3)
+        assert _one_task(job, {"op": op, **fields}) == (cli_payload,
+                                                        code == 0)
+
+    def test_margin_reaches_the_library(self, capsys):
+        argv = ("morse", "z^3", "--t", "-3", "--box-radius", "2",
+                "--margin", "100")
+        code, cli_payload = run_cli(capsys, *argv)
+        assert code == 1
+        assert cli_payload["error"]["type"] == "DegenerateParameter"
+        task = {"op": "morse", "t": ["-3"], "box_radius": "2",
+                "margin": "100"}
+        assert _one_task(GERM, task) == (cli_payload, False)
+
+    def test_readme_commands_run(self, capsys, tmp_path, monkeypatch):
+        """Every README command line runs: exit 0, or 3 for a negative
+        verdict; `run experiment.json` runs the README's manifest."""
+        text = README.read_text()
+        block = text.split("## Command line")[1].split("```sh")[1]
+        lines = block.split("```")[0].replace("\\\n", " ").splitlines()
+        example = text.split("## Manifests")[1].split("```json")[1]
+        (tmp_path / "experiment.json").write_text(example.split("```")[0])
+        monkeypatch.chdir(tmp_path)
+        commands = [shlex.split(line, comments=True)[1:] for line in lines
+                    if line.startswith("singlab ")]
+        assert {argv[0] for argv in commands} == set(OPS) | {"run"}
+        for argv in commands:
+            assert main(argv) in (0, 3), argv
+            json.loads(capsys.readouterr().out)
+
+
+class TestLibraryInputErrors:
+    """The library's own input checks raise InvalidInput (a ValueError)."""
+
+    @pytest.mark.parametrize("call", [
+        lambda u: parse_polynomial("z^^3", ("z",)),
+        lambda u: parse_polynomial("z^3 + y", ("z",)),
+        lambda u: critical_points(u, ParameterPoint((Fraction(-1),)), 0),
+        lambda u: degree_invariance_scan(u, 1),
+        lambda u: cerf_trace(u, [ParameterPoint((Fraction(0),))] * 2, 1),
+        lambda u: cerf_trace(u, [ParameterPoint((Fraction(0),))], 4),
+        lambda u: overweight_check(OverweightDeformation(
+            (2, 3), (parse_polynomial("y^2", ("x", "y")),),
+            (parse_polynomial("y^2 - x", ("x", "y")),))),
+    ], ids=["syntax", "unknown-variable", "box-radius", "samples", "steps",
+            "path", "not-weight-homogeneous"])
+    def test_raises_invalid_input(self, call):
+        u = unfold_germ(parse_polynomial("z^3", ("z",)))
+        with pytest.raises(InvalidInput):
+            call(u)
 
 
 class TestFigures:
