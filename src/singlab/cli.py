@@ -414,8 +414,13 @@ def _run_file(raw: dict):
     return run_manifest(doc)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad command line is InvalidInput, exit 2
+        raise InvalidInput(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    root = argparse.ArgumentParser(
+    root = _Parser(
         prog="singlab", description="desk-scale singularity laboratory")
     root.add_argument("--quiet", action="store_true",
                       help="suppress the JSON report on stdout")
@@ -445,8 +450,9 @@ def _error(exc: SinglabError) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = argparse.Namespace(quiet=False)
     try:
+        build_parser().parse_args(argv, namespace=args)
         payload, ok = args.handler(vars(args))
     except SinglabError as exc:
         if not args.quiet:

@@ -440,6 +440,13 @@ def slice_sample(u: Unfolding, t_axis: str,
     """Per-cell fiber root counts over a (lambda, t_axis) plane slice."""
     if u.n != 1:
         raise UnsupportedDimension("slice sampling implemented for n = 1")
+    if t_axis not in u.parameter_names:
+        raise InvalidInput(f"t_axis: {t_axis!r} is not one of "
+                           f"{', '.join(u.parameter_names)}")
+    others = [t for t in u.parameter_names if t != t_axis]
+    if set(fixed) != set(others):
+        raise InvalidInput(f"fixed: give one value for each of "
+                           f"{', '.join(others) or 'no parameter'}")
     from .realroots import count_distinct_roots
     r = Fraction(box_radius)
     disc = exact_discriminant_1d(u) if grid > 1 else None

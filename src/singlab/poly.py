@@ -4,14 +4,17 @@ Terms are stored as a map from exponent tuples to nonzero Fraction
 coefficients, so equal polynomials have identical canonical form and all
 arithmetic is exact.  Monomial orders (grevlex and lex) are provided as
 key functions on exponent tuples; lex with the eliminated variables first
-serves as the elimination order.
+serves as the elimination order.  Products and exact quotients also run
+on bare term maps, which the Bareiss determinant in ``resultant`` shares.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, neg, sub
 from typing import Iterable, Mapping
 
 from .errors import (DegreeError, InvalidInput, VariableMismatch,
@@ -170,10 +173,7 @@ class Polynomial:
                               {e: c * v for e, v in self.terms.items()})
         self._check(other)
         terms: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+        mul_terms(terms, self.terms, other.terms)
         return Polynomial(self.variables, terms)
 
     __rmul__ = __mul__
@@ -315,14 +315,8 @@ class Polynomial:
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integral and primitive; 0 for 0."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        (ints,), den = integer_terms([self])
+        return Fraction(gcd(*ints.values()), den)
 
     def primitive(self) -> "Polynomial":
         if not self.terms:
@@ -340,18 +334,13 @@ class Polynomial:
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = self
-        q: dict[Exponents, Fraction] = {}
-        de, dc = divisor.leading(GREVLEX)
-        while not rem.is_zero():
-            re, rc = rem.leading(GREVLEX)
-            qe = tuple(a - b for a, b in zip(re, de))
-            if any(x < 0 for x in qe):
-                raise ValueError("inexact polynomial division")
-            qc = rc / dc
-            q[qe] = q.get(qe, Fraction(0)) + qc
-            rem = rem - divisor * Polynomial.monomial(qe, qc, self.variables)
-        return Polynomial(self.variables, q)
+        # self/divisor = a/b over one denominator, and by Gauss's lemma
+        # a/(b/g) is integral when it exists, b/g being primitive
+        (a, b), _ = integer_terms([self, divisor])
+        g = gcd(*b.values())
+        q = div_terms(a, {e: c // g for e, c in b.items()})
+        return Polynomial(self.variables,
+                          {e: Fraction(c, g) for e, c in q.items()})
 
     # -- formatting --------------------------------------------------------
 
@@ -383,6 +372,57 @@ class Polynomial:
         return f"Polynomial({self.variables!r}, {self})"
 
 
+# -- term maps ---------------------------------------------------------------
+
+def mul_terms(acc: dict, a: Mapping, b: Mapping) -> None:
+    """acc += a * b on term maps; terms that cancel stay as zeros."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def integer_terms(polys: list[Polynomial]) -> tuple[list[dict], int]:
+    """Integer term maps of polys over their least common denominator."""
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return [{e: c.numerator * (den // c.denominator)
+             for e, c in p.terms.items()} for p in polys], den
+
+
+def div_terms(rem: dict[Exponents, int],
+              divisor: Mapping[Exponents, int]) -> dict[Exponents, int]:
+    """Exact quotient of integer term maps; rem is consumed as the remainder.
+
+    Heap division (Monagan & Pearce, "Sparse polynomial division using a
+    heap", JSC 2011) in lex order: the largest pending exponent of rem is
+    popped and gives one quotient term, whose product with the rest of the
+    divisor is subtracted from rem in place.  A term that cancels stays in
+    rem as a zero and is skipped when popped.
+    """
+    de = max(divisor)
+    dc = divisor[de]
+    tail = [(e, c) for e, c in divisor.items() if e != de]
+    heap = [tuple(map(neg, e)) for e in rem]  # rem's keys, largest first
+    heapify(heap)
+    q: dict[Exponents, int] = {}
+    while heap:
+        e = tuple(map(neg, heappop(heap)))
+        c = rem.pop(e)
+        if not c:
+            continue
+        qe = tuple(map(sub, e, de))
+        qc, r = divmod(c, dc)
+        if r or min(qe, default=0) < 0:
+            raise ValueError("inexact polynomial division")
+        q[qe] = qc
+        for be, bc in tail:
+            te = tuple(map(add, qe, be))
+            if te not in rem:
+                heappush(heap, tuple(map(neg, te)))
+            rem[te] = rem.get(te, 0) - qc * bc
+    return q
+
+
 # -- parsing ---------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|/|\+|-|\(|\))")
@@ -392,6 +432,7 @@ class _Parser:
     def __init__(self, text: str, variables: tuple[str, ...]):
         self.tokens = []
         pos = 0
+        text = text.rstrip()  # _TOKEN skips whitespace only before a token
         while pos < len(text):
             m = _TOKEN.match(text, pos)
             if not m:

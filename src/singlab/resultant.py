@@ -1,14 +1,18 @@
 """Classical resultants via the Sylvester matrix.
 
-The determinant is computed by Bareiss fraction-free elimination over the
-polynomial ring in the remaining variables; every division performed is
-exact, so the result is the exact resultant.
+The determinant is computed by fraction-free elimination (Bareiss, Math.
+Comp. 1968) in Z[remaining variables]: the entries are scaled once to
+integer term maps over one common denominator, and each step divides by
+the previous pivot with the heap division ``poly.div_terms``.  Every such
+division is exact, so the result is the exact resultant.
 """
 
 from __future__ import annotations
 
-from .errors import DegreeError
-from .poly import Polynomial
+from fractions import Fraction
+
+from .errors import DegreeError, VariableMismatch
+from .poly import Polynomial, div_terms, integer_terms, mul_terms
 
 
 def sylvester_matrix(p: Polynomial, q: Polynomial,
@@ -24,46 +28,49 @@ def sylvester_matrix(p: Polynomial, q: Polynomial,
     zero = Polynomial.zero(rest)
     size = m + n
     rows = []
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(pc)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(qc)):
-            row[i + j] = c
-        rows.append(row)
+    for coeffs, count in ((pc, n), (qc, m)):
+        for i in range(count):
+            row = [zero] * size
+            for j, c in enumerate(reversed(coeffs)):
+                row[i + j] = c
+            rows.append(row)
     return rows
 
 
 def poly_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
-    """Exact determinant of a square polynomial matrix (Bareiss)."""
+    """Exact determinant of a square polynomial matrix (integer Bareiss)."""
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
     variables = matrix[0][0].variables
-    one = Polynomial.constant(1, variables)
-    m = [row[:] for row in matrix]
+    if any(p.variables != variables for row in matrix for p in row):
+        raise VariableMismatch("matrix entries over different rings")
+    flat, den = integer_terms([p for row in matrix for p in row])
+    m = [flat[i * n:(i + 1) * n] for i in range(n)]
     sign = 1
-    prev = one
+    prev = {(0,) * len(variables): 1}
     for k in range(n - 1):
-        if m[k][k].is_zero():
+        if not m[k][k]:
             for r in range(k + 1, n):
-                if not m[r][k].is_zero():
+                if m[r][k]:
                     m[k], m[r] = m[r], m[k]
                     sign = -sign
                     break
             else:
                 return Polynomial.zero(variables)
+        pivot = m[k][k]
         for i in range(k + 1, n):
+            neg_ik = {e: -c for e, c in m[i][k].items()}
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = Polynomial.zero(variables)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+                num: dict = {}
+                mul_terms(num, m[i][j], pivot)
+                if neg_ik and m[k][j]:  # the Sylvester matrix is banded
+                    mul_terms(num, neg_ik, m[k][j])
+                m[i][j] = div_terms(num, prev)
+        prev = pivot
+    # det(den * matrix) = den^n det(matrix)
+    return Polynomial(variables, {e: Fraction(c, sign * den ** n)
+                                  for e, c in m[n - 1][n - 1].items()})
 
 
 def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+import pytest
 import sympy
 
 from singlab.critmap import sign_relation_check, verify_jacobian_identity
@@ -226,6 +227,14 @@ def test_criterion_07_exact_discriminant():
     ok &= on_curve == 1000
     _report(7, ok, f"A2 discriminant matches golden bytes; {on_curve}/1000 "
                    "degenerate points vanish exactly on A2/A3 curves")
+
+
+@pytest.mark.parametrize("name,germ", [
+    ("a3", "z^4"), ("a4", "z^5"), ("a5", "z^6")])
+def test_golden_discriminants(name, germ):
+    golden = (GOLDEN / f"{name}_discriminant.txt").read_bytes()
+    produced = str(exact_discriminant_1d(_unfold(germ, ("z",))).poly) + "\n"
+    assert produced.encode() == golden
 
 
 def test_criterion_08_cerf_and_maxwell():

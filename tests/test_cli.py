@@ -140,14 +140,43 @@ class TestCommands:
         ("overweight", "--variables", "U0,U1", "--weights", "2,3",
          "--series", "U1^2 - U0^3", "--series", "U1^2 - U0^3 + U0",
          "--expected", "U1^2 - U0^3"),
+        ("slice", "z^3", "--t-axis", "t9", "--lambda-range=-2,2",
+         "--t-range=-2,2"),
+        ("slice", "z^4", "--t-axis", "t1", "--lambda-range=-2,2",
+         "--t-range=-2,2"),
+        ("slice", "z^3", "--t-axis", "t1", "--lambda-range=-2,2",
+         "--t-range=-2,2", "--fixed", "t9=1"),
+        ("morse", "z^3", "--t", "-1/2"),
+        ("morse", "z^3"),
+        (),
     ], ids=["germ-syntax", "t-not-rational", "box-radius-not-rational",
             "one-cerf-step", "one-scan-sample", "weights-not-integers",
             "segment-of-one-point", "expected-not-binomial",
-            "series-without-expected"])
+            "series-without-expected", "slice-axis-not-a-parameter",
+            "slice-parameter-not-fixed", "slice-fixes-no-parameter",
+            "negative-fraction-as-flag", "missing-required-flag",
+            "missing-command"])
     def test_bad_input_exit_two(self, capsys, argv):
         code, out = run_cli(capsys, *argv)
         assert code == 2
         assert out["error"]["type"] == "InvalidInput"
+
+    def test_usage_error_names_the_flag(self, capsys):
+        _, out = run_cli(capsys, "morse", "z^3", "--t", "-1/2")
+        assert "--t" in out["error"]["message"]
+        assert capsys.readouterr().err == ""
+
+    def test_slice_error_names_the_axis(self, capsys):
+        _, out = run_cli(capsys, "slice", "z^3", "--t-axis", "t9",
+                         "--lambda-range=-2,2", "--t-range=-2,2")
+        assert out["error"]["message"].startswith("t_axis: 't9'")
+
+    def test_slice_with_a_fixed_parameter(self, capsys):
+        code, out = run_cli(capsys, "slice", "z^4", "--t-axis", "t1",
+                            "--lambda-range=-2,2", "--t-range=-2,2",
+                            "--fixed", "t2=-1/2", "--grid", "3")
+        assert code == 0
+        assert out["fixed"] == {"t2": "-1/2"} and len(out["root_counts"]) == 3
 
     def test_cerf_unresolved_is_negative_verdict(self, capsys):
         code, out = run_cli(capsys, "cerf", "z^3", "--path=-1/2;0",

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlab.errors import VariableMismatch
-from singlab.poly import (GREVLEX, LEX, Polynomial, infer_variables,
-                          parse_polynomial)
+from singlab.poly import (GREVLEX, LEX, Polynomial, div_terms,
+                          infer_variables, parse_polynomial)
 
 VARS = ("z", "w")
 
@@ -83,10 +83,73 @@ class TestParsing:
         # order of first appearance, not alphabetical
         assert infer_variables("4*t1^3 + 27*lambda^2") == ("t1", "lambda")
 
+    def test_surrounding_whitespace_is_ignored(self):
+        assert parse_polynomial(" z^3 \n", ("z",)) == \
+            parse_polynomial("z^3", ("z",))
+
     @given(polynomials())
     @settings(max_examples=60, deadline=None)
     def test_str_parse_roundtrip(self, p):
         assert parse_polynomial(str(p), VARS) == p
+
+
+def _rebuild_per_term_div(p, divisor):
+    """The earlier exact_div: one Polynomial rebuilt per quotient term."""
+    rem = p
+    q = {}
+    de, dc = divisor.leading(GREVLEX)
+    while not rem.is_zero():
+        re_, rc = rem.leading(GREVLEX)
+        qe = tuple(a - b for a, b in zip(re_, de))
+        if any(x < 0 for x in qe):
+            raise ValueError("inexact polynomial division")
+        qc = rc / dc
+        q[qe] = q.get(qe, Fraction(0)) + qc
+        rem = rem - divisor * Polynomial.monomial(qe, qc, p.variables)
+    return Polynomial(p.variables, q)
+
+
+@st.composite
+def exact_products(draw):
+    names = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    q = draw(polynomials(names, max_terms=5, max_exp=3))
+    b = draw(polynomials(names, max_terms=4, max_exp=3).filter(
+        lambda b: not b.is_zero()))
+    return q, b
+
+
+class TestExactDivision:
+    @given(exact_products())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_rebuild_per_term_loop(self, qb):
+        q, b = qb
+        product = q * b
+        assert product.exact_div(b) == q
+        assert _rebuild_per_term_div(product, b) == q
+
+    @pytest.mark.parametrize("a,b", [
+        ("x^2 + 1", "x + 1"),
+        ("x", "y"),
+        ("x", "2*x + 3*y"),
+        ("3*x^2*y + 1", "2*x*y"),
+    ])
+    def test_inexact_raises(self, a, b):
+        names = ("x", "y")
+        a, b = parse_polynomial(a, names), parse_polynomial(b, names)
+        with pytest.raises(ValueError, match="inexact"):
+            a.exact_div(b)
+        with pytest.raises(ValueError, match="inexact"):
+            _rebuild_per_term_div(a, b)
+
+    def test_integer_coefficient_must_divide(self):
+        # 3x / 2x is exact over Q but not over Z
+        with pytest.raises(ValueError, match="inexact"):
+            div_terms({(1,): 3}, {(1,): 2})
+        assert div_terms({(2,): 6, (1,): 3}, {(1,): 2, (0,): 1}) == {(1,): 3}
+
+    def test_zero_divisor(self):
+        with pytest.raises(ZeroDivisionError):
+            P("z").exact_div(Polynomial.zero(VARS))
 
 
 class TestMonomialOrders:

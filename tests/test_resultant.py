@@ -7,9 +7,19 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlab.errors import DegreeError
+from singlab.errors import DegreeError, VariableMismatch
 from singlab.poly import Polynomial, parse_polynomial
 from singlab.resultant import poly_determinant, resultant
+
+
+@st.composite
+def rational_polys(draw, names, max_exps):
+    """Polynomials whose coefficients are mostly non-integer rationals."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        e = tuple(draw(st.integers(0, k)) for k in max_exps)
+        terms[e] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 7)))
+    return Polynomial(names, terms)
 
 
 def P(text, names):
@@ -82,8 +92,57 @@ class TestResultant:
         r = resultant(f, g, "z")
         assert r.is_zero() == (sympy.degree(sympy.gcd(f_s, g_s), z) >= 1)
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rational_coefficients_agree_with_sympy(self, data):
+        names = ("z", "a", "b")[:data.draw(st.integers(2, 3))]
+        bounds = (3,) + (2,) * (len(names) - 1)
+        f = data.draw(rational_polys(names, bounds))
+        g = data.draw(rational_polys(names, bounds))
+        if f.degree_in("z") < 1 or g.degree_in("z") < 1:
+            return
+        if f.degree_in("z") < g.degree_in("z"):
+            # sympy's resultant has the opposite sign to the Sylvester
+            # determinant when the first input has the lower degree
+            # (z + 1 and z^3 give 1, not -1), so the higher degree goes first
+            f, g = g, f
+        symbols = sympy.symbols(names)
+        ours = resultant(f, g, "z")
+        theirs = sympy.resultant(_to_sympy(f, symbols), _to_sympy(g, symbols),
+                                 symbols[0])
+        ours_expr = _to_sympy(ours, sympy.symbols(ours.variables))
+        assert sympy.expand(ours_expr - theirs) == 0
+
 
 class TestDeterminant:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_sympy_with_zero_pivots(self, data):
+        n = data.draw(st.integers(2, 4))
+        names = ("z", "w")
+        entries = st.one_of(st.just(Polynomial.zero(names)),
+                            rational_polys(names, (2, 2)))
+        m = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
+        # a zero leading pivot, and often zeros below it, forces row swaps
+        m[0][0] = Polynomial.zero(names)
+        symbols = sympy.symbols(names)
+        theirs = sympy.Matrix([[_to_sympy(p, symbols) for p in row]
+                               for row in m]).det(method="berkowitz")
+        assert sympy.expand(_to_sympy(poly_determinant(m), symbols)
+                            - theirs) == 0
+
+    def test_entries_over_one_ring(self):
+        m = [[P("z", ("z",)), P("1", ("z",))],
+             [P("1", ("z",)), P("w", ("z", "w"))]]
+        with pytest.raises(VariableMismatch):
+            poly_determinant(m)
+
+    def test_row_swap_sign(self):
+        names = ("z",)
+        m = [[P(t, names) for t in row] for row in
+             [["0", "1", "0"], ["z", "0", "0"], ["0", "0", "2"]]]
+        assert poly_determinant(m) == P("-2*z", names)
+
     def test_two_by_two(self):
         names = ("z",)
         m = [[P("z", names), P("1", names)],
