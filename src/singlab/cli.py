@@ -174,7 +174,8 @@ KINDS = {
         (Field("generators", _seq(_integer), REQUIRED, help="e.g. 4,6,13"),),
         build=lambda v: (semigroup_from_generators(v["generators"]), None)),
     "branch": Kind(
-        (Field("x_exponent", _integer, REQUIRED, help="the k of x = t^k"),
+        (Field("x_exponent", _integer, REQUIRED, low=0,
+               help="the k of x = t^k"),
          Field("y", _seq(_pair(_integer, ":", "1")), REQUIRED,
                help="branch y terms exponent:coefficient, e.g. '6:1,7:1'")),
         lambda v: PlaneBranch(x_exponent=v["x_exponent"], y_terms=v["y"]),

@@ -77,10 +77,6 @@ class NonBinomialElement(SinglabError):
     """Toric elimination produced a non-binomial element; internal bug."""
 
 
-class DimensionTooLarge(SinglabError):
-    """Ambient dimension above the supported desk-scale bound."""
-
-
 class RegularizationBudget(SinglabError):
     """Fan regularization exceeded its subdivision budget."""
 

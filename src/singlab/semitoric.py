@@ -4,7 +4,10 @@ resolution, and strict-transform / overweight-deformation checking.
 The resolution pipeline is purely combinatorial: stellar subdivision of
 the positive orthant at the generator vector, then repeated subdivision
 at a minimal lattice point of each non-unimodular cone's fundamental
-parallelepiped until every cone is unimodular.
+parallelepiped until every cone is unimodular.  The cone linear algebra
+is integer throughout: each cone's determinant and adjugate come once from
+one fraction-free Gauss-Jordan (Bareiss) pass, `_det_adj`, in any ambient
+dimension, one per semigroup generator.
 """
 
 from __future__ import annotations
@@ -12,15 +15,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import (DimensionTooLarge, GcdNotOne, IdentityViolation,
-                     InvalidInput, NonBinomialElement, NotABranch,
-                     OrderMismatch, RegularizationBudget,
-                     TruncationInsufficient)
+from .errors import (GcdNotOne, IdentityViolation, InvalidInput,
+                     NonBinomialElement, NotABranch, OrderMismatch,
+                     RegularizationBudget, TruncationInsufficient)
 from .groebner import eliminate
 from .poly import Polynomial
 
 Vector = tuple[int, ...]
+MAX_SUBDIVISIONS = 500  # stellar subdivisions before RegularizationBudget
 
 
 # -- numerical semigroups ---------------------------------------------------
@@ -205,26 +209,34 @@ class Cone:
     def dim(self) -> int:
         return len(self.rays)
 
-    def matrix(self) -> list[list[int]]:
-        """Rays as columns."""
-        d = len(self.rays)
-        return [[self.rays[j][i] for j in range(d)] for i in range(d)]
+    @cached_property
+    def det_adj(self) -> tuple[int, list[list[int]] | None]:
+        """(det, adj) of the matrix with the rays as columns, computed once."""
+        return _det_adj([list(row) for row in zip(*self.rays)])
 
     def determinant(self) -> int:
-        return _int_det(self.matrix())
+        return self.det_adj[0]
 
     def is_unimodular(self) -> bool:
         return abs(self.determinant()) == 1
 
-    def coefficients(self, v) -> tuple[Fraction, ...] | None:
-        """Barycentric coefficients of v, or None if v is outside."""
-        sol = _solve(self.matrix(), list(v))
-        if sol is None or any(c < 0 for c in sol):
+    def _scaled_coefficients(self, v: Vector) -> list[int] | None:
+        """|det| times the barycentric coefficients of v; None if outside."""
+        det, adj = self.det_adj
+        if adj is None:
             return None
-        return tuple(sol)
+        sign = 1 if det > 0 else -1
+        c = [sign * sum(a * x for a, x in zip(row, v)) for row in adj]
+        return None if any(x < 0 for x in c) else c
 
-    def contains(self, v) -> bool:
-        return self.coefficients(v) is not None
+    def coefficients(self, v) -> tuple[Fraction, ...] | None:
+        """Barycentric coefficients of rational v, or None if v is outside."""
+        den = math.lcm(*(x.denominator for x in v))
+        c = self._scaled_coefficients([int(x * den) for x in v])
+        if c is None:
+            return None
+        n = abs(self.det_adj[0]) * den
+        return tuple(Fraction(x, n) for x in c)
 
 
 @dataclass(frozen=True)
@@ -232,31 +244,31 @@ class Fan:
     cones: tuple[Cone, ...]
 
 
-def _int_det(m: list[list[int | Fraction]]):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if n == 3:
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    raise DimensionTooLarge("determinants implemented up to 3x3")
+def _det_adj(m: list[list[int]]) -> tuple[int, list[list[int]] | None]:
+    """(det m, adj m) for an integer matrix; (0, None) if m is singular.
 
-
-def _solve(m: list[list[int]], v: list[int]) -> list[Fraction] | None:
-    """Exact solve of m x = v by Cramer; None for singular m."""
-    det = _int_det(m)
-    if det == 0:
-        return None
+    One fraction-free Gauss-Jordan pass on [m | I] (Bareiss, Math. Comp.
+    1968): each step divides exactly by the previous pivot, every entry
+    stays an integer minor, and the last pivot times the row-swap sign is
+    det m while the right block becomes that sign times adj m.
+    """
     n = len(m)
-    out = []
-    for j in range(n):
-        mj = [[(v[i] if k == j else m[i][k]) for k in range(n)]
-              for i in range(n)]
-        out.append(Fraction(_int_det(mj), det))
-    return out
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            a[k], a[p], sign = a[p], a[k], -sign
+        pivot = a[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pivot[k] * x - f * y) // prev
+                        for x, y in zip(a[i], pivot)]
+        prev = pivot[k]
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def _primitive(v: Vector) -> Vector:
@@ -268,7 +280,7 @@ def _stellar(fan: list[Cone], v: Vector) -> list[Cone]:
     v = _primitive(v)
     out = []
     for cone in fan:
-        coeffs = cone.coefficients(v)
+        coeffs = cone._scaled_coefficients(v)
         if coeffs is None or v in cone.rays:
             out.append(cone)
             continue
@@ -280,14 +292,6 @@ def _stellar(fan: list[Cone], v: Vector) -> list[Cone]:
     return out
 
 
-def _adjugate(m: list[list[int]]) -> list[list[int]]:
-    """Integer matrix adj with m * adj = det(m) * identity."""
-    n = len(m)
-    return [[(-1) ** (i + j) * _int_det([[m[r][c] for c in range(n) if c != i]
-                                       for r in range(n) if r != j])
-             for j in range(n)] for i in range(n)]
-
-
 def _parallelepiped_point(cone: Cone) -> Vector:
     """Minimal nonzero lattice point of the fundamental parallelepiped.
 
@@ -296,10 +300,8 @@ def _parallelepiped_point(cone: Cone) -> Vector:
     sum(c_j rays_j) / |det| for the c in the subgroup of (Z/|det|)^d that
     the columns of |det| * V^-1 generate; it has exactly |det| elements.
     """
-    m = cone.matrix()
-    det = _int_det(m)
+    det, adj = cone.det_adj
     n, d = abs(det), cone.dim
-    adj = _adjugate(m)
     group = {(0,) * d}
     for i in range(d):  # add the multiples of column i of |det| * V^-1
         step = [det // n * adj[j][i] for j in range(d)]
@@ -331,20 +333,17 @@ class ResolutionCertificate:
         return self.fan.cones[self.chart]
 
 
-def resolve_monomial_curve(gamma: NumericalSemigroup,
-                           max_subdivisions: int = 500
+def resolve_monomial_curve(gamma: NumericalSemigroup
                            ) -> ResolutionCertificate:
     """Unimodular subdivision of the orthant with gamma as a ray."""
     gens = gamma.minimal_generators
     d = len(gens)
-    if d > 3:
-        raise DimensionTooLarge(f"ambient dimension {d} > 3")
     if d < 2:
         raise InvalidInput("resolution needs g >= 1")
     orthant = Cone(rays=tuple(
         tuple(1 if i == j else 0 for j in range(d)) for i in range(d)))
     fan = _stellar([orthant], tuple(gens))
-    for _ in range(max_subdivisions):
+    for _ in range(MAX_SUBDIVISIONS):
         bad = next((c for c in sorted(fan, key=lambda c: c.rays)
                     if not c.is_unimodular()), None)
         if bad is None:
@@ -352,11 +351,11 @@ def resolve_monomial_curve(gamma: NumericalSemigroup,
         fan = _stellar(fan, _parallelepiped_point(bad))
     else:
         raise RegularizationBudget(
-            f"not unimodular after {max_subdivisions} subdivisions")
+            f"not unimodular after {MAX_SUBDIVISIONS} subdivisions")
     cones = tuple(sorted(fan, key=lambda c: c.rays))
     gvec = _primitive(tuple(gens))
     chart = next(i for i, c in enumerate(cones) if gvec in c.rays)
-    sol = _solve(cones[chart].matrix(), list(gens))
+    sol = cones[chart].coefficients(gens) or ()
     if sorted(sol) != [0] * (d - 1) + [1]:
         raise IdentityViolation(f"chart exponents ({', '.join(map(str, sol))})"
                                 f" of {gens} are not a unit vector")
@@ -559,7 +558,7 @@ def verify_strict_transform(xi: list[Series],
     if abs(det) != 1:
         raise IdentityViolation(f"chart cone {cone.rays} has determinant "
                                 f"{det}, not +-1")
-    inv = [[det * a for a in row] for row in _adjugate(cone.matrix())]
+    inv = [[det * a for a in row] for row in cone.det_adj[1]]
     orders = []
     units = []
     for j in range(d):

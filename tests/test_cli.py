@@ -79,6 +79,14 @@ class TestCommands:
         assert out["minimal_generators"] == [4, 6, 13]
         assert out["characteristic_exponents"] == [4, 6, 7]
 
+    def test_toric_resolve_four_generators(self, capsys):
+        # ambient dimension 4: the semigroup of (t^8, t^12 + t^14 + t^15)
+        code, out = run_cli(capsys, "toric-resolve", "--generators",
+                            "8,12,26,53")
+        assert code == 0
+        assert out["chart_rays"][-1] == [8, 12, 26, 53]
+        assert out["exponents"] == [0, 0, 0, 1]
+
     @pytest.mark.parametrize("argv", [
         ("semigroup", "--generators", "0,3"),
         ("toric-ideal", "--generators", "1"),
@@ -93,8 +101,10 @@ class TestCommands:
         ("semigroup", "--generators", "a,3"),
         ("strict-transform", "--x-exponent", "4", "--y", "10:1,x:1"),
         ("semigroup",),
+        ("strict-transform", "--x-exponent", "0", "--y", "3:1"),
+        ("strict-transform", "--x-exponent", "-2", "--y", "3:1"),
     ], ids=["generators-not-integers", "y-exponent-not-integer",
-            "no-curve-source"])
+            "no-curve-source", "x-exponent-zero", "x-exponent-negative"])
     def test_bad_curve_input_exit_two(self, capsys, argv):
         code, out = run_cli(capsys, *argv)
         assert code == 2

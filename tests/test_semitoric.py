@@ -233,7 +233,8 @@ class TestResolution:
         assert (4, 6, 13) in cert.chart_cone().rays
         assert sorted(cert.exponents) == [0, 0, 1]
 
-    @pytest.mark.parametrize("gens", [[2, 3], [2, 5], [3, 4], [4, 6, 13]])
+    @pytest.mark.parametrize("gens", [[2, 3], [2, 5], [3, 4], [4, 6, 13],
+                                      [8, 12, 26, 53]])
     def test_random_rays_lie_in_exactly_one_cone_interior(self, gens):
         cert = resolve_monomial_curve(semigroup_from_generators(gens))
         d = len(gens)
@@ -260,6 +261,46 @@ class TestResolution:
                 assert all(any(c == 0 for c in coeffs) for coeffs in hits)
                 boundary += 1
         assert interior > 0
+
+
+@st.composite
+def _int_matrix(draw):
+    d = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    if draw(st.booleans()):  # a row dependent on the others: singular
+        k = draw(st.integers(0, d - 1))
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+        rows[k] = [sum(c * row[j] for i, (c, row)
+                       in enumerate(zip(coeffs, rows)) if i != k)
+                   for j in range(d)]
+    return rows
+
+
+class TestDetAdj:
+    @given(_int_matrix())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sympy(self, m):
+        det, adj = semitoric._det_adj(m)
+        oracle = sympy.Matrix(m)
+        assert det == oracle.det()
+        if det == 0:
+            assert adj is None
+        else:
+            assert sympy.Matrix(adj) == oracle.adjugate()
+
+    def test_zero_leading_pivot_and_singular(self):
+        assert semitoric._det_adj([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+        assert semitoric._det_adj([[1, 2], [2, 4]]) == (0, None)
+        assert semitoric._det_adj([[0, 0], [0, 0]]) == (0, None)
+
+    def test_coefficients_of_negative_determinant_cone(self):
+        cone = Cone(rays=((0, 1, 0), (2, 0, 0), (0, 0, 1)))
+        assert cone.determinant() == -2
+        assert cone.coefficients((3, 5, 7)) == (5, Fraction(3, 2), 7)
+        assert cone.coefficients((3, -5, 7)) is None
+        assert cone.coefficients((Fraction(1, 2), 1, 0)) == \
+            (1, Fraction(1, 4), 0)
 
 
 def _walk_all_coefficients(cone):
@@ -301,8 +342,8 @@ class TestParallelepipedPoint:
 
     def test_wrong_group_raises(self, monkeypatch):
         cone = Cone(rays=((1, 0), (1, 2)))
-        monkeypatch.setattr(semitoric, "_adjugate",
-                            lambda m: [[0] * len(m) for _ in m])
+        monkeypatch.setattr(semitoric, "_det_adj",
+                            lambda m: (2, [[0] * len(m) for _ in m]))
         with pytest.raises(IdentityViolation):
             semitoric._parallelepiped_point(cone)
 
@@ -350,6 +391,14 @@ class TestStrictTransform:
         cert = resolve_monomial_curve(gamma)
         rep = verify_strict_transform(xi, gamma, cert)
         assert rep.ok and rep.orders == (0, 0, 1)
+
+    def test_8_12_14_15_branch_four_charts(self):
+        # three characteristic exponents: the fan lives in dimension 4
+        gamma, xi = branch_embedding(PlaneBranch(
+            8, ((12, Fraction(1)), (14, Fraction(1)), (15, Fraction(1)))))
+        assert gamma.minimal_generators == (8, 12, 26, 53)
+        rep = verify_strict_transform(xi, gamma, resolve_monomial_curve(gamma))
+        assert rep.ok and rep.orders == (0, 0, 0, 1)
 
     def test_truncation_guard(self):
         gamma, xi = branch_embedding(PlaneBranch(2, ((3, Fraction(1)),)))
