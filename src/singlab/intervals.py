@@ -1,15 +1,18 @@
 """Rational interval arithmetic for certified sign evaluation.
 
-Endpoints are exact Fractions; all operations return enclosures, so a
-sign decided on an interval is a proof.
+Endpoints are exact Fractions (ints are taken, floats refused); all
+operations return enclosures, so a sign decided on an interval is a proof.
+``eval_interval`` runs on integers over one common denominator and gives
+the same enclosures as term-by-term Fraction products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .poly import Polynomial
+from .poly import Polynomial, _as_fraction, integer_terms
 
 
 @dataclass(frozen=True)
@@ -18,12 +21,13 @@ class RatInterval:
     hi: Fraction
 
     def __post_init__(self):
+        for end in ("lo", "hi"):
+            object.__setattr__(self, end, _as_fraction(getattr(self, end)))
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     @classmethod
     def point(cls, x) -> "RatInterval":
-        x = Fraction(x)
         return cls(x, x)
 
     def width(self) -> Fraction:
@@ -91,27 +95,41 @@ class RatInterval:
     def subset_of(self, other: "RatInterval") -> bool:
         return other.lo <= self.lo and self.hi <= other.hi
 
-    def overlaps(self, other: "RatInterval") -> bool:
-        return not (self.hi < other.lo or other.hi < self.lo)
-
 
 def _coerce(x) -> RatInterval:
     if isinstance(x, RatInterval):
         return x
-    return RatInterval.point(Fraction(x))
+    return RatInterval.point(x)
 
 
 def eval_interval(p: Polynomial, box: dict[str, RatInterval]) -> RatInterval:
-    """Enclosure of p over a box, term by term."""
-    total = RatInterval.point(0)
-    for e, c in p.terms.items():
-        term = RatInterval.point(c)
-        for v, k in zip(p.variables, e):
-            if k:
-                x = box[v]
-                powr = x
-                for _ in range(k - 1):
-                    powr = powr * x
-                term = term * powr
-        total = total + term
-    return total
+    """Enclosure of p over a box, term by term, on integers: p = P / den,
+    x_v in [lo, hi] / q_v, and x_v^k, the k-fold interval product, is built
+    once per variable and scaled to q_v^deg_v.  These are the exact products
+    of a Fraction loop, so the enclosure is the same."""
+    (terms,), den = integer_terms([p.terms])
+    powers = []  # (i, [q_i^deg_i * x_i^k as integer pairs, k = 0..deg_i])
+    for i, (v, d) in enumerate(zip(p.variables, map(max, zip(*terms)))):
+        if not d:
+            continue
+        lo, hi = box[v].lo, box[v].hi
+        q = lcm(lo.denominator, hi.denominator)
+        lo, hi = (lo.numerator * (q // lo.denominator),
+                  hi.numerator * (q // hi.denominator))
+        pw = [(1, 1)]
+        for _ in range(d):
+            pl, ph = pw[-1]
+            prods = (pl * lo, pl * hi, ph * lo, ph * hi)
+            pw.append((min(prods), max(prods)))
+        den *= q ** d
+        powers.append((i, [(pl * q ** (d - k), ph * q ** (d - k))
+                           for k, (pl, ph) in enumerate(pw)]))
+    lo = hi = 0
+    for e, c in terms.items():
+        tl = th = c
+        for i, pw in powers:
+            pl, ph = pw[e[i]]
+            prods = (tl * pl, tl * ph, th * pl, th * ph)
+            tl, th = min(prods), max(prods)
+        lo, hi = lo + tl, hi + th
+    return RatInterval(Fraction(lo, den), Fraction(hi, den))

@@ -59,7 +59,8 @@ def _as_fraction(c) -> Fraction:
         return c
     if isinstance(c, int):
         return Fraction(c)
-    raise TypeError(f"coefficient must be exact rational, got {type(c).__name__}")
+    raise TypeError("expected an exact rational (int or Fraction), "
+                    f"got {type(c).__name__}")
 
 
 class Polynomial:
@@ -315,7 +316,7 @@ class Polynomial:
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integral and primitive; 0 for 0."""
-        (ints,), den = integer_terms([self])
+        (ints,), den = integer_terms([self.terms])
         return Fraction(gcd(*ints.values()), den)
 
     def primitive(self) -> "Polynomial":
@@ -336,7 +337,7 @@ class Polynomial:
             raise ZeroDivisionError("division by zero polynomial")
         # self/divisor = a/b over one denominator, and by Gauss's lemma
         # a/(b/g) is integral when it exists, b/g being primitive
-        (a, b), _ = integer_terms([self, divisor])
+        (a, b), _ = integer_terms([self.terms, divisor.terms])
         g = gcd(*b.values())
         q = div_terms(a, {e: c // g for e, c in b.items()})
         return Polynomial(self.variables,
@@ -382,11 +383,11 @@ def mul_terms(acc: dict, a: Mapping, b: Mapping) -> None:
             acc[e] = acc.get(e, 0) + c1 * c2
 
 
-def integer_terms(polys: list[Polynomial]) -> tuple[list[dict], int]:
-    """Integer term maps of polys over their least common denominator."""
-    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+def integer_terms(maps: list[Mapping]) -> tuple[list[dict], int]:
+    """Fraction term maps on integers over their least common denominator."""
+    den = lcm(*(c.denominator for m in maps for c in m.values()))
     return [{e: c.numerator * (den // c.denominator)
-             for e, c in p.terms.items()} for p in polys], den
+             for e, c in m.items()} for m in maps], den
 
 
 def div_terms(rem: dict[Exponents, int],

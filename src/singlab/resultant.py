@@ -45,7 +45,7 @@ def poly_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
     variables = matrix[0][0].variables
     if any(p.variables != variables for row in matrix for p in row):
         raise VariableMismatch("matrix entries over different rings")
-    flat, den = integer_terms([p for row in matrix for p in row])
+    flat, den = integer_terms([p.terms for row in matrix for p in row])
     m = [flat[i * n:(i + 1) * n] for i in range(n)]
     sign = 1
     prev = {(0,) * len(variables): 1}

@@ -21,7 +21,7 @@ from .errors import (GcdNotOne, IdentityViolation, InvalidInput,
                      NonBinomialElement, NotABranch, OrderMismatch,
                      RegularizationBudget, TruncationInsufficient)
 from .groebner import eliminate
-from .poly import Polynomial
+from .poly import Polynomial, integer_terms
 
 Vector = tuple[int, ...]
 MAX_SUBDIVISIONS = 500  # stellar subdivisions before RegularizationBudget
@@ -394,10 +394,11 @@ class Series:
         if not (self.terms and other.terms):
             return Series({}, min(self.prec, other.prec))
         prec = min(self.prec + other.order(), other.prec + self.order())
-        da, a = _integral(self.terms)
-        db, b = _integral(other.terms)
+        (a,), da = integer_terms([self.terms])
+        (b,), db = integer_terms([other.terms])
+        b = sorted(b.items())
         out: dict[int, int] = {}
-        for e1, c1 in a:
+        for e1, c1 in sorted(a.items()):
             for e2, c2 in b:
                 if e1 + e2 >= prec:
                     break
@@ -435,7 +436,8 @@ class Series:
             p = min(p, prec - k * max(ordr, 0) + 1)
         # on integers: u = U / den, c0 = U_0, g_n = a_0^k G_n / c0^n, and
         # n G_n = sum ((k+1) i - n) U_i c0^(i-1) G_{n-i} divides exactly
-        den, unit = _integral({e - ordr: c for e, c in self.terms.items()})
+        (unit,), den = integer_terms([self.terms])
+        unit = sorted((e - ordr, c) for e, c in unit.items())
         c0 = unit[0][1]
         w = [(i, u * c0 ** (i - 1)) for i, u in unit[1:] if i < p]
         g = [1]
@@ -446,13 +448,6 @@ class Series:
         return Series({n + k * ordr: Fraction(x * a0k.numerator,
                                               a0k.denominator * c0 ** n)
                        for n, x in enumerate(g) if x}, p + k * ordr)
-
-
-def _integral(terms: dict[int, Fraction]) -> tuple[int, list[tuple]]:
-    """Common denominator and the (exponent, integer numerator) pairs."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return den, sorted((e, c.numerator * (den // c.denominator))
-                       for e, c in terms.items())
 
 
 @dataclass

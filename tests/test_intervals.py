@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlab.intervals import RatInterval, eval_interval
-from singlab.poly import parse_polynomial
+from singlab.poly import Polynomial, parse_polynomial
 
 rationals = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=64)
@@ -16,6 +17,45 @@ rationals = st.fractions(
 def intervals(draw):
     a, b = sorted((draw(rationals), draw(rationals)))
     return RatInterval(a, b)
+
+
+@st.composite
+def boxes(draw):
+    """Intervals with non-dyadic endpoints, points, and 0-straddling ones."""
+    positive = rationals.filter(lambda x: x > 0)
+    return draw(st.one_of(intervals(), rationals.map(RatInterval.point),
+                          st.builds(lambda a, b: RatInterval(-a, b),
+                                    positive, positive)))
+
+
+@st.composite
+def polynomials_on_boxes(draw):
+    """p in 1-3 variables of degree <= 7 and a box for its variables; one
+    variable may be of degree 0 and missing from the box."""
+    names = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    absent = draw(st.sampled_from(names + (None,)))
+    exps = st.tuples(*(st.integers(0, 0 if v == absent else 7)
+                       for v in names)).filter(lambda e: sum(e) <= 7)
+    terms = draw(st.dictionaries(exps, rationals.filter(bool), min_size=1,
+                                 max_size=6))
+    return (Polynomial(names, terms),
+            {v: draw(boxes()) for v in names if v != absent})
+
+
+def reference_eval_interval(p, box):
+    """Term-by-term Fraction interval evaluation, x^k as k - 1 products."""
+    total = RatInterval.point(0)
+    for e, c in p.terms.items():
+        term = RatInterval.point(c)
+        for v, k in zip(p.variables, e):
+            if k:
+                x = box[v]
+                powr = x
+                for _ in range(k - 1):
+                    powr = powr * x
+                term = term * powr
+        total = total + term
+    return total
 
 
 class TestArithmetic:
@@ -45,6 +85,24 @@ class TestArithmetic:
         assert (a * b).lo <= x * y <= (a * b).hi
 
 
+class TestExactEndpoints:
+    @pytest.mark.parametrize("make", [
+        lambda: RatInterval(0.1, 0.3),
+        lambda: RatInterval(Fraction(0), 0.5),
+        lambda: RatInterval.point(0.1),
+        lambda: RatInterval.point(Fraction(0)) + 0.1,
+        lambda: RatInterval.point(Fraction(1)) * 0.5,
+    ])
+    def test_float_endpoint_is_refused(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_int_endpoints_become_fractions(self):
+        iv = RatInterval(0, 1)
+        assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+        assert iv.mid() == Fraction(1, 2) and type(iv.mid()) is Fraction
+
+
 class TestEvaluation:
     def test_polynomial_enclosure(self):
         p = parse_polynomial("z^2 - z", ("z",))
@@ -61,3 +119,12 @@ class TestEvaluation:
         enclosure = eval_interval(p, {"z": iv})
         value = p.evaluate({"z": x})
         assert enclosure.lo <= value <= enclosure.hi
+
+    @given(polynomials_on_boxes())
+    @settings(max_examples=300, deadline=None)
+    def test_same_enclosure_as_fraction_loop(self, case):
+        # exact equality: a kernel that widens (or wrongly narrows) the
+        # enclosure fails here, which containment alone would not catch
+        p, box = case
+        got, want = eval_interval(p, box), reference_eval_interval(p, box)
+        assert got.lo == want.lo and got.hi == want.hi

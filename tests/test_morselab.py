@@ -1,6 +1,8 @@
 """Certified Morse data at parameter points; scans, Euler checks, probes."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from singlab.morselab import (ParameterPoint, critical_points,
                               degree_invariance_scan, euler_fiber_check,
                               herman_probe, morse_report, sample_parameter)
 from singlab.poly import parse_polynomial
+from singlab.serialize import dumps, jsonable
 
 R2 = Fraction(2)
 
@@ -24,6 +27,32 @@ def U(text, names):
 
 def T(*xs):
     return ParameterPoint(tuple(Fraction(x) for x in xs))
+
+
+GOLDEN_MORSE = Path(__file__).parent / "golden" / "morse_reports.json"
+# The morse-scan benchmark germs, each at a dyadic t and a non-dyadic t.
+MORSE_CASES = (
+    ("z^5", ("z",), ("1/64", "1/32", "-1"), ("1/63", "1/33", "-1")),
+    ("z^7", ("z",), ("-1/64", "1/32", "3/4", "1/16", "-3/2"),
+     ("-1/63", "1/33", "2/3", "1/17", "-3/2")),
+    ("z^3 + w^3", ("z", "w"), ("-1/2", "-1/4", "1/8"),
+     ("-1/3", "-1/5", "1/7")),
+    ("z^3 + w^4", ("z", "w"), ("-1/2", "1/8", "1/8", "-1", "-1/16"),
+     ("-1/3", "1/9", "1/7", "-1", "-1/11")),
+)
+
+
+def morse_report_bytes() -> dict[str, str]:
+    """Serialized morse_report of every MORSE_CASES point at r = 4 and 1."""
+    out = {}
+    for germ, names, *points in MORSE_CASES:
+        u = U(germ, names)
+        for r in (4, 1):
+            for t in points:
+                rep = morse_report(u, T(*t), Fraction(r))
+                out[f"{germ} | r={r} | t=({', '.join(t)})"] = dumps(
+                    jsonable(rep))
+    return out
 
 
 class TestCriticalPoints1D:
@@ -104,6 +133,17 @@ class TestMorseReport:
                            box_radius=R2)
         assert rep.counts == (1, 2, 1)
         assert rep.alt_sum == 0 and rep.degree == 0
+
+
+class TestGoldenMorseReports:
+    def test_reports_match_golden_bytes(self):
+        # every enclosure endpoint is in these bytes, so a kernel that
+        # widens or narrows an enclosure fails here
+        golden = json.loads(GOLDEN_MORSE.read_text())
+        produced = morse_report_bytes()
+        assert list(produced) == list(golden)
+        for key, text in produced.items():
+            assert text == golden[key], key
 
 
 class TestDegreeScan:
