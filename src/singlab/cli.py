@@ -370,7 +370,7 @@ OPS = {
         Field("lambda_range", _RANGE, REQUIRED, help="e.g. '-2,2'"),
         Field("t_range", _RANGE, REQUIRED, help="e.g. '-1,1'"),
         Field("fixed", _seq(_pair(_text, "=")), help="e.g. 't2=-1/2'"),
-        Field("grid", _integer, "32"), Field("svg")),
+        Field("grid", _integer, "32", low=0), Field("svg")),
     "semigroup": Op("semigroup of generators or a branch", _CURVE, _semigroup),
     "toric-ideal": Op("binomial kernel of U_i -> T^g_i", _CURVE, _toric_ideal),
     "toric-resolve": Op("unimodular fan with the generator ray", _CURVE,

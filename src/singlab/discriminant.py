@@ -440,6 +440,8 @@ def slice_sample(u: Unfolding, t_axis: str,
     """Per-cell fiber root counts over a (lambda, t_axis) plane slice."""
     if u.n != 1:
         raise UnsupportedDimension("slice sampling implemented for n = 1")
+    if grid < 1:
+        raise InvalidInput(f"grid: {grid} is not a positive cell count")
     if t_axis not in u.parameter_names:
         raise InvalidInput(f"t_axis: {t_axis!r} is not one of "
                            f"{', '.join(u.parameter_names)}")

@@ -19,6 +19,7 @@ against the cap read from SINGLAB_BUDGET unless one is passed explicitly.
 from __future__ import annotations
 
 import heapq
+import itertools
 import os
 
 from .errors import BudgetExceeded, VariableMismatch
@@ -216,17 +217,5 @@ def staircase_monomials(gb: list[Polynomial],
         if not pure:
             return None
         caps.append(min(pure))
-
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == n:
-            e = tuple(prefix)
-            if not any(_divides(l, e) for l in leads):
-                out.append(e)
-            return
-        for k in range(caps[len(prefix)]):
-            rec(prefix + [k])
-
-    rec([])
-    return out
+    return [e for e in itertools.product(*map(range, caps))
+            if not any(_divides(l, e) for l in leads)]

@@ -7,13 +7,14 @@ cobasis monomial other than 1, with the linear monomials first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (IdentityViolation, NotCritical, NotIsolated,
                      OrderTooLow, VariableMismatch)
 from .groebner import groebner_basis, normal_form, staircase_monomials
 from .poly import GREVLEX, Polynomial
+from .resultant import poly_determinant
 
 
 @dataclass(frozen=True)
@@ -63,49 +64,25 @@ class Unfolding:
         return self.F.substitute(values)
 
 
+def _sign_changes(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def _quadratic_signature(f: Polynomial) -> tuple[int, int]:
-    """Signature (q+, q-) of the degree-2 part, by exact diagonalization."""
+    """Signature (q+, q-) of the degree-2 part, by Descartes' rule of signs.
+
+    The Hessian H of f at 0 is symmetric, so p(x) = det(xI - H) has only
+    real roots: the sign changes of p's coefficients count its positive
+    roots exactly, and those of p(-x) its negative ones."""
     names = f.variables
-    n = len(names)
-    a = [[Fraction(0)] * n for _ in range(n)]
-    for e, c in f.terms.items():
-        if sum(e) != 2:
-            continue
-        idx = [i for i, k in enumerate(e) if k]
-        if len(idx) == 1:
-            a[idx[0]][idx[0]] = c
-        else:
-            i, j = idx
-            a[i][j] = a[j][i] = c / 2
-    pos = neg = 0
-    live = list(range(n))
-    while live:
-        p = next((i for i in live if a[i][i] != 0), None)
-        if p is None:
-            pair = next(((i, j) for i in live for j in live
-                         if i != j and a[i][j] != 0), None)
-            if pair is None:
-                break
-            i, j = pair
-            for k in range(n):
-                a[i][k] += a[j][k]
-            for k in range(n):
-                a[k][i] += a[k][j]
-            p = i
-        if a[p][p] > 0:
-            pos += 1
-        else:
-            neg += 1
-        live.remove(p)
-        for i in live:
-            factor = a[i][p] / a[p][p]
-            if factor == 0:
-                continue
-            for k in range(n):
-                a[i][k] -= factor * a[p][k]
-            for k in range(n):
-                a[k][i] -= factor * a[k][p]
-    return pos, neg
+    x = Polynomial.variable("x", ("x",))
+    char = poly_determinant(
+        [[x * int(a == b) - f.diff(a).diff(b).constant_term() for b in names]
+         for a in names])
+    coeffs = char.univariate_coeffs()
+    return (_sign_changes(coeffs),
+            _sign_changes([c * (-1) ** k for k, c in enumerate(coeffs)]))
 
 
 def _cobasis_key(exps):

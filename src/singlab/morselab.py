@@ -1,10 +1,12 @@
 """Certified real critical-point analysis of F_t on a working box.
 
-n = 1 uses exact univariate root isolation; n = 2 uses resultant
-elimination in each variable followed by interval-Newton certification of
-every candidate box, so the returned list provably contains all real
-critical points in the box.  Parameters too close to the bifurcation set
-are rejected rather than resolved.
+n = 1 and n = 2 share one path.  The candidate boxes come from exact root
+isolation of F_t' (n = 1), or from resultant elimination in each variable
+and interval-Newton certification of every candidate box (n = 2), so they
+provably hold all real critical points in the box.  One classifier shrinks
+each box until the sign of det(Hess F_t) is known and reads the Morse
+index from it.  Parameters too close to the bifurcation set are rejected
+rather than resolved.
 """
 
 from __future__ import annotations
@@ -104,10 +106,6 @@ def _dyadic(iv: RatInterval, bits: int = 64) -> RatInterval:
     return RatInterval(lo, hi)
 
 
-def _interval_of(iv: IsolatingInterval) -> RatInterval:
-    return RatInterval(iv.lo, iv.hi)
-
-
 def _roots_in_box(p: Polynomial, r: Fraction,
                   what: str) -> list[IsolatingInterval]:
     """Isolating intervals of p's real roots, each certified inside (-r, r).
@@ -134,37 +132,24 @@ def _roots_in_box(p: Polynomial, r: Fraction,
     return inside
 
 
+def _det(m: list[list[RatInterval]]) -> RatInterval:
+    """Determinant of a 1x1 or 2x2 interval matrix."""
+    if len(m) == 1:
+        return m[0][0]
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
 # -- n = 1 ------------------------------------------------------------------
 
-def _critical_points_1d(u: Unfolding, t: ParameterPoint, r: Fraction,
-                        margin: Fraction) -> list[CriticalPoint]:
-    zname = u.z_names[0]
-    Ft = u.specialize(tuple(t))
-    p = Ft.diff(zname)
+def _boxes_1d(p: Polynomial, z: str, r: Fraction):
+    """A box per root of p = F_t' in the box, refined to VALUE_WIDTH lazily."""
     if p.is_zero():
         raise DegenerateParameter("derivative vanishes identically")
     factors = squarefree_decomposition(p.univariate_coeffs())
     if any(mult > 1 for _, mult in factors):
         raise DegenerateParameter("F_t has a degenerate critical point")
-    h = p.diff(zname)
-    points = []
-    for iv in _roots_in_box(p, r, "critical point"):
-        iv = iv.refine(VALUE_WIDTH)
-        box = {zname: _interval_of(iv)}
-        hv = eval_interval(h, box)
-        while hv.sign() is None:
-            iv = iv.refine(iv.width() / 4)
-            box = {zname: _interval_of(iv)}
-            hv = eval_interval(h, box)
-        if hv.mignitude() < margin:
-            raise DegenerateParameter(
-                f"hessian magnitude below margin at z ~ {float(iv.mid()):.3f}")
-        value = eval_interval(Ft, box)
-        index = 0 if hv.sign() > 0 else 1
-        points.append(CriticalPoint(
-            location=(box[zname],), value=value, index=index,
-            hessian_det_sign=hv.sign(), hessian_det=hv))
-    return points
+    return ({z: iv.refine(VALUE_WIDTH)}
+            for iv in _roots_in_box(p, r, "critical point"))
 
 
 # -- n = 2 ------------------------------------------------------------------
@@ -184,8 +169,8 @@ def _newton_step(eqs, jac, box: dict[str, RatInterval]):
     """The interval Newton image of box, rounded outward to dyadics, or None
     when the sign of the Jacobian determinant on box is unknown."""
     x, y = box
-    J = [[eval_interval(jac[i][j], box) for j in range(2)] for i in range(2)]
-    det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
+    J = [[eval_interval(h, box) for h in row] for row in jac]
+    det = _det(J)
     if det.sign() is None:
         return None
     mid = {v: RatInterval.point(box[v].mid()) for v in box}
@@ -241,23 +226,17 @@ def _resolve_candidate(eqs, jac, box, depth=0):
         return [(status, out)]
     if depth >= 12:
         raise DegenerateParameter("cannot certify candidate box")
-    names = list(box)
-    v = max(names, key=lambda v: box[v].width())
+    v = max(box, key=lambda v: box[v].width())
     m = box[v].mid()
-    results = []
-    for half in (RatInterval(box[v].lo, m), RatInterval(m, box[v].hi)):
-        sub = dict(box)
-        sub[v] = half
-        results.extend(_resolve_candidate(eqs, jac, sub, depth + 1))
-    return results
+    return [res for half in (RatInterval(box[v].lo, m),
+                             RatInterval(m, box[v].hi))
+            for res in _resolve_candidate(eqs, jac, {**box, v: half},
+                                          depth + 1)]
 
 
-def _critical_points_2d(u: Unfolding, t: ParameterPoint, r: Fraction,
-                        margin: Fraction) -> list[CriticalPoint]:
-    z1, z2 = u.z_names
-    Ft = u.specialize(tuple(t))
-    p1 = Ft.diff(z1)
-    p2 = Ft.diff(z2)
+def _boxes_2d(grad, hess, z, r: Fraction) -> list[dict[str, RatInterval]]:
+    """Certified 'in' boxes of the candidates from both eliminants."""
+    (p1, p2), (z1, z2) = grad, z
     rz = _eliminate_var(p1, p2, z2)
     rw = _eliminate_var(p1, p2, z1)
     if rz.is_zero() or rw.is_zero():
@@ -265,45 +244,39 @@ def _critical_points_2d(u: Unfolding, t: ParameterPoint, r: Fraction,
     roots = [[] if q.is_constant() else
              _roots_in_box(q, r, f"elimination root in {var}")
              for var, q in ((z1, rz), (z2, rw))]
-    if not all(roots):
-        return []
-    eqs = (p1, p2)
-    jac = [[p1.diff(z1), p1.diff(z2)], [p2.diff(z1), p2.diff(z2)]]
-    certified = []
-    for ivz in roots[0]:
-        for ivw in roots[1]:
-            box = {z1: _interval_of(ivz), z2: _interval_of(ivw)}
-            for status, out in _resolve_candidate(eqs, jac, box):
-                if status == "in":
-                    certified.append(out)
-    # hessian classification
-    H = [[Ft.diff(a).diff(b) for b in (z1, z2)] for a in (z1, z2)]
-    points = []
-    for box in certified:
-        for tries in range(21):
-            hv = [[eval_interval(H[i][j], box) for j in range(2)]
-                  for i in range(2)]
-            det = hv[0][0] * hv[1][1] - hv[0][1] * hv[1][0]
-            if det.sign() is not None or tries == 20:
-                break
-            status, box = _certify_box(eqs, jac, box)
-            if status != "in":
-                raise DegenerateParameter("lost certification while refining")
-        if det.sign() is None or det.mignitude() < margin:
-            raise DegenerateParameter("hessian determinant too close to zero")
-        if det.sign() < 0:
-            index = 1
-        else:
-            lead = hv[0][0]
-            if lead.sign() is None:
-                raise DegenerateParameter("cannot resolve hessian corner sign")
-            index = 0 if lead.sign() > 0 else 2
-        value = eval_interval(Ft, box)
-        points.append(CriticalPoint(
-            location=(box[z1], box[z2]), value=value, index=index,
-            hessian_det_sign=det.sign(), hessian_det=det))
-    points.sort(key=lambda p: (p.location[0].lo, p.location[1].lo))
-    return points
+    return [out for ivz in roots[0] for ivw in roots[1]
+            for status, out in _resolve_candidate(grad, hess,
+                                                  {z1: ivz, z2: ivw})
+            if status == "in"]
+
+
+# -- classification --------------------------------------------------------
+
+def _classify(Ft: Polynomial, hess, box, margin: Fraction,
+              shrink) -> CriticalPoint:
+    """The critical point in box, which maps each z to an interval (for
+    n = 1 an IsolatingInterval); shrink(box) keeps the point.  box shrinks
+    at most 20 times until the sign of det(hess) is known; the index is 1
+    when det < 0, else 0 or 2 by the sign of hess[0][0]."""
+    for tries in range(21):
+        hv = [[eval_interval(h, box) for h in row] for row in hess]
+        det = _det(hv)
+        if (sign := det.sign()) is not None or tries == 20:
+            break
+        box = shrink(box)
+    if sign is None or det.mignitude() < margin:
+        raise DegenerateParameter("hessian determinant too close to zero")
+    if sign < 0:
+        index = 1
+    else:
+        lead = hv[0][0].sign()
+        if lead is None:
+            raise DegenerateParameter("cannot resolve hessian corner sign")
+        index = 0 if lead > 0 else 2
+    return CriticalPoint(
+        location=tuple([RatInterval(iv.lo, iv.hi) for iv in box.values()]),
+        value=eval_interval(Ft, box), index=index,
+        hessian_det_sign=sign, hessian_det=det)
 
 
 # -- public operations ------------------------------------------------------
@@ -313,18 +286,33 @@ def critical_points(u: Unfolding, t: ParameterPoint,
                     margin: Fraction = DEFAULT_MARGIN) -> list[CriticalPoint]:
     """All certified real critical points of F_t in [-r, r]^n."""
     if len(t.t) != len(u.parameter_names):
-        raise UnsupportedDimension(
+        raise InvalidInput(
             f"parameter point has {len(t.t)} coordinates, "
             f"expected {len(u.parameter_names)}")
     r = Fraction(box_radius)
     if r <= 0:
         raise InvalidInput("box radius must be positive")
-    if u.n == 1:
-        pts = _critical_points_1d(u, t, r, margin)
-    elif u.n == 2:
-        pts = _critical_points_2d(u, t, r, margin)
-    else:
+    if u.n not in (1, 2):
         raise UnsupportedDimension(f"n = {u.n} not supported")
+    z = u.z_names
+    Ft = u.specialize(tuple(t))
+    grad = [Ft.diff(v) for v in z]
+    hess = [[g.diff(v) for v in z] for g in grad]
+    if u.n == 1:
+        boxes = _boxes_1d(grad[0], z[0], r)
+
+        def shrink(box):
+            return {v: iv.refine(iv.width() / 4) for v, iv in box.items()}
+    else:
+        boxes = _boxes_2d(grad, hess, z, r)
+
+        def shrink(box):
+            status, box = _certify_box(grad, hess, box)
+            if status != "in":
+                raise DegenerateParameter("lost certification while refining")
+            return box
+    pts = sorted([_classify(Ft, hess, box, margin, shrink) for box in boxes],
+                 key=lambda p: [iv.lo for iv in p.location])
     for p in pts:
         if not sign_relation_check(Fraction(p.hessian_det_sign), p.index, u.n):
             raise IdentityViolation(
@@ -418,7 +406,6 @@ def euler_fiber_check(u: Unfolding, t: ParameterPoint,
     if u.n != 1:
         raise UnsupportedDimension("Euler fiber relation implemented for n = 1")
     r = Fraction(box_radius)
-    zname = u.z_names[0]
     report = morse_report(u, t, r)
     Ft = u.specialize(tuple(t))
     if not report.points:
@@ -435,19 +422,14 @@ def euler_fiber_check(u: Unfolding, t: ParameterPoint,
                                        max(clusters[-1].hi, v.hi))
         else:
             clusters.append(v)
-    if len(clusters) > 1:
-        min_gap = min(clusters[i + 1].lo - clusters[i].hi
-                      for i in range(len(clusters) - 1))
-    else:
-        min_gap = Fraction(1)
-    values = clusters
-    eps = min_gap / 10
+    eps = min((b.lo - a.hi for a, b in zip(clusters, clusters[1:])),
+              default=Fraction(1)) / 10
     # keep the exact rational but prefer a short dyadic representative
     coarse = Fraction((eps * 2 ** 48).__floor__(), 2 ** 48)
     if coarse > 0:
         eps = coarse
-    lam_above = values[-1].hi + eps
-    lam_below = values[0].lo - eps
+    lam_above = clusters[-1].hi + eps
+    lam_below = clusters[0].lo - eps
     chi_above = count_distinct_roots(Ft - lam_above, -r, r)
     chi_below = count_distinct_roots(Ft - lam_below, -r, r)
     ok = (chi_above - chi_below) == 2 * report.alt_sum

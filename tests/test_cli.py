@@ -13,7 +13,7 @@ import pytest
 import singlab
 from singlab import serialize
 from singlab.cli import OPS, main, run_manifest
-from singlab.discriminant import cerf_trace
+from singlab.discriminant import cerf_trace, slice_sample
 from singlab.errors import InvalidInput, ManifestError
 from singlab.milnor import unfold_germ
 from singlab.morselab import (ParameterPoint, critical_points,
@@ -156,6 +156,14 @@ class TestCommands:
          "--t-range=-2,2"),
         ("slice", "z^3", "--t-axis", "t1", "--lambda-range=-2,2",
          "--t-range=-2,2", "--fixed", "t9=1"),
+        ("slice", "z^3", "--t-axis", "t1", "--lambda-range=-2,2",
+         "--t-range=-2,2", "--grid", "0", "--svg", "no-such-dir/slice.svg"),
+        ("slice", "z^3", "--t-axis", "t1", "--lambda-range=-2,2",
+         "--t-range=-2,2", "--grid", "-3"),
+        ("morse", "z^4", "--t", "1"),
+        ("euler-check", "z^4", "--t", "1,2,3"),
+        ("cerf", "z^4", "--path", "0;1"),
+        ("maxwell", "z^4", "--segment", "0;1"),
         ("morse", "z^3", "--t", "-1/2"),
         ("morse", "z^3"),
         (),
@@ -164,6 +172,9 @@ class TestCommands:
             "segment-of-one-point", "expected-not-binomial",
             "series-without-expected", "slice-axis-not-a-parameter",
             "slice-parameter-not-fixed", "slice-fixes-no-parameter",
+            "slice-grid-zero", "slice-grid-negative",
+            "morse-t-too-short", "euler-t-too-long", "cerf-path-too-short",
+            "maxwell-segment-too-short",
             "negative-fraction-as-flag", "missing-required-flag",
             "missing-command"])
     def test_bad_input_exit_two(self, capsys, argv):
@@ -279,6 +290,17 @@ class TestManifest:
         result = report["jobs"][0]["tasks"][0]["result"]
         assert result["error"]["type"] == "DegenerateParameter"
 
+
+    def test_slice_grid_below_one_rejected_at_its_field(self):
+        bad = {"schema": "singlab-manifest/1",
+               "jobs": [{"kind": "unfolding", "germ": "z^3",
+                         "tasks": [{"op": "analyze"},
+                                   {"op": "slice", "t_axis": "t1",
+                                    "lambda_range": ["-2", "2"],
+                                    "t_range": ["-2", "2"], "grid": 0}]}]}
+        with pytest.raises(ManifestError) as err:
+            run_manifest(bad)
+        assert err.value.field == "jobs[0].tasks[1].grid"
 
     def test_bad_y_term_rejected(self):
         bad = {"schema": "singlab-manifest/1",
@@ -445,13 +467,16 @@ class TestLibraryInputErrors:
         lambda u: parse_polynomial("z^^3", ("z",)),
         lambda u: parse_polynomial("z^3 + y", ("z",)),
         lambda u: critical_points(u, ParameterPoint((Fraction(-1),)), 0),
+        lambda u: critical_points(u, ParameterPoint((Fraction(-1),) * 2)),
+        lambda u: slice_sample(u, "t1", (-2, 2), (-2, 2), {}, 0),
         lambda u: degree_invariance_scan(u, 1),
         lambda u: cerf_trace(u, [ParameterPoint((Fraction(0),))] * 2, 1),
         lambda u: cerf_trace(u, [ParameterPoint((Fraction(0),))], 4),
         lambda u: overweight_check(OverweightDeformation(
             (2, 3), (parse_polynomial("y^2", ("x", "y")),),
             (parse_polynomial("y^2 - x", ("x", "y")),))),
-    ], ids=["syntax", "unknown-variable", "box-radius", "samples", "steps",
+    ], ids=["syntax", "unknown-variable", "box-radius", "t-length",
+            "slice-grid", "samples", "steps",
             "path", "not-weight-homogeneous"])
     def test_raises_invalid_input(self, call):
         u = unfold_germ(parse_polynomial("z^3", ("z",)))

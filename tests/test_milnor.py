@@ -5,14 +5,17 @@ Jacobian ideal, then brute-force counting of staircase monomials.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlab import milnor
 from singlab.errors import IdentityViolation, NotCritical, NotIsolated
 from singlab.milnor import analyze_germ, miniversal_unfolding, unfold_germ
-from singlab.poly import parse_polynomial
+from singlab.poly import Polynomial, parse_polynomial
 
 
 def P(text, names):
@@ -79,6 +82,85 @@ class TestValidation:
 
     def test_cubic_signature_vanishes(self):
         assert analyze_germ(P("z^3 + w^3", ("z", "w"))).signature == (0, 0)
+
+    @pytest.mark.parametrize("text,names,sig", [
+        ("z*w", ("z", "w"), (1, 1)),
+        ("z^2 + 2*z*w + w^2 + u^3", ("z", "w", "u"), (1, 0)),
+        ("-z^2 - w^2 + u*v", ("z", "w", "u", "v"), (1, 3)),
+        ("z^4 + w^3", ("z", "w"), (0, 0)),
+    ])
+    def test_signature_examples(self, text, names, sig):
+        assert milnor._quadratic_signature(P(text, names)) == sig
+
+
+def diagonalized_signature(f):
+    """Signature by exact congruence diagonalization of the form matrix."""
+    names = f.variables
+    n = len(names)
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for e, c in f.terms.items():
+        if sum(e) != 2:
+            continue
+        idx = [i for i, k in enumerate(e) if k]
+        if len(idx) == 1:
+            a[idx[0]][idx[0]] = c
+        else:
+            i, j = idx
+            a[i][j] = a[j][i] = c / 2
+    pos = neg = 0
+    live = list(range(n))
+    while live:
+        p = next((i for i in live if a[i][i] != 0), None)
+        if p is None:
+            pair = next(((i, j) for i in live for j in live
+                         if i != j and a[i][j] != 0), None)
+            if pair is None:
+                break
+            i, j = pair
+            for k in range(n):
+                a[i][k] += a[j][k]
+            for k in range(n):
+                a[k][i] += a[k][j]
+            p = i
+        if a[p][p] > 0:
+            pos += 1
+        else:
+            neg += 1
+        live.remove(p)
+        for i in live:
+            factor = a[i][p] / a[p][p]
+            if factor == 0:
+                continue
+            for k in range(n):
+                a[i][k] -= factor * a[p][k]
+            for k in range(n):
+                a[k][i] -= factor * a[k][p]
+    return pos, neg
+
+
+@st.composite
+def quadratic_forms(draw):
+    """1-4-variable forms with small (often zero) coefficients, so
+    rank-deficient forms, the zero form and zero diagonals are common,
+    plus a cubic term that the signature must ignore."""
+    n = draw(st.integers(1, 4))
+    names = ("z", "w", "u", "v")[:n]
+    coeff = st.one_of(st.just(0), st.fractions(-3, 3, max_denominator=4))
+    terms = {}
+    for i in range(n):
+        for j in range(i, n):
+            e = [0] * n
+            e[i] += 1
+            e[j] += 1
+            terms[tuple(e)] = draw(coeff)
+    terms[(3,) + (0,) * (n - 1)] = draw(coeff)
+    return Polynomial(names, terms)
+
+
+@given(quadratic_forms())
+@settings(max_examples=300, deadline=None)
+def test_signature_matches_diagonalization(f):
+    assert milnor._quadratic_signature(f) == diagonalized_signature(f)
 
 
 class TestCobasis:

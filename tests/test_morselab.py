@@ -1,6 +1,8 @@
 """Certified Morse data at parameter points; scans, Euler checks, probes."""
 
+import hashlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 
 from singlab.critmap import sign_relation_check
 from singlab import morselab
-from singlab.errors import BoxEscape, DegenerateParameter, IdentityViolation
+from singlab.errors import (BoxEscape, DegenerateParameter, IdentityViolation,
+                            InvalidInput)
+from singlab.intervals import RatInterval
 from singlab.milnor import unfold_germ
 from singlab.morselab import (ParameterPoint, critical_points,
                               degree_invariance_scan, euler_fiber_check,
@@ -30,6 +34,7 @@ def T(*xs):
 
 
 GOLDEN_MORSE = Path(__file__).parent / "golden" / "morse_reports.json"
+GOLDEN_OUTCOMES = Path(__file__).parent / "golden" / "morse_outcomes.json"
 # The morse-scan benchmark germs, each at a dyadic t and a non-dyadic t.
 MORSE_CASES = (
     ("z^5", ("z",), ("1/64", "1/32", "-1"), ("1/63", "1/33", "-1")),
@@ -53,6 +58,39 @@ def morse_report_bytes() -> dict[str, str]:
                 out[f"{germ} | r={r} | t=({', '.join(t)})"] = dumps(
                     jsonable(rep))
     return out
+
+
+def morse_outcome(u, t, r, margin=morselab.DEFAULT_MARGIN) -> str:
+    """The report bytes, or the class name of the exception raised."""
+    try:
+        return dumps(jsonable(morse_report(u, t, Fraction(r), margin)))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def morse_outcome_lists() -> dict[str, list[str]]:
+    """Outcomes of each MORSE_CASES germ at r = 4 and 1: 32 seeded points,
+    t = 0, and margin 10^4 at the first seeded point with a critical
+    point, which rejects it by the Hessian margin."""
+    out = {}
+    for germ, names, *points in MORSE_CASES:
+        u = U(germ, names)
+        dim = len(u.parameter_names)
+        seeded = [sample_parameter(random.Random(k), dim, Fraction(1))
+                  for k in range(32)]
+        for r in (4, 1):
+            outcomes = [morse_outcome(u, t, r) for t in seeded]
+            outcomes.append(morse_outcome(u, T(*[0] * dim), r))
+            first = next(t for t, o in zip(seeded, outcomes)
+                         if '"index"' in o)
+            outcomes.append(morse_outcome(u, first, r, Fraction(10 ** 4)))
+            out[f"{germ} | r={r}"] = outcomes
+    return out
+
+
+def outcome_digests(lists: dict[str, list[str]]) -> dict[str, str]:
+    return {key: hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+            for key, outcomes in lists.items()}
 
 
 class TestCriticalPoints1D:
@@ -91,6 +129,45 @@ class TestCriticalPoints1D:
                             lambda *args: False)
         with pytest.raises(IdentityViolation):
             critical_points(U("z^3", ("z",)), T(-3), box_radius=R2)
+
+
+class TestClassify:
+    """The one classifier, on F = z^3/3 - z (critical points at z = +-1)."""
+
+    F = parse_polynomial("z^3/3 - z", ("z",))
+    HESS = [[parse_polynomial("2*z", ("z",))]]
+
+    def test_shrinks_until_the_sign_is_known(self):
+        seen = []
+
+        def toward_one(box):
+            seen.append(box)
+            iv = box["z"]
+            return {"z": RatInterval((iv.lo + 1) / 2, (iv.hi + 1) / 2)}
+
+        pt = morselab._classify(self.F, self.HESS,
+                                {"z": RatInterval(0, 2)}, Fraction(1),
+                                toward_one)
+        assert len(seen) == 1  # 2z on [1/2, 3/2] is positive
+        assert pt.location == (RatInterval(Fraction(1, 2), Fraction(3, 2)),)
+        assert (pt.index, pt.hessian_det_sign) == (0, 1)
+        assert pt.hessian_det == RatInterval(1, 3)
+
+    def test_gives_up_after_twenty_shrinks(self):
+        seen = []
+        with pytest.raises(DegenerateParameter, match="too close to zero"):
+            morselab._classify(self.F, self.HESS, {"z": RatInterval(-1, 1)},
+                               Fraction(0), lambda box: seen.append(1) or box)
+        assert len(seen) == 20
+
+    def test_margin_message_is_shared(self):
+        with pytest.raises(DegenerateParameter, match="too close to zero"):
+            morselab._classify(self.F, self.HESS, {"z": RatInterval(-2, -1)},
+                               Fraction(3), lambda box: box)
+
+    def test_wrong_length_parameter_is_bad_input(self):
+        with pytest.raises(InvalidInput, match="1 coordinates, expected 2"):
+            critical_points(U("z^4", ("z",)), T(1))
 
 
 class TestCriticalPoints2D:
@@ -144,6 +221,18 @@ class TestGoldenMorseReports:
         assert list(produced) == list(golden)
         for key, text in produced.items():
             assert text == golden[key], key
+
+    def test_outcomes_match_golden_digests(self):
+        # accepted reports and rejection classes, margin rejections included
+        lists = morse_outcome_lists()
+        assert outcome_digests(lists) == json.loads(
+            GOLDEN_OUTCOMES.read_text())
+        # the set reaches every index, a box escape and, per germ and
+        # radius, the margin rejection of the classifier
+        text = "".join(o for outcomes in lists.values() for o in outcomes)
+        for needed in ('"index": 0', '"index": 1', '"index": 2', "BoxEscape"):
+            assert needed in text
+        assert {o[-1] for o in lists.values()} == {"DegenerateParameter"}
 
 
 class TestDegreeScan:
