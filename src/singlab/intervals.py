@@ -2,8 +2,8 @@
 
 Endpoints are exact Fractions (ints are taken, floats refused); all
 operations return enclosures, so a sign decided on an interval is a proof.
-``eval_interval`` runs on integers over one common denominator and gives
-the same enclosures as term-by-term Fraction products.
+``enclose`` bounds a polynomial over a box on integers, exactly as
+term-by-term Fraction products would; ``eval_interval`` wraps it.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .poly import Polynomial, _as_fraction, integer_terms
+from .poly import Polynomial, _as_fraction
 
 
 @dataclass(frozen=True)
@@ -102,20 +102,26 @@ def _coerce(x) -> RatInterval:
     return RatInterval.point(x)
 
 
-def eval_interval(p: Polynomial, box: dict[str, RatInterval]) -> RatInterval:
-    """Enclosure of p over a box, term by term, on integers: p = P / den,
-    x_v in [lo, hi] / q_v, and x_v^k, the k-fold interval product, is built
-    once per variable and scaled to q_v^deg_v.  These are the exact products
-    of a Fraction loop, so the enclosure is the same."""
-    (terms,), den = integer_terms([p.terms])
+def integer_box(box) -> dict[str, tuple[int, int, int]]:
+    """Each interval of box (with Fraction lo and hi) as integers (lo, hi, q)
+    for [lo, hi] / q, where q is the lcm of the endpoint denominators."""
+    return {v: (iv.lo.numerator * (q // iv.lo.denominator),
+                iv.hi.numerator * (q // iv.hi.denominator), q)
+            for v, iv in box.items()
+            for q in (lcm(iv.lo.denominator, iv.hi.denominator),)}
+
+
+def enclose(p: Polynomial, box) -> tuple[int, int, int]:
+    """[lo, hi] / den encloses p over an ``integer_box``.  On p's cached
+    integer form, x_v^k, the k-fold interval product, is built once per
+    variable and scaled to q_v^deg_v: the exact products of a term-by-term
+    Fraction loop, over den = den_p * prod q_v^deg_v."""
+    terms, den, degrees = p.integer_form()
     powers = []  # (i, [q_i^deg_i * x_i^k as integer pairs, k = 0..deg_i])
-    for i, (v, d) in enumerate(zip(p.variables, map(max, zip(*terms)))):
+    for i, (v, d) in enumerate(zip(p.variables, degrees)):
         if not d:
             continue
-        lo, hi = box[v].lo, box[v].hi
-        q = lcm(lo.denominator, hi.denominator)
-        lo, hi = (lo.numerator * (q // lo.denominator),
-                  hi.numerator * (q // hi.denominator))
+        lo, hi, q = box[v]
         pw = [(1, 1)]
         for _ in range(d):
             pl, ph = pw[-1]
@@ -132,4 +138,10 @@ def eval_interval(p: Polynomial, box: dict[str, RatInterval]) -> RatInterval:
             prods = (tl * pl, tl * ph, th * pl, th * ph)
             tl, th = min(prods), max(prods)
         lo, hi = lo + tl, hi + th
+    return lo, hi, den
+
+
+def eval_interval(p: Polynomial, box: dict[str, RatInterval]) -> RatInterval:
+    """``enclose`` as a RatInterval."""
+    lo, hi, den = enclose(p, integer_box(box))
     return RatInterval(Fraction(lo, den), Fraction(hi, den))

@@ -1,12 +1,12 @@
 """Certified real critical-point analysis of F_t on a working box.
 
-n = 1 and n = 2 share one path.  The candidate boxes come from exact root
+n = 1 and n = 2 share one path.  Candidate boxes come from exact root
 isolation of F_t' (n = 1), or from resultant elimination in each variable
-and interval-Newton certification of every candidate box (n = 2), so they
-provably hold all real critical points in the box.  One classifier shrinks
-each box until the sign of det(Hess F_t) is known and reads the Morse
-index from it.  Parameters too close to the bifurcation set are rejected
-rather than resolved.
+and interval Newton (n = 2; Moore, Kearfott & Cloud 2009) on integer
+enclosures (lo, hi, den), so they provably hold all real critical points
+in the box.  One classifier shrinks each box until the sign of
+det(Hess F_t) is known and reads the Morse index from it.  Parameters too
+close to the bifurcation set are rejected rather than resolved.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .critmap import sign_relation_check
 from .errors import (BoxEscape, DegenerateParameter, IdentityViolation,
                      InconsistentDegree, InsufficientAcceptance, InvalidInput,
                      UnsupportedDimension)
-from .intervals import RatInterval, eval_interval
+from .intervals import RatInterval, enclose, eval_interval, integer_box
 from .milnor import Unfolding
 from .poly import Polynomial
 from .realroots import (IsolatingInterval, count_distinct_roots,
@@ -98,14 +98,6 @@ class HermanWitness:
     certificate: str
 
 
-def _dyadic(iv: RatInterval, bits: int = 64) -> RatInterval:
-    """Round endpoints outward to the dyadic grid to tame denominators."""
-    scale = 1 << bits
-    lo = Fraction((iv.lo * scale).__floor__(), scale)
-    hi = Fraction(-((-iv.hi * scale).__floor__()), scale)
-    return RatInterval(lo, hi)
-
-
 def _roots_in_box(p: Polynomial, r: Fraction,
                   what: str) -> list[IsolatingInterval]:
     """Isolating intervals of p's real roots, each certified inside (-r, r).
@@ -132,11 +124,21 @@ def _roots_in_box(p: Polynomial, r: Fraction,
     return inside
 
 
-def _det(m: list[list[RatInterval]]) -> RatInterval:
-    """Determinant of a 1x1 or 2x2 interval matrix."""
+def _sign(lo: int, hi: int) -> int | None:
+    """RatInterval.sign of the integer interval [lo, hi] / den."""
+    return 1 if lo > 0 else -1 if hi < 0 else 0 if lo == hi == 0 else None
+
+
+def _det(m):
+    """Determinant of a 1x1 or 2x2 matrix of integer interval triples
+    (lo, hi, den), each the interval [lo, hi] / den with den > 0."""
     if len(m) == 1:
         return m[0][0]
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    (a, b), (c, d) = m
+    ad = [x * y for x in a[:2] for y in d[:2]]
+    bc = [x * y for x in b[:2] for y in c[:2]]
+    s, t = a[2] * d[2], b[2] * c[2]
+    return min(ad) * t - max(bc) * s, max(ad) * t - min(bc) * s, s * t
 
 
 # -- n = 1 ------------------------------------------------------------------
@@ -166,26 +168,45 @@ def _eliminate_var(p1: Polynomial, p2: Polynomial, var: str) -> Polynomial:
 
 
 def _newton_step(eqs, jac, box: dict[str, RatInterval]):
-    """The interval Newton image of box, rounded outward to dyadics, or None
-    when the sign of the Jacobian determinant on box is unknown."""
-    x, y = box
-    J = [[eval_interval(h, box) for h in row] for row in jac]
-    det = _det(J)
-    if det.sign() is None:
+    """The interval Newton image of box, rounded outward to the 2^-64 grid,
+    or None when 0 is in det J.  J, det J, the midpoint residuals f and the
+    numerators N of Cramer's rule are integer triples; for det J > 0 (else
+    negate it and f), N / det J runs from nl / (dl if nl < 0 else dh) to
+    nh / (dh if nh < 0 else dl)."""
+    ibox = integer_box(box)
+    J = [[enclose(h, ibox) for h in row] for row in jac]
+    dl, dh, dd = _det(J)
+    if dl <= 0 <= dh:
+        # det J = [0, 0] is unreachable: on a candidate box it needs
+        # constant or zero Hessian entries, which _boxes_2d rejects or
+        # gives no candidate; a contracted box lies in one with a det sign
         return None
-    mid = {v: RatInterval.point(box[v].mid()) for v in box}
-    fm = [eval_interval(e, mid) for e in eqs]
-    inv_det = det.inverse()
-    return {x: _dyadic(mid[x] - (J[1][1] * fm[0] - J[0][1] * fm[1]) * inv_det),
-            y: _dyadic(mid[y] - (J[0][0] * fm[1] - J[1][0] * fm[0]) * inv_det)}
+    mid = {v: (lo + hi, lo + hi, 2 * q) for v, (lo, hi, q) in ibox.items()}
+    f0, f1 = [enclose(e, mid) for e in eqs]
+    if dl < 0:  # N / det J = -N / -det J, and N is linear in f
+        dl, dh = -dh, -dl
+        f0, f1 = [(-hi, -lo, den) for lo, hi, den in (f0, f1)]
+    (a, b), (c, d) = J
+    out = {}
+    for v, (nl, nh, nd) in zip(ibox, (_det([[f0, b], [f1, d]]),
+                                      _det([[a, f0], [c, f1]]))):
+        m, _, mq = mid[v]  # v - N / det J = m / mq - n * dd / (nd * dx)
+        dx = dh if nh < 0 else dl
+        lo_num, lo_den = m * nd * dx - mq * nh * dd, mq * nd * dx
+        dx = dl if nl < 0 else dh
+        hi_num, hi_den = m * nd * dx - mq * nl * dd, mq * nd * dx
+        out[v] = RatInterval(Fraction((lo_num << 64) // lo_den, 1 << 64),
+                             Fraction(-((-hi_num << 64) // hi_den), 1 << 64))
+    return out
 
 
 def _certify_box(eqs, jac, box: dict[str, RatInterval]):
     """Interval Newton: 'in' (unique root, contracted box), 'out', or split."""
     names = list(box)
     for _ in range(40):
-        vals = [eval_interval(e, box) for e in eqs]
-        if any(v.sign() not in (None, 0) for v in vals):
+        ibox = integer_box(box)
+        if any(lo > 0 or hi < 0 for lo, hi, _ in
+               (enclose(e, ibox) for e in eqs)):
             return "out", box
         nbox = _newton_step(eqs, jac, box)
         if nbox is None:
@@ -194,29 +215,26 @@ def _certify_box(eqs, jac, box: dict[str, RatInterval]):
                for v in names):
             # certified: contract further for tight output
             for _ in range(30):
-                prev = nbox
                 step = _newton_step(eqs, jac, nbox)
                 if step is None:
                     break
-                i0 = step[names[0]].intersect(nbox[names[0]])
-                i1 = step[names[1]].intersect(nbox[names[1]])
-                if i0 is None or i1 is None:
+                inter = {v: step[v].intersect(nbox[v]) for v in names}
+                if not all(inter.values()):
                     break
-                nbox = {names[0]: i0, names[1]: i1}
+                prev, nbox = nbox, inter
                 if all(nbox[v].width() < VALUE_WIDTH for v in names):
                     break
                 if all(nbox[v].width() >= prev[v].width() * Fraction(3, 4)
                        for v in names):
                     break
             return "in", nbox
-        inter0 = nbox[names[0]].intersect(box[names[0]])
-        inter1 = nbox[names[1]].intersect(box[names[1]])
-        if inter0 is None or inter1 is None:
+        inter = {v: nbox[v].intersect(box[v]) for v in names}
+        if not all(inter.values()):
             return "out", box
-        if (inter0.width() > box[names[0]].width() * Fraction(7, 8)
-                and inter1.width() > box[names[1]].width() * Fraction(7, 8)):
+        if all(inter[v].width() > box[v].width() * Fraction(7, 8)
+               for v in names):
             return "unknown", box
-        box = {names[0]: inter0, names[1]: inter1}
+        box = inter
     return "unknown", box
 
 
@@ -259,17 +277,19 @@ def _classify(Ft: Polynomial, hess, box, margin: Fraction,
     at most 20 times until the sign of det(hess) is known; the index is 1
     when det < 0, else 0 or 2 by the sign of hess[0][0]."""
     for tries in range(21):
-        hv = [[eval_interval(h, box) for h in row] for row in hess]
-        det = _det(hv)
-        if (sign := det.sign()) is not None or tries == 20:
+        ibox = integer_box(box)
+        hv = [[enclose(h, ibox) for h in row] for row in hess]
+        lo, hi, den = _det(hv)
+        if (sign := _sign(lo, hi)) is not None or tries == 20:
             break
         box = shrink(box)
+    det = RatInterval(Fraction(lo, den), Fraction(hi, den))
     if sign is None or det.mignitude() < margin:
         raise DegenerateParameter("hessian determinant too close to zero")
     if sign < 0:
         index = 1
     else:
-        lead = hv[0][0].sign()
+        lead = _sign(*hv[0][0][:2])
         if lead is None:
             raise DegenerateParameter("cannot resolve hessian corner sign")
         index = 0 if lead > 0 else 2

@@ -66,7 +66,7 @@ def _as_fraction(c) -> Fraction:
 class Polynomial:
     """Immutable exact polynomial over a declared variable tuple."""
 
-    __slots__ = ("variables", "terms", "_hash")
+    __slots__ = ("variables", "terms", "_hash", "_int")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Fraction]):
         variables = tuple(variables)
@@ -82,7 +82,7 @@ class Polynomial:
             clean[exps] = clean.get(exps, Fraction(0)) + c
         self.variables = variables
         self.terms = {e: c for e, c in clean.items() if c != 0}
-        self._hash = None
+        self._hash = self._int = None
 
     # -- constructors ------------------------------------------------------
 
@@ -203,6 +203,14 @@ class Polynomial:
             self._hash = hash((self.variables,
                                tuple(sorted(self.terms.items()))))
         return self._hash
+
+    def integer_form(self) -> tuple[dict[Exponents, int], int, Exponents]:
+        """integer_terms of p and its degree in each variable (() when p is
+        zero), computed once; this cache takes no part in == or hash."""
+        if self._int is None:
+            (ints,), den = integer_terms([self.terms])
+            self._int = ints, den, tuple(map(max, zip(*ints)))
+        return self._int
 
     # -- calculus and evaluation ------------------------------------------
 

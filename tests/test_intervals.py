@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlab.intervals import RatInterval, eval_interval
+from singlab.intervals import RatInterval, enclose, eval_interval, integer_box
 from singlab.poly import Polynomial, parse_polynomial
 
 rationals = st.fractions(
@@ -128,3 +128,33 @@ class TestEvaluation:
         p, box = case
         got, want = eval_interval(p, box), reference_eval_interval(p, box)
         assert got.lo == want.lo and got.hi == want.hi
+
+
+class TestIntegerForm:
+    """The integer form each Polynomial caches for ``enclose``."""
+
+    TEXT = "z^3/3 - 2*z*w + w^2/5 - 7/6"
+    BOX = {"z": RatInterval(Fraction(-1, 3), Fraction(1, 2)),
+           "w": RatInterval(Fraction(2, 7), Fraction(5, 7))}
+
+    def test_cache_changes_neither_eq_nor_hash(self):
+        p, q = (parse_polynomial(self.TEXT, ("z", "w")) for _ in range(2))
+        hash_before = hash(p)
+        enclose(p, integer_box(self.BOX))  # fills p's cache, not q's
+        assert p == q and q == p
+        assert hash(p) == hash(q) == hash_before
+        assert {p: 1}[q] == 1
+
+    def test_same_triple_on_first_and_second_call(self):
+        p = parse_polynomial(self.TEXT, ("z", "w"))
+        box = integer_box(self.BOX)
+        first = enclose(p, box)
+        assert enclose(p, box) == first
+        assert eval_interval(p, self.BOX) == RatInterval(
+            Fraction(first[0], first[2]), Fraction(first[1], first[2]))
+
+    def test_integer_box_is_exact(self):
+        box = integer_box({"x": RatInterval(Fraction(-1, 6), Fraction(3, 4))})
+        lo, hi, q = box["x"]
+        assert (q, Fraction(lo, q), Fraction(hi, q)) == (
+            12, Fraction(-1, 6), Fraction(3, 4))
