@@ -1,15 +1,24 @@
 """Buchberger's algorithm with reduced bases and one step budget.
 
-Leading exponents are computed once and kept beside the basis.  Critical
-pairs wait in a heap keyed by (order key of the lcm of the leading terms,
-i, j), so the pair with the smallest lcm comes first.  Each new element
-prunes the pairs by the Gebauer-Moeller update (Gebauer & Moeller, JSC
-1988): among its own pairs, criteria M and F keep one pair per minimal
-lcm and Buchberger's criterion drops coprime ones; criterion B drops an
-old pair whose lcm the new leading term divides unless it equals the lcm
-of the new term with either member; and elements whose leading term the
-new one divides stop forming pairs and reducing.  The reduced basis is
-canonical, so none of these choices shows in the result.
+Monomials are packed into one int each (Bachmann & Schoenemann, ISSAC
+1998), a field of width + 1 bits per variable with a guard on top: for
+lex the first variable highest; for grevlex the degree above the fields,
+which hold 2^width - 1 - e in reversed variable order.  So int order is
+the monomial order, a product a * b is a + b - one, and a valid monomial
+sets no guard bit.  The width is read off the inputs (at least 16 bits).
+A product that outgrows it sets a guard bit, yet packs exactly and in
+order; once such a term leads, the computation restarts at twice the
+width with a fresh step count, so nothing depends on the width.
+
+Critical pairs wait in a heap keyed by (lcm of the leading terms, i, j),
+so the pair with the smallest lcm comes first.  Each new element prunes
+the pairs by the Gebauer-Moeller update (Gebauer & Moeller, JSC 1988):
+among its own pairs, criteria M and F keep one pair per minimal lcm and
+Buchberger's criterion drops coprime ones; criterion B drops an old pair
+whose lcm the new leading term divides unless it equals the lcm of the
+new term with either member; and elements whose leading term the new one
+divides stop forming pairs and reducing.  The reduced basis is canonical,
+so none of these choices shows in the result.
 
 One step counter bounds a whole computation: every pair popped and every
 division step, in the pair loop and in the final inter-reduction, counts
@@ -22,33 +31,83 @@ import heapq
 import itertools
 import os
 
-from .errors import BudgetExceeded, VariableMismatch
+from .errors import BudgetExceeded, InvalidInput, VariableMismatch
 from .poly import GREVLEX, Exponents, MonomialOrder, Polynomial
 
 DEFAULT_BUDGET = 200_000
 
 
-class _Budget:
-    """Step counter shared by every stage of one computation."""
+class Budget:
+    """Step counter shared by every stage of one computation; its cap is
+    explicit or read from SINGLAB_BUDGET."""
 
     def __init__(self, explicit: int | None, what: str):
-        self.cap = explicit if explicit is not None else \
-            int(os.environ.get("SINGLAB_BUDGET", DEFAULT_BUDGET))
+        raw = os.environ.get("SINGLAB_BUDGET", str(DEFAULT_BUDGET)).strip()
+        if explicit is None and not raw.isdecimal():
+            raise InvalidInput(
+                f"SINGLAB_BUDGET must be a non-negative integer, not {raw!r}")
+        self.cap = int(raw) if explicit is None else explicit
         self.what = what
         self.used = 0
 
-    def step(self) -> None:
-        self.used += 1
+    def step(self, n: int = 1) -> None:
+        self.used += n
         if self.used > self.cap:
             raise BudgetExceeded(f"{self.what} exceeded {self.cap} steps")
 
 
-def _divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+class _Packing:
+    """Packed monomials of one order in n variables, the fields as wide as
+    the exponents of maps need, doubled widen times.  a | b iff
+    sign * (b - a) borrows into no guard bit."""
+
+    def __init__(self, order: MonomialOrder, n: int, maps: list[dict],
+                 widen: int = 0):
+        big = max((e for t in maps for exps in t for e in exps), default=0)
+        self.width = width = max(16, big.bit_length()) << widen
+        self.lex, self.cap = order.kind == "lex", (1 << width) - 1
+        self.sign = 1 if self.lex else -1
+        self.shifts = [(n - 1 - i if self.lex else i) * (width + 1)
+                       for i in range(n)]
+        self.guard = sum(1 << (s + width) for s in self.shifts)
+        self.top = n * (width + 1)  # the grevlex degree field
+        self.weights = [1 << s if self.lex else (1 << self.top) - (1 << s)
+                        for s in self.shifts]  # pack(e) - one, per e_i
+        self.one = 0 if self.lex else sum(self.cap << s for s in self.shifts)
+
+    def pack(self, exps: Exponents) -> int:
+        return self.one + sum(e * w for e, w in zip(exps, self.weights))
+
+    def unpack(self, m: int) -> Exponents:
+        fields = ((m >> s) & self.cap for s in self.shifts)
+        return tuple(fields if self.lex else (self.cap - f for f in fields))
+
+    def monic(self, terms: dict) -> tuple[int, dict]:
+        """The leading monomial and the packed monic form of a term map."""
+        packed = {self.pack(e): c for e, c in terms.items()}
+        lead = max(packed)
+        return lead, {m: c / packed[lead] for m, c in packed.items()}
+
+    def divides(self, a: int, b: int) -> bool:
+        return not (self.sign * (b - a)) & self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        ge = ((a | self.guard) - b) & self.guard  # guards of fields a >= b
+        pick = (a ^ b) & (ge - (ge >> self.width))
+        # lex: max exponents; grevlex: min complements, degree recomputed
+        return b ^ pick if self.lex else self.pack(self.unpack(a ^ pick))
 
 
-def _lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+def _packed_run(run, maps: list[dict], order: MonomialOrder, n: int,
+                budget: int | None, what: str):
+    """(packing, run(maps, packing, step counter)), rerun at twice the
+    field width with a fresh counter while a product overflows."""
+    for widen in itertools.count():
+        pk = _Packing(order, n, maps, widen)
+        try:
+            return pk, run(maps, pk, Budget(budget, what))
+        except OverflowError:
+            pass
 
 
 def _check_variables(polys: list[Polynomial], variables) -> None:
@@ -57,25 +116,25 @@ def _check_variables(polys: list[Polynomial], variables) -> None:
             raise VariableMismatch(f"{g.variables} vs {variables}")
 
 
-def _reduce(work: dict, divisors: list[tuple[Exponents, dict]],
-            order: MonomialOrder, budget: _Budget) -> dict:
-    """Remainder of the term map work (consumed) under full division.
-
-    divisors are (leading exponent, terms) of monic polynomials, tried in
-    list order; each step of the division takes one budget step.
-    """
-    key = order.key
+def _reduce(work: dict, divisors: list[tuple[int, dict]], pk: _Packing,
+            budget: Budget) -> dict:
+    """Remainder of the packed term map work (consumed) under full division
+    by divisors, (leading monomial, terms) of monic packed polynomials tried
+    in list order; each step of the division takes one budget step."""
+    guard, sign = pk.guard, pk.sign
     rem = {}
     while work:
         budget.step()
-        we = max(work, key=key)
+        we = max(work)
+        if we & guard:  # the first use of a product that outgrew its field
+            raise OverflowError
         wc = work.pop(we)
         for ge, g in divisors:
-            if _divides(ge, we):
-                shift = [b - a for a, b in zip(ge, we)]
+            shift = we - ge
+            if not (sign * shift) & guard:
                 for e, c in g.items():
                     if e != ge:
-                        m = tuple(a + b for a, b in zip(e, shift))
+                        m = e + shift
                         v = work.get(m, 0) - wc * c
                         if v:
                             work[m] = v
@@ -96,12 +155,16 @@ def normal_form(p: Polynomial, basis: list[Polynomial],
     tried in decreasing leading-term order for determinism.
     """
     _check_variables(basis, p.variables)
-    divisors = sorted(((g.leading(order)[0], g.monic(order).terms)
-                       for g in basis if not g.is_zero()),
-                      key=lambda d: order.key(d[0]), reverse=True)
-    rem = _reduce(dict(p.terms), divisors, order,
-                  _Budget(budget, "normal_form"))
-    return Polynomial(p.variables, rem)
+
+    def run(maps, pk, steps):  # maps: p, then the basis
+        work = {pk.pack(e): c for e, c in maps[0].items()}
+        divisors = sorted(map(pk.monic, maps[1:]), key=lambda d: d[0],
+                          reverse=True)
+        return _reduce(work, divisors, pk, steps)
+
+    pk, rem = _packed_run(run, [p.terms] + [g.terms for g in basis if g.terms],
+                          order, len(p.variables), budget, "normal_form")
+    return Polynomial(p.variables, {pk.unpack(m): c for m, c in rem.items()})
 
 
 def groebner_basis(generators: list[Polynomial],
@@ -112,66 +175,70 @@ def groebner_basis(generators: list[Polynomial],
         raise ValueError("empty generator list")
     variables = generators[0].variables
     _check_variables(generators, variables)
-    steps = _Budget(budget, "groebner_basis")
-
-    basis = [g.monic(order).terms for g in generators if not g.is_zero()]
-    if not basis:
+    maps = [g.terms for g in generators if g.terms]
+    if not maps:
         return [Polynomial.zero(variables)]
-    leads = [max(g, key=order.key) for g in basis]
+    pk, basis = _packed_run(_buchberger, maps, order, len(variables),
+                            budget, "groebner_basis")
+    return [Polynomial(variables, {pk.unpack(m): c for m, c in g.items()})
+            for g in basis]
+
+
+def _buchberger(maps: list[dict], pk: _Packing, steps: Budget) -> list[dict]:
+    """The reduced basis of the term maps, as packed monic term maps."""
+    one, divides, lcm = pk.one, pk.divides, pk.lcm
+    leads, basis = map(list, zip(*map(pk.monic, maps)))
     live: list[int] = []    # elements that still form pairs and reduce
-    pairs: list = []        # heap of (order key of lcm, i, j, lcm), i > j
+    pairs: list = []        # heap of (lcm, i, j), i > j
 
     def update(h: int) -> None:
         nonlocal live, pairs
         mh = leads[h]
-        new = [(_lcm(mh, leads[g]), g) for g in live]
+        new = [(lcm(mh, leads[g]), g) for g in live]
         kept = []
         for k, (l, g) in enumerate(new):
-            coprime = l == tuple(a + b for a, b in zip(mh, leads[g]))
+            coprime = l == mh + leads[g] - one
             # criteria M and F: a later new pair's lcm, or a kept one's,
             # divides this lcm; coprime pairs stay as witnesses
-            if coprime or not any(_divides(o[0], l)
+            if coprime or not any(divides(o[0], l)
                                   for o in new[k + 1:] + kept):
                 kept.append((l, g, coprime))
         pairs = [p for p in pairs
-                 if not _divides(mh, p[3])
-                 or _lcm(leads[p[1]], mh) == p[3]
-                 or _lcm(leads[p[2]], mh) == p[3]]
-        pairs += [(order.key(l), h, g, l) for l, g, coprime in kept
-                  if not coprime]
+                 if not divides(mh, p[0])
+                 or lcm(leads[p[1]], mh) == p[0]
+                 or lcm(leads[p[2]], mh) == p[0]]
+        pairs += [(l, h, g) for l, g, coprime in kept if not coprime]
         heapq.heapify(pairs)
-        live = [g for g in live if not _divides(mh, leads[g])] + [h]
+        live = [g for g in live if not divides(mh, leads[g])] + [h]
 
     for h in range(len(basis)):
         update(h)
     while pairs:
         steps.step()
-        _, i, j, l = heapq.heappop(pairs)
-        # the first division step of x^(l - lead i) * basis[i], by basis[j],
+        l, i, j = heapq.heappop(pairs)
+        # the first division step of (l / lead i) * basis[i], by basis[j],
         # leaves the S-polynomial
-        shift = [a - b for a, b in zip(l, leads[i])]
-        work = {tuple(a + b for a, b in zip(e, shift)): c
-                for e, c in basis[i].items()}
+        shift = l - leads[i]
+        work = {e + shift: c for e, c in basis[i].items()}
         r = _reduce(work, [(leads[j], basis[j])]
-                    + [(leads[g], basis[g]) for g in live], order, steps)
+                    + [(leads[g], basis[g]) for g in live], pk, steps)
         if r:
-            lead = max(r, key=order.key)
-            lc = r[lead]
-            basis.append({e: c / lc for e, c in r.items()})
+            lead = max(r)
+            basis.append({e: c / r[lead] for e, c in r.items()})
             leads.append(lead)
             update(len(basis) - 1)
     # Minimalize (the update leaves no two equal leading terms), then
     # tail-reduce each element against the others.
     keep = sorted((g for g in live
-                   if not any(_divides(leads[o], leads[g])
+                   if not any(divides(leads[o], leads[g])
                               for o in live if o != g)),
-                  key=lambda g: order.key(leads[g]))
+                  key=leads.__getitem__)
     out = []
     for g in keep:
         tail = {e: c for e, c in basis[g].items() if e != leads[g]}
         r = _reduce(tail, [(leads[o], basis[o]) for o in keep if o != g],
-                    order, steps)
-        out.append(Polynomial(variables, {leads[g]: 1, **r}))
+                    pk, steps)
+        out.append({leads[g]: 1, **r})
     return out
 
 
@@ -183,15 +250,12 @@ def ideal_contains(p: Polynomial, basis: list[Polynomial],
 
 def eliminate(generators: list[Polynomial], drop: list[str],
               budget: int | None = None) -> list[Polynomial]:
-    """Generators of the elimination ideal with the drop variables removed.
-
-    Uses lex with the dropped variables placed first in the ring.
-    """
+    """Generators of the elimination ideal with the drop variables removed,
+    from a lex basis with the dropped variables first in the ring."""
     variables = generators[0].variables
     front = tuple(v for v in variables if v in drop)
     back = tuple(v for v in variables if v not in drop)
-    ring = front + back
-    gb = groebner_basis([g.extend(ring) for g in generators],
+    gb = groebner_basis([g.extend(front + back) for g in generators],
                         MonomialOrder("lex"), budget=budget)
     kept = [g for g in gb if not any(g.uses(v) for v in front)]
     return [g.project(back) for g in kept]
@@ -204,18 +268,17 @@ def staircase_monomials(gb: list[Polynomial],
     Finite exactly when every variable has a pure power among the leading
     terms (zero-dimensional ideal).
     """
-    if not gb or all(g.is_zero() for g in gb):
+    maps = [g.terms for g in gb if g.terms]
+    if not maps:
         return None
-    variables = gb[0].variables
-    n = len(variables)
-    leads = [g.leading(order)[0] for g in gb if not g.is_zero()]
-    if any(sum(e) == 0 for e in leads):
-        return []  # ideal is the whole ring
-    caps = []
-    for i in range(n):
-        pure = [e[i] for e in leads if all(e[j] == 0 for j in range(n) if j != i)]
-        if not pure:
-            return None
-        caps.append(min(pure))
+    n = len(gb[0].variables)
+    pk = _Packing(order, n, maps)
+    leads = [max(map(pk.pack, terms)) for terms in maps]
+    exps = [pk.unpack(m) for m in leads]
+    # the least pure power of each variable (all 0 for the whole ring)
+    caps = [min((e[i] for e in exps if sum(e) == e[i]), default=None)
+            for i in range(n)]
+    if None in caps:
+        return None
     return [e for e in itertools.product(*map(range, caps))
-            if not any(_divides(l, e) for l in leads)]
+            if not any(pk.divides(m, pk.pack(e)) for m in leads)]

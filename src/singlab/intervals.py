@@ -1,7 +1,7 @@
-"""Rational interval arithmetic for certified sign evaluation.
+"""Rational intervals for certified sign evaluation.
 
-Endpoints are exact Fractions (ints are taken, floats refused); all
-operations return enclosures, so a sign decided on an interval is a proof.
+Endpoints are exact Fractions (ints are taken, floats refused), so a sign
+decided on an interval is a proof.
 ``enclose`` bounds a polynomial over a box on integers, exactly as
 term-by-term Fraction products would; ``eval_interval`` wraps it.
 """
@@ -25,10 +25,6 @@ class RatInterval:
             object.__setattr__(self, end, _as_fraction(getattr(self, end)))
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def point(cls, x) -> "RatInterval":
-        return cls(x, x)
 
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -59,34 +55,6 @@ class RatInterval:
             return Fraction(0)
         return min(abs(self.lo), abs(self.hi))
 
-    def __add__(self, other):
-        other = _coerce(other)
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatInterval(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        prods = (self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi)
-        return RatInterval(min(prods), max(prods))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "RatInterval":
-        if self.contains_zero():
-            raise ZeroDivisionError("interval straddles zero")
-        return RatInterval(1 / self.hi, 1 / self.lo)
-
     def intersect(self, other: "RatInterval") -> "RatInterval | None":
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
@@ -94,12 +62,6 @@ class RatInterval:
 
     def subset_of(self, other: "RatInterval") -> bool:
         return other.lo <= self.lo and self.hi <= other.hi
-
-
-def _coerce(x) -> RatInterval:
-    if isinstance(x, RatInterval):
-        return x
-    return RatInterval.point(x)
 
 
 def integer_box(box) -> dict[str, tuple[int, int, int]]:

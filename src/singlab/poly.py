@@ -460,17 +460,14 @@ class _Parser:
         return tok
 
     def expr(self) -> Polynomial:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.next() == "-":
-                sign = -sign
-        p = self.term() * sign
-        while self.peek() in ("+", "-"):
+        p = None
+        while p is None or self.peek() in ("+", "-"):
             sign = 1
             while self.peek() in ("+", "-"):
                 if self.next() == "-":
                     sign = -sign
-            p = p + self.term() * sign
+            term = self.term() * sign
+            p = term if p is None else p + term
         return p
 
     def term(self) -> Polynomial:

@@ -20,7 +20,7 @@ from functools import cached_property
 from .errors import (GcdNotOne, IdentityViolation, InvalidInput,
                      NonBinomialElement, NotABranch, OrderMismatch,
                      RegularizationBudget, TruncationInsufficient)
-from .groebner import eliminate
+from .groebner import Budget, eliminate
 from .poly import Polynomial, integer_terms
 
 Vector = tuple[int, ...]
@@ -52,48 +52,33 @@ class NumericalSemigroup:
 
 
 def _achievable(gens: list[int], bound: int) -> list[bool]:
-    table = [False] * (bound + 1)
-    table[0] = True
+    table = [True] + [False] * bound
     for x in range(1, bound + 1):
-        for g in gens:
-            if g <= x and table[x - g]:
-                table[x] = True
-                break
+        table[x] = any(table[x - g] for g in gens if g <= x)
     return table
 
 
 def semigroup_from_generators(gens: list[int]) -> NumericalSemigroup:
-    """Semigroup data via dynamic programming up to the conductor."""
+    """Semigroup data via dynamic programming; the table's cells count
+    against one step budget before it is built."""
     gens = sorted(set(int(g) for g in gens))
     if not gens or gens[0] <= 0:
         raise InvalidInput("generators must be positive integers")
     if math.gcd(*gens) != 1:
         raise GcdNotOne(f"gcd of {gens} is not 1")
     m = gens[0]
+    # the conductor is at most (m - 1)(gens[-1] - 1) (Schur's bound), so
+    # the table holds every gap and m members past them
     bound = max(m * gens[-1], m + 1)
-    while True:
-        table = _achievable(gens, bound)
-        run = 0
-        conductor = None
-        for x in range(bound + 1):
-            run = run + 1 if table[x] else 0
-            if run >= m:
-                conductor = x - m + 1
-                break
-        if conductor is not None:
-            break
-        bound *= 2
-    gaps = tuple(x for x in range(conductor) if not table[x])
+    Budget(None, "semigroup_from_generators").step(bound)
+    table = _achievable(gens, bound)
+    gaps = tuple(x for x in range(bound + 1) if not table[x])
+    conductor = gaps[-1] + 1 if gaps else 0
     # Apery set: smallest member in each residue class mod m
-    apery = []
-    for r in range(m):
-        x = r
-        while x <= conductor + m and not (table[x] if x <= bound else True):
-            x += m
-        apery.append(x)
+    apery = [next(x for x in range(r, bound + 1, m) if table[x])
+             for r in range(m)]
     # minimal generators: members not a sum of two nonzero members
-    members = [x for x in range(1, conductor + m + 1)
-               if (table[x] if x <= bound else True)]
+    members = [x for x in range(1, conductor + m + 1) if table[x]]
     member_set = set(members)
     minimal = []
     for x in members:
@@ -377,10 +362,6 @@ class Series:
                       if c != 0 and e < prec}
         self.prec = prec
 
-    @classmethod
-    def from_pairs(cls, pairs, prec: int) -> "Series":
-        return cls({e: c for e, c in pairs}, prec)
-
     def order(self) -> int | None:
         return min(self.terms) if self.terms else None
 
@@ -461,7 +442,7 @@ class TransformReport:
 
 def branch_series(b: PlaneBranch, prec: int) -> tuple[Series, Series]:
     x = Series({b.x_exponent: Fraction(1)}, prec)
-    y = Series.from_pairs(b.y_terms, prec)
+    y = Series(dict(b.y_terms), prec)
     return x, y
 
 

@@ -17,10 +17,7 @@ from .poly import Polynomial
 
 
 def rational_str(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))  # 'p/q', or 'p' when q = 1
 
 
 def parse_rational(text) -> Fraction:

@@ -97,6 +97,22 @@ class TestCommands:
         assert code == 2
         assert out["error"]["type"] == "InvalidInput"
 
+    @pytest.mark.parametrize("value", ["abc", "", "-5"])
+    def test_bad_budget_exit_two(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SINGLAB_BUDGET", value)
+        code, out = run_cli(capsys, "toric-ideal", "--generators", "3,4,5")
+        assert code == 2
+        assert out["error"]["type"] == "InvalidInput"
+        assert "SINGLAB_BUDGET" in out["error"]["message"]
+
+    def test_huge_generators_exceed_the_budget(self, capsys, monkeypatch):
+        # the semigroup table would take 40000 * 40001 cells
+        monkeypatch.delenv("SINGLAB_BUDGET", raising=False)
+        code, out = run_cli(capsys, "toric-ideal", "--generators",
+                            "40000,40001")
+        assert code == 1
+        assert out["error"]["type"] == "BudgetExceeded"
+
     @pytest.mark.parametrize("argv", [
         ("semigroup", "--generators", "a,3"),
         ("strict-transform", "--x-exponent", "4", "--y", "10:1,x:1"),
@@ -334,6 +350,16 @@ class TestManifest:
         first, second = (job["tasks"][0] for job in report["jobs"])
         assert first["result"]["error"]["type"] == "InvalidInput"
         assert second["ok"] is True
+
+    def test_bad_budget_recorded_as_task_error(self, monkeypatch):
+        monkeypatch.setenv("SINGLAB_BUDGET", "abc")
+        doc = {"schema": "singlab-manifest/1",
+               "jobs": [{"kind": "semigroup", "generators": [3, 4, 5],
+                         "tasks": [{"op": "toric-ideal"}]}]}
+        report, ok = run_manifest(doc)
+        assert not ok
+        result = report["jobs"][0]["tasks"][0]["result"]
+        assert result["error"]["type"] == "InvalidInput"
 
 
     def test_source_error_recorded_and_next_job_runs(self):

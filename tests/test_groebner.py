@@ -1,4 +1,5 @@
-"""Buchberger bases checked against sympy as an independent oracle."""
+"""Buchberger bases checked against sympy as an independent oracle, and the
+steps the budget counts pinned."""
 
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from singlab.errors import BudgetExceeded
 from singlab.groebner import (eliminate, groebner_basis, ideal_contains,
                               normal_form, staircase_monomials)
 from singlab.poly import GREVLEX, LEX, Polynomial, parse_polynomial
+from singlab.semitoric import semigroup_from_generators, toric_ideal
 
 
 def P(text, names):
@@ -93,6 +95,113 @@ class TestRandomIdealsAgainstSympy:
             _sympy_groebner(gens, names, order)
 
 
+def _random_binomial(names):
+    """Two terms with exponents up to 40, so that packed fields carry."""
+    exps = st.tuples(*[st.integers(0, 40)] * len(names))
+    terms = st.dictionaries(exps, st.integers(-3, 3).filter(bool),
+                            min_size=2, max_size=2)
+    return terms.map(lambda t: Polynomial(names, t))
+
+
+@st.composite
+def _random_binomial_ideal(draw):
+    names = ("x", "y", "z")[:draw(st.integers(2, 3))]
+    return draw(st.lists(_random_binomial(names), min_size=2, max_size=2)), \
+        names
+
+
+class TestHighExponentIdealsAgainstSympy:
+    @given(_random_binomial_ideal(), st.sampled_from(["grevlex", "lex"]))
+    @settings(max_examples=40, deadline=None)
+    def test_reduced_basis_agrees(self, ideal, order):
+        gens, names = ideal
+        ours = groebner_basis(gens, GREVLEX if order == "grevlex" else LEX)
+        assert _as_sympy_set(ours, names, order) == \
+            _sympy_groebner(gens, names, order)
+
+
+@pytest.fixture
+def budgets(monkeypatch):
+    """Every step counter made, in order; the last one counts the run
+    that finished."""
+    made = []
+
+    class Recording(groebner.Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(groebner, "Budget", Recording)
+    return made
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The field width of every packing made, in order."""
+    made = []
+
+    class Recording(groebner._Packing):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self.width)
+
+    monkeypatch.setattr(groebner, "_Packing", Recording)
+    return made
+
+
+# The steps counted by the tuple-exponent kernel that the packed one
+# replaced: each toric-curves triple's elimination (lex), and CASES in
+# (grevlex, lex).
+TORIC_STEPS = {(5, 7, 9): 1016, (3, 4, 5): 282, (3, 5, 7): 320,
+               (3, 8, 10): 265, (4, 5, 7): 289, (4, 6, 7): 84,
+               (4, 6, 9): 110, (6, 8, 9): 172, (6, 9, 10): 92,
+               (6, 9, 11): 129, (6, 10, 11): 108, (4, 10, 11): 98}
+CASE_STEPS = [(7, 7), (16, 18), (2, 18), (2, 7)]
+
+
+class TestStepCounts:
+    @pytest.mark.parametrize("gens,steps", TORIC_STEPS.items())
+    def test_toric_elimination(self, budgets, gens, steps):
+        toric_ideal(semigroup_from_generators(list(gens)))
+        assert budgets[-1].used == steps
+
+    @pytest.mark.parametrize("case,steps", zip(CASES, CASE_STEPS))
+    def test_cases(self, budgets, case, steps):
+        texts, names = case
+        gens = [P(t, names) for t in texts]
+        for order, want in zip((GREVLEX, LEX), steps):
+            groebner_basis(gens, order)
+            assert budgets[-1].used == want
+
+
+class TestFieldOverflow:
+    """Products past the 16-bit field restart the run at 32 bits, with the
+    result and the step count of an unpacked run."""
+
+    XY = ("x", "y")
+
+    @pytest.mark.parametrize("texts,order,steps", [
+        (["x^301 - y^300", "x^301*y^65400 - x"], "grevlex", 6),  # y^65700
+        (["x^300 - y", "y^300 - x"], "lex", 305),                # y^90000
+    ])
+    def test_basis_agrees_after_widening(self, budgets, widths, texts,
+                                         order, steps):
+        gens = [P(t, self.XY) for t in texts]
+        ours = groebner_basis(gens, GREVLEX if order == "grevlex" else LEX)
+        assert widths == [16, 32]
+        assert budgets[-1].used == steps
+        assert _as_sympy_set(ours, self.XY, order) == \
+            _sympy_groebner(gens, self.XY, order)
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX])
+    def test_normal_form_after_widening(self, budgets, widths, order):
+        rem = normal_form(P("x^301*y^65400", self.XY),
+                          [P("x^301 - y^300", self.XY)], order)
+        assert widths == [16, 32]
+        assert budgets[-1].used == 2
+        assert rem == P("y^65700", self.XY)
+
+
 class TestNormalForm:
     def test_membership_reduces_to_zero(self):
         names = ("z", "w")
@@ -160,9 +269,9 @@ def test_budget_bounds_the_whole_computation(monkeypatch):
     runs, counters = [], []
     real = groebner._reduce
 
-    def recording(work, divisors, order, budget):
+    def recording(work, divisors, packing, budget):
         before = budget.used
-        out = real(work, divisors, order, budget)
+        out = real(work, divisors, packing, budget)
         runs.append(budget.used - before)
         counters.append(budget)
         return out

@@ -14,6 +14,7 @@ from singlab.critmap import sign_relation_check
 from singlab import morselab
 from singlab.errors import (BoxEscape, DegenerateParameter, IdentityViolation,
                             InvalidInput)
+from interval_arith import inverse, mul, point, sub
 from singlab.intervals import RatInterval, eval_interval
 from singlab.milnor import unfold_germ
 from singlab.morselab import (ParameterPoint, critical_points,
@@ -184,24 +185,26 @@ def reference_newton_step(eqs, jac, box):
 
     x, y = box
     J = [[eval_interval(h, box) for h in row] for row in jac]
-    det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
+    det = sub(mul(J[0][0], J[1][1]), mul(J[0][1], J[1][0]))
     if det.sign() is None:
         return None
-    mid = {v: RatInterval.point(box[v].mid()) for v in box}
+    mid = {v: point(box[v].mid()) for v in box}
     fm = [eval_interval(e, mid) for e in eqs]
-    inv_det = det.inverse()  # ZeroDivisionError for det J = [0, 0]
-    return {x: dyadic(mid[x] - (J[1][1] * fm[0] - J[0][1] * fm[1]) * inv_det),
-            y: dyadic(mid[y] - (J[0][0] * fm[1] - J[1][0] * fm[0]) * inv_det)}
+    inv_det = inverse(det)  # ZeroDivisionError for det J = [0, 0]
+    return {x: dyadic(sub(mid[x], mul(sub(mul(J[1][1], fm[0]),
+                                          mul(J[0][1], fm[1])), inv_det))),
+            y: dyadic(sub(mid[y], mul(sub(mul(J[0][0], fm[1]),
+                                          mul(J[1][0], fm[0])), inv_det)))}
 
 
 def step_signs(eqs, jac, box):
     """Sign of det J and of the two Cramer numerators (None: straddles 0)."""
     J = [[eval_interval(h, box) for h in row] for row in jac]
-    mid = {v: RatInterval.point(box[v].mid()) for v in box}
+    mid = {v: point(box[v].mid()) for v in box}
     f0, f1 = [eval_interval(e, mid) for e in eqs]
-    return ((J[0][0] * J[1][1] - J[0][1] * J[1][0]).sign(),
-            (J[1][1] * f0 - J[0][1] * f1).sign(),
-            (J[0][0] * f1 - J[1][0] * f0).sign())
+    return (sub(mul(J[0][0], J[1][1]), mul(J[0][1], J[1][0])).sign(),
+            sub(mul(J[1][1], f0), mul(J[0][1], f1)).sign(),
+            sub(mul(J[0][0], f1), mul(J[1][0], f0)).sign())
 
 
 def newton_system(F):
