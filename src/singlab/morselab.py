@@ -98,29 +98,23 @@ class HermanWitness:
     certificate: str
 
 
-def _roots_in_box(p: Polynomial, r: Fraction,
-                  what: str) -> list[IsolatingInterval]:
+def _roots_in_box(p: Polynomial, r: Fraction, what: str,
+                  factors=None) -> list[IsolatingInterval]:
     """Isolating intervals of p's real roots, each certified inside (-r, r).
 
     The window holds the Cauchy bound, so a root outside the box raises
-    BoxEscape, as does one straddling the boundary after 80 halvings."""
+    BoxEscape, as does one straddling the boundary after 79 halvings.
+    factors is p's squarefree_decomposition, if the caller has it."""
     coeffs = p.univariate_coeffs()
-    lead = coeffs[-1]
-    bound = 1 + max(abs(c / lead) for c in coeffs[:-1]) if len(coeffs) > 1 \
-        else Fraction(0)
-    window = max(bound + 1, r + 1)
-    inside = []
-    for iv in isolate_real_roots(p, (-window, window)):
-        for _ in range(80):
-            if not (iv.lo < -r < iv.hi or iv.lo < r < iv.hi):
-                break
-            iv = iv.refine(iv.width() / 2)
-        else:
+    bound = 1 + max((abs(c / coeffs[-1]) for c in coeffs[:-1]), default=-1)
+    window = max(bound, r) + 1
+    inside = isolate_real_roots(p, (-window, window), factors, (-r, r))
+    for iv in inside:
+        if iv.lo < -r < iv.hi or iv.lo < r < iv.hi:
             raise BoxEscape(f"{what} on the box boundary")
         if iv.hi <= -r or iv.lo >= r:
             raise BoxEscape(f"{what} near {float(iv.mid()):.3f} "
                             f"outside [-{r}, {r}]")
-        inside.append(iv)
     return inside
 
 
@@ -151,7 +145,7 @@ def _boxes_1d(p: Polynomial, z: str, r: Fraction):
     if any(mult > 1 for _, mult in factors):
         raise DegenerateParameter("F_t has a degenerate critical point")
     return ({z: iv.refine(VALUE_WIDTH)}
-            for iv in _roots_in_box(p, r, "critical point"))
+            for iv in _roots_in_box(p, r, "critical point", factors))
 
 
 # -- n = 2 ------------------------------------------------------------------

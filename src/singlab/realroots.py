@@ -2,9 +2,11 @@
 
 Sturm counts isolate, so every returned interval provably contains exactly
 one distinct real root; multiplicities come from Yun's square-free
-factorization.  Refinement bisects on the sign of the square-free part.
-Every decision is an integer sign: polynomials are scaled once to primitive
-integer coefficients and evaluated at p/q (q > 0) as sum a_i p^i q^(d-i).
+factorization.  Every decision is an integer sign: polynomials are scaled
+once to primitive integer coefficients and evaluated at p/q (q > 0) as
+sum a_i p^i q^(d-i), on intervals (a/d, b/d] kept as integers a, b, d.
+Refinement ends in the cell that bisection ends in, reached by quadratic
+interval refinement (Abbott 2014; Kerber & Sagraloff 2011).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
-from .errors import ZeroPolynomial
+from .errors import InvalidInput, ZeroPolynomial
 from .poly import Polynomial
 
 Coeffs = tuple[int, ...]
@@ -109,55 +111,91 @@ def squarefree_decomposition(c) -> list[tuple[Coeffs, int]]:
     return out
 
 
-def _sign(c: Coeffs, p: int, q: int) -> int:
-    """Sign of c(p/q) for q > 0, from the sum of c_i p^i q^(d - i)."""
+def _value(c: Coeffs, p: int, q: int) -> int:
+    """q^d c(p/q), the sum of c_i p^i q^(d - i): c's sign for q > 0."""
     acc, qk = c[-1], 1
     for a in c[-2::-1]:
         qk *= q
         acc = acc * p + a * qk
-    return (acc > 0) - (acc < 0)
+    return acc
 
 
-def _sign_at(c: Coeffs, x: Fraction) -> int:
-    return _sign(c, x.numerator, x.denominator)
-
-
-def _sturm_chain(c) -> tuple[Coeffs, ...]:
-    """Sturm sequence of c, each member as primitive integer coefficients."""
-    f = _integer(c)
-    chain = [f, _integer(_diff(f))]
+def _sturm_chain(factors) -> tuple[Coeffs, ...]:
+    """Sturm sequence of the product of Yun's factors, the square-free part,
+    each member as primitive integer coefficients."""
+    f = (1,)
+    for g, _ in factors:
+        f = _mul(f, g)
+    chain = [tuple(f), _integer(_diff(f))]
     while r := _prem(chain[-2], chain[-1]):
         chain.append(_integer([-x for x in r]))
     return tuple(chain)
 
 
-def _variations(chain, x: Fraction) -> int:
-    n = prev = 0
-    p, q = x.numerator, x.denominator
-    for s in chain:
-        v = _sign(s, p, q)
-        if v:
-            n += prev == -v
-            prev = v
-    return n
+def _variations(chain, p: int, q: int) -> int:
+    signs = [v > 0 for s in chain if (v := _value(s, p, q))]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def _count_halfopen(chain, a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of the (square-free) chain polynomial in (a, b]."""
-    if a >= b:
-        return 0
-    return _variations(chain, a) - _variations(chain, b)
+def _count(chain, a: int, b: int, d: int) -> int:
+    """Distinct real roots of the square-free chain[0] in (a/d, b/d]."""
+    return _variations(chain, a, d) - _variations(chain, b, d) if a < b else 0
 
 
-def _squarefree_chain(c: list[Fraction]):
-    """Yun factors of c, and the Sturm chain of c's square-free part."""
-    if len(c) < 2:
-        return [], ()
-    factors = squarefree_decomposition(c)
-    sqfree = (1,)
-    for f, _ in factors:
-        sqfree = _mul(sqfree, f)
-    return factors, _sturm_chain(sqfree)
+def _triple(lo: Fraction, hi: Fraction) -> list[int]:
+    d = lcm(lo.denominator, hi.denominator)
+    return [lo.numerator * (d // lo.denominator),
+            hi.numerator * (d // hi.denominator), d]
+
+
+def _refine(chain, a: int, b: int, d: int, wn: int, wd: int) -> list[int]:
+    """(a, b] / d, holding one root of f = chain[0], bisected until no wider
+    than wn / wd; a root at a midpoint ends it at mid -+ wn / 4wd.  While f
+    is nonzero and of opposite signs at the ends (d^deg f times: va, vb),
+    the root is on no grid point yet, so a grid cell shown to hold it is
+    bisection's: QIR jumps m halvings if the rounded secant root and a
+    neighbour show it (m doubles), else halves m and takes one halving."""
+    f, n = chain[0], len(chain[0]) - 1
+    va = _value(f, a, d)
+    k = (-(-(b - a) * wd // (wn * d)) - 1).bit_length()  # halvings to go
+    vb, m = _value(f, b, d) if k > 2 else 0, 2
+    while k and va * vb < 0:
+        m = min(m, k)
+        if m > 1:
+            num, den = (va, va - vb) if va > 0 else (-va, vb - va)
+            g = ((num << m + 1) + den) // (den << 1)
+            w, q = b - a, d << m
+            p = (a << m) + g * w
+            vg = _value(f, p, q)
+            right = (vg < 0) == (va < 0)  # the root is right of g
+            p -= 0 if right else w
+            vl, vh = ((vg, _value(f, p + w, q)) if right
+                      else (_value(f, p, q), vg))
+            if not vl * vh:
+                break
+            if (vl < 0) == (va < 0) and (vh < 0) == (vb < 0):
+                a, b, d, va, vb, k, m = p, p + w, q, vl, vh, k - m, 2 * m
+                continue
+            m = max(m // 2, 2)
+        vm = _value(f, a + b, 2 * d)
+        if not vm:
+            break
+        if (vm < 0) == (va < 0):
+            a, b, va, vb = a + b, 2 * b, vm, vb << n
+        else:
+            a, b, va, vb = 2 * a, a + b, va << n, vm
+        d, k = 2 * d, k - 1
+    while (b - a) * wd > wn * d:
+        m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+        vm = _value(f, m, d)
+        if not vm:
+            return _triple(Fraction(4 * m * wd - wn * d, 4 * d * wd),
+                           Fraction(4 * m * wd + wn * d, 4 * d * wd))
+        if ((vm < 0) != (va < 0) if va else _count(chain, a, m, d) >= 1):
+            b = m
+        else:
+            a, va = m, vm
+    return [a, b, d]
 
 
 # -- public API ------------------------------------------------------------
@@ -178,99 +216,92 @@ class IsolatingInterval:
         return (self.lo + self.hi) / 2
 
     def refine(self, width: Fraction) -> "IsolatingInterval":
-        """Shrink to the requested width, preserving the certification.
-
-        (lo, hi] holds one simple root of the square-free part f, so it lies
-        in (lo, mid] exactly when f(lo) and f(mid) differ in sign; only a
-        root at lo needs the Sturm count.
-        """
-        chain = self._chain
-        f = chain[0]
-        # lo = a/d and hi = b/d over one denominator, doubled at each step
-        d = lcm(self.lo.denominator, self.hi.denominator)
-        a, b = int(self.lo * d), int(self.hi * d)
-        wn, wd = width.numerator, width.denominator
-        s_lo = _sign(f, a, d)
-        while (b - a) * wd > wn * d:
-            m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
-            s_mid = _sign(f, m, d)
-            if s_mid == 0:
-                mid = Fraction(m, d)
-                half = min(width, Fraction(b - a, d)) / 4
-                return IsolatingInterval(mid - half, mid + half,
-                                         self.multiplicity, chain)
-            if (s_mid != s_lo if s_lo else _count_halfopen(
-                    chain, Fraction(a, d), Fraction(m, d)) >= 1):
-                b = m
-            else:
-                a, s_lo = m, s_mid
+        """Shrink to the requested width, preserving the certification."""
+        if width <= 0:
+            raise InvalidInput(f"refinement width {width} is not positive")
+        a, b, d = _refine(self._chain, *_triple(self.lo, self.hi),
+                          width.numerator, width.denominator)
         return IsolatingInterval(Fraction(a, d), Fraction(b, d),
-                                 self.multiplicity, chain)
+                                 self.multiplicity, self._chain)
 
 
-def isolate_real_roots(p: Polynomial, window: tuple[Fraction, Fraction]
-                       ) -> list[IsolatingInterval]:
-    """Disjoint isolating intervals for the distinct real roots in window."""
+def isolate_real_roots(p: Polynomial, window: tuple[Fraction, Fraction],
+                       factors=None, avoid=()) -> list[IsolatingInterval]:
+    """Disjoint isolating intervals for the distinct real roots in window.
+
+    factors is p's squarefree_decomposition, if the caller has it.  Each
+    interval is halved, at most 79 times, until no point of avoid lies
+    strictly inside it."""
     if p.is_zero():
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     lo, hi = Fraction(window[0]), Fraction(window[1])
     if lo > hi:
-        raise ValueError("empty window")
-    factors, chain = _squarefree_chain(p.univariate_coeffs())
-    if not chain:
+        raise InvalidInput("empty window")
+    if factors is None:
+        factors = squarefree_decomposition(p.univariate_coeffs())
+    if not factors:
         return []
+    chain = _sturm_chain(factors)
     f = chain[0]
     # the one root in an emitted (a, b] is a root of exactly one factor
-    owners = [(_sturm_chain(g), mult) for g, mult in factors[:-1]]
-    out: list[IsolatingInterval] = []
+    owners = [(_sturm_chain([fm]), fm[1]) for fm in factors[:-1]]
+    out: list[list[int]] = []  # [a, b, d, multiplicity]
 
-    def emit(a: Fraction, b: Fraction):
-        mult = next((m for ch, m in owners if _count_halfopen(ch, a, b)),
-                    factors[-1][1])
-        out.append(IsolatingInterval(a, b, mult, chain))
+    def emit(a: int, b: int, d: int):
+        out.append([a, b, d, next((m for ch, m in owners
+                                   if _count(ch, a, b, d)), factors[-1][1])])
 
-    def exact_root(r: Fraction, scale: Fraction):
-        w = scale / 4 if scale > 0 else Fraction(1, 4)
-        while (_count_halfopen(chain, r - w, r + w) != 1
-               or _sign_at(f, r - w) == 0):
-            w /= 2
-        emit(r - w, r + w)
-        return w
+    def exact_root(r: int, s: int, e: int) -> tuple[int, int]:
+        # (r - w, r + w] / ce for w = s / 4 (or 1/4) halved to isolate r
+        w, r, c = s or e, 4 * r, 4
+        while (_count(chain, r - w, r + w, c * e) != 1
+               or _value(f, r - w, c * e) == 0):
+            r, c = 2 * r, 2 * c
+        emit(r - w, r + w, c * e)
+        return w, c
 
+    def halve(iv: list[int]):
+        iv[:3] = _refine(chain, *iv[:3], iv[1] - iv[0], 2 * iv[2])
+
+    a, b, d = _triple(lo, hi)
     # Window endpoints that are themselves roots get tight private intervals.
-    if _sign_at(f, lo) == 0:
-        lo += exact_root(lo, (hi - lo) or Fraction(1))
-    stack = [(lo, hi)]
+    w, c = exact_root(a, b - a, d) if _value(f, a, d) == 0 else (0, 1)
+    stack = [(c * a + w, c * b, c * d)]
     while stack:
-        x, y = stack.pop()
-        k = _count_halfopen(chain, x, y)
-        if k == 0:
-            continue
-        if k == 1:
-            if _sign_at(f, y):
-                emit(x, y)
-            else:  # y is the single root in (x, y]
-                exact_root(y, y - x)
-            continue
-        m = (x + y) / 2
-        # a root at m gets its own interval, cut out of both halves
-        w = exact_root(m, y - x) if _sign_at(f, m) == 0 else 0
-        stack += [(x, m - w), (m + w, y)]
-    out.sort(key=lambda iv: iv.lo)
+        x, y, d = stack.pop()
+        k = _count(chain, x, y, d)
+        if k == 1 and _value(f, y, d):
+            emit(x, y, d)
+        elif k == 1:  # y is the single root in (x, y]
+            exact_root(y, y - x, d)
+        elif k > 1:
+            x, y, m, d = 2 * x, 2 * y, x + y, 2 * d
+            # a root at m gets its own interval, cut out of both halves
+            w, c = exact_root(m, y - x, d) if _value(f, m, d) == 0 else (0, 1)
+            stack += [(c * x, c * m - w, c * d), (c * m + w, c * y, c * d)]
+    out.sort(key=lambda iv: Fraction(iv[0], iv[2]))
     # touching closed intervals are shrunk until pairwise disjoint
-    for i in range(len(out) - 1):
-        while out[i].hi >= out[i + 1].lo:
-            out[i] = out[i].refine(out[i].width() / 2)
-            out[i + 1] = out[i + 1].refine(out[i + 1].width() / 2)
-    return out
+    for s, t in zip(out, out[1:]):
+        while s[1] * t[2] >= t[0] * s[2]:
+            halve(s)
+            halve(t)
+    cuts = [(x.numerator, x.denominator) for x in map(Fraction, avoid)]
+    for iv in out:
+        for _ in range(79):
+            if not any(iv[0] * q < x * iv[2] < iv[1] * q for x, q in cuts):
+                break
+            halve(iv)
+    return [IsolatingInterval(Fraction(a, d), Fraction(b, d), m, chain)
+            for a, b, d, m in out]
 
 
 def count_distinct_roots(p: Polynomial, lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots of p in the closed interval [lo, hi]."""
     if p.is_zero():
         raise ZeroPolynomial("zero polynomial")
-    _, chain = _squarefree_chain(p.univariate_coeffs())
-    if not chain:
+    factors = squarefree_decomposition(p.univariate_coeffs())
+    if not factors:
         return 0
-    lo, hi = Fraction(lo), Fraction(hi)
-    return _count_halfopen(chain, lo, hi) + (_sign_at(chain[0], lo) == 0)
+    a, b, d = _triple(Fraction(lo), Fraction(hi))
+    chain = _sturm_chain(factors)
+    return _count(chain, a, b, d) + (_value(chain[0], a, d) == 0)

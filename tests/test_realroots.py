@@ -3,13 +3,16 @@
 import dataclasses
 from fractions import Fraction
 
+import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from singlab import morselab, realroots
+from singlab.errors import BoxEscape, InvalidInput
 from singlab.poly import parse_polynomial
-from singlab.realroots import (count_distinct_roots, isolate_real_roots,
-                               squarefree_decomposition)
+from singlab.realroots import (IsolatingInterval, count_distinct_roots,
+                               isolate_real_roots, squarefree_decomposition)
 
 
 def P(text):
@@ -60,6 +63,9 @@ def _ref_chain(c):
 
 def _ref_count(chain, a, b):
     """Distinct roots of the square-free chain[0] in (a, b]."""
+    if a >= b:
+        return 0
+
     def variations(x):
         signs = [v > 0 for v in (_ref_eval(s, x) for s in chain) if v != 0]
         return sum(u != v for u, v in zip(signs, signs[1:]))
@@ -80,14 +86,85 @@ def _ref_refine(c, lo, hi, width):
     return lo, hi
 
 
+def _ref_isolate(expr, lo, hi):
+    """isolate_real_roots on Fractions: Sturm-count bisection of (lo, hi],
+    a private interval for each root at a window end or a midpoint, then
+    touching intervals halved apart; [lo, hi, multiplicity] each."""
+    c = _sqfree(expr)
+    chain = _ref_chain(c)
+    owners = [(_ref_chain(_ascending(g)), m)
+              for g, m in sympy.sqf_list(expr, Z)[1]]
+    out = []
+
+    def emit(a, b):
+        out.append([a, b, next(m for ch, m in owners if _ref_count(ch, a, b))])
+
+    def exact_root(r, scale):
+        w = scale / 4 if scale > 0 else Fraction(1, 4)
+        while _ref_count(chain, r - w, r + w) != 1 or _ref_eval(c, r - w) == 0:
+            w /= 2
+        emit(r - w, r + w)
+        return w
+
+    if _ref_eval(c, lo) == 0:
+        lo += exact_root(lo, (hi - lo) or Fraction(1))
+    stack = [(lo, hi)]
+    while stack:
+        x, y = stack.pop()
+        k = _ref_count(chain, x, y)
+        if k == 1 and _ref_eval(c, y):
+            emit(x, y)
+        elif k == 1:
+            exact_root(y, y - x)
+        elif k > 1:
+            m = (x + y) / 2
+            w = exact_root(m, y - x) if _ref_eval(c, m) == 0 else 0
+            stack += [(x, m - w), (m + w, y)]
+    out.sort(key=lambda iv: iv[0])
+    for a, b in zip(out, out[1:]):
+        while a[1] >= b[0]:
+            a[:2] = _ref_refine(c, a[0], a[1], (a[1] - a[0]) / 2)
+            b[:2] = _ref_refine(c, b[0], b[1], (b[1] - b[0]) / 2)
+    return out
+
+
+def _ref_roots_in_box(expr, r):
+    """morselab._roots_in_box on Fractions: each interval from the Cauchy
+    window is halved off the box boundary; the first one still straddling
+    it after 80 checks, or lying outside, raises BoxEscape."""
+    coeffs = _ascending(expr)
+    bound = 1 + max(abs(x / coeffs[-1]) for x in coeffs[:-1])
+    window = max(bound + 1, r + 1)
+    out = []
+    for lo, hi, mult in _ref_isolate(expr, -window, window):
+        for _ in range(80):
+            if not (lo < -r < hi or lo < r < hi):
+                break
+            lo, hi = _ref_refine(_sqfree(expr), lo, hi, (hi - lo) / 2)
+        else:
+            raise BoxEscape("x on the box boundary")
+        if hi <= -r or lo >= r:
+            raise BoxEscape(f"x near {float((lo + hi) / 2):.3f} "
+                            f"outside [-{r}, {r}]")
+        out.append((lo, hi, mult))
+    return out
+
+
+def _ascending(expr):
+    return [Fraction(int(c.p), int(c.q))
+            for c in reversed(sympy.Poly(expr, Z).all_coeffs())]
+
+
 def _sqfree(expr):
     """Ascending Fraction coefficients of the square-free part."""
-    part = sympy.Poly(expr, Z).sqf_part()
-    return [Fraction(int(c.p), int(c.q)) for c in reversed(part.all_coeffs())]
+    return _ascending(sympy.Poly(expr, Z).sqf_part())
 
 
 POLY = st.tuples(st.lists(st.integers(-6, 6), min_size=1, max_size=5),
                  st.lists(st.integers(-12, 12), max_size=3))
+# fewer, closer roots: repeated ones, and ones on window ends, more often
+CLOSE = st.tuples(st.lists(st.integers(-6, 6), min_size=1, max_size=4),
+                  st.lists(st.integers(-8, 8), max_size=4))
 
 
 class TestIsolation:
@@ -156,6 +233,55 @@ class TestIsolation:
         roots = isolate_real_roots(p, (Fraction(-10), Fraction(10)))
         assert len(roots) == expected
 
+    def test_empty_window_is_invalid_input(self):
+        with pytest.raises(InvalidInput, match="empty window"):
+            isolate_real_roots(P("z^2 - 2"), (Fraction(1), Fraction(0)))
+
+    @given(CLOSE, st.integers(-40, 40), st.integers(0, 40))
+    @example(([1], [2]), 2, 0)  # the window is the one point 1/2, a root
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_isolation(self, poly, lo, length):
+        # window ends and roots both on the grid of quarters
+        expr = _sympy_poly(*poly)
+        if sympy.degree(expr, Z) < 1:
+            return
+        window = (Fraction(lo, 4), Fraction(lo + length, 4))
+        got = isolate_real_roots(_singlab_poly(expr), window)
+        assert [[iv.lo, iv.hi, iv.multiplicity] for iv in got] == \
+            _ref_isolate(expr, *window)
+
+    @given(POLY, st.integers(1, 24),
+           st.sampled_from([Fraction(0), Fraction(1, 1000),
+                            Fraction(-1, 2 ** 30), Fraction(1, 3)]))
+    @settings(max_examples=60, deadline=None)
+    def test_box_matches_fraction_straddle_loop(self, poly, quarters, offset):
+        # box radius at or near a root k/4, so intervals straddle it
+        expr = _sympy_poly(*poly)
+        if sympy.degree(expr, Z) < 1:
+            return
+        r = Fraction(quarters, 4) + offset
+        try:
+            want = _ref_roots_in_box(expr, r)
+        except BoxEscape as exc:
+            with pytest.raises(BoxEscape) as got:
+                morselab._roots_in_box(_singlab_poly(expr), r, "x")
+            assert str(got.value) == str(exc)
+        else:
+            got = morselab._roots_in_box(_singlab_poly(expr), r, "x")
+            assert [(iv.lo, iv.hi, iv.multiplicity) for iv in got] == want
+
+    def test_straddle_cleared_by_the_80th_halving_still_escapes(self):
+        # r is the midpoint of the 79th halving's cell about sqrt(2): after
+        # 79 halvings the interval straddles r, and only an 80th clears it
+        expr = Z ** 2 - 2
+        lo, hi, _ = _ref_isolate(expr, Fraction(-4), Fraction(4))[1]
+        lo, hi = _ref_refine(_sqfree(expr), lo, hi, (hi - lo) / 2 ** 79)
+        r = (lo + hi) / 2
+        with pytest.raises(BoxEscape, match="boundary"):
+            _ref_roots_in_box(expr, r)
+        with pytest.raises(BoxEscape, match="boundary"):
+            morselab._roots_in_box(_singlab_poly(expr), r, "x")
+
 
 class TestRefine:
     @given(POLY, st.integers(1, 2 ** 70))
@@ -185,6 +311,34 @@ class TestRefine:
             [Fraction(5), Fraction(-9), Fraction(4)], iv.lo, iv.hi, width)
         assert got.lo < Fraction(5, 4) < got.hi
         assert got.hi - got.lo <= width
+
+    def test_nonpositive_width_is_rejected(self):
+        iv = isolate_real_roots(P("z^2 - 2"), (Fraction(-4), Fraction(4)))[1]
+        for width in (Fraction(0), Fraction(-1, 8)):
+            with pytest.raises(InvalidInput, match="not positive"):
+                iv.refine(width)
+
+    @pytest.mark.parametrize("lo, hi, most", [(1, 2, 16), (0, 10, 40)])
+    def test_quadratic_refinement_evaluation_count(self, monkeypatch,
+                                                   lo, hi, most):
+        # bisection to 2^-60 evaluates f 61 times from (1, 2], 65 from (0, 10]
+        chain = isolate_real_roots(P("z^2 - 2"),
+                                   (Fraction(0), Fraction(4)))[0]._chain
+        calls = []
+        value = realroots._value
+
+        def counted(c, p, q):
+            calls.append(c == chain[0])
+            return value(c, p, q)
+        monkeypatch.setattr(realroots, "_value", counted)
+        width = Fraction(1, 2 ** 60)
+        got = IsolatingInterval(Fraction(lo), Fraction(hi), 1,
+                                chain).refine(width)
+        assert sum(calls) <= most
+        monkeypatch.undo()
+        assert (got.lo, got.hi) == _ref_refine(
+            [Fraction(-2), Fraction(0), Fraction(1)], Fraction(lo),
+            Fraction(hi), width)
 
 
 class TestCounting:
