@@ -144,15 +144,15 @@ def miniversal_unfolding(a: GermAnalysis) -> Unfolding:
     for t in t_names:
         if t in names:
             raise VariableMismatch(f"germ variable {t!r} collides with parameters")
-    ring = names + t_names
-    F = a.f.extend(ring)
-    for t, g in zip(t_names, monomials):
-        F = F + Polynomial.variable(t, ring) * g.extend(ring)
+    zeros = (0,) * len(t_names)  # one term map: f's terms, then t_k g_k
+    terms = {e + zeros: c for e, c in a.f.terms.items()}
+    terms.update((e + zeros[:k] + (1,) + zeros[k + 1:], c)
+                 for k, g in enumerate(monomials) for e, c in g.terms.items())
     return Unfolding(
         analysis=a,
         deformation_monomials=tuple(monomials),
         parameter_names=t_names,
-        F=F,
+        F=Polynomial(names + t_names, terms),
     )
 
 

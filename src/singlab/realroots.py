@@ -266,10 +266,11 @@ def isolate_real_roots(p: Polynomial, window: tuple[Fraction, Fraction],
     a, b, d = _triple(lo, hi)
     # Window endpoints that are themselves roots get tight private intervals.
     w, c = exact_root(a, b - a, d) if _value(f, a, d) == 0 else (0, 1)
-    stack = [(c * a + w, c * b, c * d)]
+    a, b, d = c * a + w, c * b, c * d
+    stack = [(a, b, d, _variations(chain, a, d), _variations(chain, b, d))]
     while stack:
-        x, y, d = stack.pop()
-        k = _count(chain, x, y, d)
+        x, y, d, vx, vy = stack.pop()  # vx, vy: the variations at x/d, y/d
+        k = vx - vy if x < y else 0
         if k == 1 and _value(f, y, d):
             emit(x, y, d)
         elif k == 1:  # y is the single root in (x, y]
@@ -278,7 +279,10 @@ def isolate_real_roots(p: Polynomial, window: tuple[Fraction, Fraction],
             x, y, m, d = 2 * x, 2 * y, x + y, 2 * d
             # a root at m gets its own interval, cut out of both halves
             w, c = exact_root(m, y - x, d) if _value(f, m, d) == 0 else (0, 1)
-            stack += [(c * x, c * m - w, c * d), (c * m + w, c * y, c * d)]
+            l, r, d = c * m - w, c * m + w, c * d
+            vl = _variations(chain, l, d)
+            vr = _variations(chain, r, d) if w else vl
+            stack += [(c * x, l, d, vx, vl), (r, c * y, d, vr, vy)]
     out.sort(key=lambda iv: Fraction(iv[0], iv[2]))
     # touching closed intervals are shrunk until pairwise disjoint
     for s, t in zip(out, out[1:]):

@@ -4,18 +4,20 @@ resolution, and strict-transform / overweight-deformation checking.
 The resolution pipeline is purely combinatorial: stellar subdivision of
 the positive orthant at the generator vector, then repeated subdivision
 at a minimal lattice point of each non-unimodular cone's fundamental
-parallelepiped until every cone is unimodular.  The cone linear algebra
-is integer throughout: each cone's determinant and adjugate come once from
-one fraction-free Gauss-Jordan (Bareiss) pass, `_det_adj`, in any ambient
-dimension, one per semigroup generator.
+parallelepiped until every cone is unimodular, each in the new ray's star
+only.  The cone linear algebra is integer: a new cone's |det| is a
+coefficient of its new ray, and one fraction-free Gauss-Jordan (Bareiss)
+pass, `_det_adj`, gives det and adjugate only where coefficients are asked.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import (GcdNotOne, IdentityViolation, InvalidInput,
                      NonBinomialElement, NotABranch, OrderMismatch,
@@ -129,14 +131,8 @@ def branch_semigroup(b: PlaneBranch) -> NumericalSemigroup:
     if b.x_exponent == 1:
         return semigroup_from_generators([1])
     chain = characteristic_exponents(b)
-    beta0 = chain[0]
-    gens = [beta0]
-    if len(chain) == 1:
-        return semigroup_from_generators(gens)
-    e = [beta0]
-    for bi in chain[1:]:
-        e.append(math.gcd(e[-1], bi))
-    bars = [beta0, chain[1]]
+    e = list(accumulate(chain, math.gcd))
+    bars = chain[:2]
     for i in range(1, len(chain) - 1):
         n_i = e[i - 1] // e[i]
         bars.append(n_i * bars[i] + chain[i + 1] - chain[i])
@@ -184,9 +180,9 @@ def toric_ideal(gamma: NumericalSemigroup, budget: int | None = None
 
 # -- cones and fans ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Cone:
-    """Simplicial cone spanned by primitive integer ray vectors."""
+    """Simplicial cone spanned by primitive integer rays, ordered by rays."""
 
     rays: tuple[Vector, ...]
 
@@ -201,9 +197,6 @@ class Cone:
 
     def determinant(self) -> int:
         return self.det_adj[0]
-
-    def is_unimodular(self) -> bool:
-        return abs(self.determinant()) == 1
 
     def _scaled_coefficients(self, v: Vector) -> list[int] | None:
         """|det| times the barycentric coefficients of v; None if outside."""
@@ -261,20 +254,27 @@ def _primitive(v: Vector) -> Vector:
     return tuple(x // g for x in v)
 
 
-def _stellar(fan: list[Cone], v: Vector) -> list[Cone]:
-    v = _primitive(v)
-    out = []
-    for cone in fan:
-        coeffs = cone._scaled_coefficients(v)
-        if coeffs is None or v in cone.rays:
-            out.append(cone)
-            continue
-        for i, c in enumerate(coeffs):
-            if c > 0:
-                rays = tuple(v if j == i else r
-                             for j, r in enumerate(cone.rays))
-                out.append(Cone(rays=rays))
-    return out
+def _stellar(star: dict[Vector, set[Cone]], cone: Cone, v: Vector
+             ) -> list[tuple[Cone, int]]:
+    """Subdivide, in `star` (each ray's cones), the cones that contain v,
+    a primitive point of `cone`: those with the face tau of `cone` that v's
+    positive coefficients span.  Returns each new cone with its |det|: v
+    put for ray i gives c_i, the i-th scaled coefficient (Cramer's rule)."""
+    tau = [r for r, c in zip(cone.rays, cone._scaled_coefficients(v)
+                             or cone.rays) if c]  # v outside: raises below
+    new = []
+    for old in set.intersection(*(star[r] for r in tau)):
+        coeffs = old._scaled_coefficients(v)
+        if coeffs is None:
+            raise IdentityViolation(f"{v} is outside {old.rays}, in its star")
+        for r in old.rays:
+            star[r].remove(old)
+        new += [(Cone(rays=old.rays[:i] + (v,) + old.rays[i + 1:]), c)
+                for i, c in enumerate(coeffs) if c]
+    for c, _ in new:
+        for r in c.rays:
+            star.setdefault(r, set()).add(c)
+    return new
 
 
 def _parallelepiped_point(cone: Cone) -> Vector:
@@ -283,15 +283,17 @@ def _parallelepiped_point(cone: Cone) -> Vector:
     Minimality is (sum of barycentric coordinates, lexicographic), the
     deterministic pivot rule for regularization.  The lattice points are
     sum(c_j rays_j) / |det| for the c in the subgroup of (Z/|det|)^d that
-    the columns of |det| * V^-1 generate; it has exactly |det| elements.
+    the columns of adj = +-|det| V^-1 generate (|det| elements); a column
+    joins by a walk from each element so far until it is back in the group.
     """
     det, adj = cone.det_adj
     n, d = abs(det), cone.dim
     group = {(0,) * d}
-    for i in range(d):  # add the multiples of column i of |det| * V^-1
-        step = [det // n * adj[j][i] for j in range(d)]
-        group = {tuple((a + k * b) % n for a, b in zip(c, step))
-                 for c in group for k in range(n)}
+    for step in zip(*adj):
+        for c in list(group):
+            while (c := tuple((a + b) % n for a, b in zip(c, step))) \
+                    not in group:
+                group.add(c)
     points = []
     for c in group:
         raw = [sum(c[j] * cone.rays[j][i] for j in range(d))
@@ -327,26 +329,30 @@ def resolve_monomial_curve(gamma: NumericalSemigroup
         raise InvalidInput("resolution needs g >= 1")
     orthant = Cone(rays=tuple(
         tuple(1 if i == j else 0 for j in range(d)) for i in range(d)))
-    fan = _stellar([orthant], tuple(gens))
+    gvec = _primitive(tuple(gens))
+    star = {r: {orthant} for r in orthant.rays}
+    # the cones not unimodular: the first one still in a star is the pivot
+    heap = sorted(c for c, det in _stellar(star, orthant, gvec) if det > 1)
     for _ in range(MAX_SUBDIVISIONS):
-        bad = next((c for c in sorted(fan, key=lambda c: c.rays)
-                    if not c.is_unimodular()), None)
-        if bad is None:
+        while heap and heap[0] not in star[heap[0].rays[0]]:
+            heapq.heappop(heap)
+        if not heap:
             break
-        fan = _stellar(fan, _parallelepiped_point(bad))
+        v = _parallelepiped_point(heap[0])
+        for c, det in _stellar(star, heap[0], v):
+            if det > 1:
+                heapq.heappush(heap, c)
     else:
         raise RegularizationBudget(
             f"not unimodular after {MAX_SUBDIVISIONS} subdivisions")
-    cones = tuple(sorted(fan, key=lambda c: c.rays))
-    gvec = _primitive(tuple(gens))
+    cones = tuple(sorted(set().union(*star.values())))
     chart = next(i for i, c in enumerate(cones) if gvec in c.rays)
     sol = cones[chart].coefficients(gens) or ()
     if sorted(sol) != [0] * (d - 1) + [1]:
         raise IdentityViolation(f"chart exponents ({', '.join(map(str, sol))})"
                                 f" of {gens} are not a unit vector")
-    exponents = tuple(int(x) for x in sol)
     return ResolutionCertificate(fan=Fan(cones=cones), chart=chart,
-                                 exponents=exponents, gamma=gvec)
+                                 exponents=tuple(map(int, sol)), gamma=gvec)
 
 
 # -- truncated series and strict transforms ---------------------------------
@@ -479,9 +485,7 @@ def branch_embedding(b: PlaneBranch, prec: int | None = None
         if s.order() != gens[i]:
             raise OrderMismatch(
                 f"ord xi_{i} = {s.order()}, expected {gens[i]}")
-    e = [gens[0]]
-    for g in gens[1:]:
-        e.append(math.gcd(e[-1], g))
+    e = list(accumulate(gens, math.gcd))
     for k in range(2, len(gens)):
         n_prev = e[k - 2] // e[k - 1]
         cur = xi[k - 1].power(n_prev, prec)
@@ -535,13 +539,11 @@ def verify_strict_transform(xi: list[Series],
         raise IdentityViolation(f"chart cone {cone.rays} has determinant "
                                 f"{det}, not +-1")
     inv = [[det * a for a in row] for row in cone.det_adj[1]]
-    orders = []
-    units = []
+    orders, units = [], []
     for j in range(d):
         prod = Series({0: Fraction(1)}, need)
-        for i in range(d):
-            k = inv[j][i]
-            if k != 0:
+        for i, k in enumerate(inv[j]):
+            if k:
                 prod = prod.mul(xi[i].power(k, need))
         o = prod.order()
         if o is None:

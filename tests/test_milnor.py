@@ -204,6 +204,19 @@ class TestUnfolding:
         assert u.parameter_names == ()
         assert u.F == P("z^2", ("z",))
 
+    @pytest.mark.parametrize("germ,names", [
+        ("z^3", ("z",)), ("z^4", ("z",)), ("z^5", ("z",)), ("z^7", ("z",)),
+        ("z^3 + w^3", ("z", "w")), ("z^3 + w^4", ("z", "w")),
+        ("z^2*w + w^4", ("z", "w")), ("1/2*z^4 + z*w^3", ("z", "w"))])
+    def test_matches_sum_of_parameter_terms(self, germ, names):
+        # F = f + t1 g1 + t2 g2 + ... term by term, in the same term order
+        u = unfold_germ(P(germ, names))
+        ring = u.F.variables
+        F = u.analysis.f.extend(ring)
+        for t, g in zip(u.parameter_names, u.deformation_monomials):
+            F = F + Polynomial.variable(t, ring) * g.extend(ring)
+        assert list(u.F.terms.items()) == list(F.terms.items())
+
     def test_monomial_count_mismatch_raises(self, monkeypatch):
         # a repeated constant monomial raises mu without adding a parameter
         real = milnor.staircase_monomials

@@ -6,10 +6,13 @@ substitution for toric ideal membership.
 """
 
 import dataclasses
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 import sympy
@@ -17,9 +20,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from singlab import semitoric
+from singlab.cli import main
 from singlab.errors import (GcdNotOne, IdentityViolation, InvalidInput,
                             NonBinomialElement, NotABranch, OrderMismatch,
-                            TruncationInsufficient)
+                            RegularizationBudget, TruncationInsufficient)
 from singlab.groebner import groebner_basis, ideal_contains
 from singlab.poly import LEX, parse_polynomial
 from singlab.semitoric import (Cone, OverweightDeformation, PlaneBranch,
@@ -28,6 +32,32 @@ from singlab.semitoric import (Cone, OverweightDeformation, PlaneBranch,
                                overweight_check, resolve_monomial_curve,
                                semigroup_from_generators, toric_ideal,
                                verify_strict_transform, weight)
+
+
+GOLDEN_RESOLUTIONS = Path(__file__).parent / "golden" / "toric_resolutions.json"
+# the toric-curves benchmark's triples and branches (n, m, k):
+# x = t^n, y = t^m + t^(m+k)
+RESOLUTION_TRIPLES = ((5, 7, 9), (3, 4, 5), (3, 5, 7), (3, 8, 10), (4, 5, 7),
+                      (4, 6, 7), (4, 6, 9), (6, 8, 9), (6, 9, 10), (6, 9, 11),
+                      (6, 10, 11), (4, 10, 11))
+RESOLUTION_BRANCHES = tuple((n, m, k) for n, m, ks in (
+    (4, 10, (1, 3, 5)), (6, 9, (1, 2, 4, 5)), (8, 12, (1, 3, 5)))
+    for k in ks)
+
+
+def resolution_digests(capsys) -> dict[str, str]:
+    """sha256 of the CLI JSON of every benchmark triple and branch."""
+    commands = [("toric-resolve", "--generators", ",".join(map(str, g)))
+                for g in RESOLUTION_TRIPLES]
+    commands += [("strict-transform", "--x-exponent", str(n),
+                  "--y", f"{m}:1,{m + k}:1")
+                 for n, m, k in RESOLUTION_BRANCHES]
+    out = {}
+    for argv in commands:
+        assert main(list(argv)) == 0, argv
+        out[" ".join(argv)] = hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest()
+    return out
 
 
 def oracle_members(gens, bound):
@@ -229,7 +259,7 @@ class TestResolution:
 
     def test_4_6_13_certificate(self):
         cert = resolve_monomial_curve(semigroup_from_generators([4, 6, 13]))
-        assert all(c.is_unimodular() for c in cert.fan.cones)
+        assert all(abs(c.determinant()) == 1 for c in cert.fan.cones)
         assert (4, 6, 13) in cert.chart_cone().rays
         assert sorted(cert.exponents) == [0, 0, 1]
 
@@ -261,6 +291,15 @@ class TestResolution:
                 assert all(any(c == 0 for c in coeffs) for coeffs in hits)
                 boundary += 1
         assert interior > 0
+
+
+class TestGoldenResolutions:
+    def test_cli_bytes_match_golden_digests(self, capsys):
+        # the fan of each triple is in these bytes, cone by cone, so a
+        # subdivision that changes a cone, its ray order or the chart
+        # fails here
+        assert resolution_digests(capsys) == json.loads(
+            GOLDEN_RESOLUTIONS.read_text())
 
 
 @st.composite
@@ -325,11 +364,12 @@ def _walk_all_coefficients(cone):
 
 @st.composite
 def _small_det_cone(draw):
-    d = draw(st.integers(2, 3))
-    entry = st.integers(-4, 4)
+    # the reference walks |det|^d points: d = 4 keeps small entries and dets
+    d = draw(st.integers(2, 4))
+    entry = st.integers(-4, 4) if d < 4 else st.integers(-2, 2)
     rays = draw(st.tuples(*[st.tuples(*[entry] * d)] * d))
     cone = Cone(rays=rays)
-    assume(1 < abs(cone.determinant()) <= 12)
+    assume(1 < abs(cone.determinant()) <= (12 if d < 4 else 8))
     return cone
 
 
@@ -350,6 +390,97 @@ class TestParallelepipedPoint:
     def test_unimodular_cone_raises(self):
         with pytest.raises(IdentityViolation):
             semitoric._parallelepiped_point(Cone(rays=((1, 0), (1, 1))))
+
+
+def _ref_stellar(fan, v):
+    """Stellar subdivision by a scan of every cone: the reference."""
+    v = semitoric._primitive(v)
+    out = []
+    for cone in fan:
+        coeffs = cone._scaled_coefficients(v)
+        if coeffs is None or v in cone.rays:
+            out.append(cone)
+            continue
+        for i, c in enumerate(coeffs):
+            if c > 0:
+                rays = tuple(v if j == i else r
+                             for j, r in enumerate(cone.rays))
+                out.append(Cone(rays=rays))
+    return out
+
+
+@st.composite
+def _subdivisions(draw):
+    """An orthant dimension and a list of (cone choice, ray choice) draws:
+    a ray choice of None is the chosen cone's parallelepiped point, else a
+    positive integer combination of its rays, which may lie on a face."""
+    d = draw(st.integers(2, 4))
+    steps = draw(st.lists(st.tuples(
+        st.integers(0, 10 ** 6),
+        st.none() | st.lists(st.integers(0, 3), min_size=d, max_size=d)),
+        min_size=1, max_size=12))
+    return d, steps
+
+
+class TestStarIndexedStellar:
+    @given(_subdivisions())
+    @settings(max_examples=60, deadline=None)
+    def test_indexed_star_matches_scan(self, case):
+        d, steps = case
+        orthant = Cone(rays=tuple(tuple(int(i == j) for j in range(d))
+                                  for i in range(d)))
+        star = {r: {orthant} for r in orthant.rays}
+        fan = [orthant]
+        for pick, combo in steps:
+            live = sorted(set().union(*star.values()))
+            if combo is None:
+                bad = [c for c in live if abs(c.determinant()) > 1]
+                if not bad:
+                    continue
+                cone = bad[pick % len(bad)]
+                v = semitoric._parallelepiped_point(cone)
+            else:
+                cone = live[pick % len(live)]
+                if not any(combo):
+                    continue
+                v = semitoric._primitive(tuple(
+                    sum(k * r[i] for k, r in zip(combo, cone.rays))
+                    for i in range(d)))
+            new = semitoric._stellar(star, cone, v)
+            fan = _ref_stellar(fan, v)
+            live = set().union(*star.values())
+            assert live == set(fan)
+            # a new cone's |det| is its scaled coefficient, with no Bareiss
+            assert all(abs(c.determinant()) == det for c, det in new)
+            assert {r: cones for r, cones in star.items() if cones} == {
+                r: {c for c in live if r in c.rays}
+                for c in live for r in c.rays}
+
+    def test_point_outside_its_cone_raises(self):
+        cone = Cone(rays=((1, 0), (1, 2)))
+        with pytest.raises(IdentityViolation):
+            semitoric._stellar({r: {cone} for r in cone.rays}, cone, (0, 1))
+
+    def test_five_generator_branch_hits_the_budget_in_few_steps(
+            self, monkeypatch):
+        # semigroup <16, 24, 52, 106, 213>: 666 subdivisions, over the cap;
+        # a scan of the whole fan per new ray takes 736,485 coefficient calls
+        gamma = branch_semigroup(PlaneBranch(16, tuple(
+            (e, Fraction(1)) for e in (24, 28, 30, 31))))
+        assert gamma.minimal_generators == (16, 24, 52, 106, 213)
+        calls = 0
+        scaled = Cone._scaled_coefficients
+
+        def counted(self, v):
+            nonlocal calls
+            calls += 1
+            return scaled(self, v)
+
+        monkeypatch.setattr(Cone, "_scaled_coefficients", counted)
+        with pytest.raises(RegularizationBudget,
+                           match="not unimodular after 500 subdivisions"):
+            resolve_monomial_curve(gamma)
+        assert calls <= 5000
 
 
 class TestResolutionInvariants:
