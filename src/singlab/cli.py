@@ -198,9 +198,16 @@ def _report(report, **extra):
     return {**serialize.jsonable(report), **extra}, getattr(report, "ok", True)
 
 
-def _write(path, render, obj) -> None:
+def _write(path, render, obj, field=None) -> None:
+    """render(obj) into the file at path, if given.  A failed write is
+    InvalidInput, a ManifestError at field when one is named."""
     if path:
-        Path(path).write_text(render(obj))
+        try:
+            Path(path).write_text(render(obj))
+        except OSError as exc:
+            message = f"cannot write {path}: {exc.strerror or exc}"
+            raise (InvalidInput(message) if field is None
+                   else ManifestError(message, field=field)) from None
 
 
 def _unfold(u, v):
@@ -556,10 +563,8 @@ def run_manifest(doc: dict) -> tuple[dict, bool]:
         report["jobs"].append(job_out)
     report["ok"] = all_ok
     outputs = doc.get("outputs", {})
-    if outputs.get("report"):
-        Path(outputs["report"]).write_text(serialize.dumps(report))
-    if outputs.get("csv"):
-        Path(outputs["csv"]).write_text(_manifest_csv(csv_blocks))
+    _write(outputs.get("report"), serialize.dumps, report, "outputs.report")
+    _write(outputs.get("csv"), _manifest_csv, csv_blocks, "outputs.csv")
     return report, all_ok
 
 

@@ -108,21 +108,16 @@ def _report_at(u, path, s, r):
         return None
 
 
-def _match(prev: list[CriticalPoint], cur: list[CriticalPoint]):
-    """Greedy nearest-location matching; returns index pairs."""
-    pairs = []
-    used = set()
+def nearest_pairs(prev: list, cur: list, dist) -> list[tuple[int, int]]:
+    """Greedy matching: each item of prev in turn takes the item of cur not
+    yet taken that is nearest by dist, the first one on ties; returns the
+    (prev, cur) index pairs."""
+    pairs, free = [], list(range(len(cur)))
     for i, p in enumerate(prev):
-        best, best_d = None, None
-        for j, q in enumerate(cur):
-            if j in used:
-                continue
-            d = math.dist(p.midpoint(), q.midpoint())
-            if best is None or d < best_d:
-                best, best_d = j, d
-        if best is not None:
-            pairs.append((i, best))
-            used.add(best)
+        if free:
+            j = min(free, key=lambda k: dist(p, cur[k]))
+            free.remove(j)
+            pairs.append((i, j))
     return pairs
 
 
@@ -141,9 +136,9 @@ def _closest_pair_hessian(points: list[CriticalPoint]) -> float:
                      points[j].hessian_det.mag()))
 
 
-def _refine_count_change(u, path, s_lo, s_hi, r, tol, kind,
-                         max_iter=200) -> CerfEvent:
-    """Bisect a birth/death until the merging pair's |h| drops below tol.
+def _refine_count_change(u, path, s_lo, s_hi, r, tol, kind) -> CerfEvent:
+    """Bisect a birth/death, at most 200 times, until the merging pair's |h|
+    drops below tol.
 
     The side with more critical points (left for a death, right for a
     birth) carries the merging pair; bisection drives that endpoint
@@ -156,7 +151,7 @@ def _refine_count_change(u, path, s_lo, s_hi, r, tol, kind,
                          data={"reason": "degenerate endpoint"})
     rich_count = len(rich_rep.points)
     witness = _closest_pair_hessian(rich_rep.points)
-    for _ in range(max_iter):
+    for _ in range(200):
         if witness < float(tol):
             break
         mid = (s_lo + s_hi) / 2
@@ -212,7 +207,9 @@ def cerf_trace(u: Unfolding, path: list[ParameterPoint], steps: int,
                 ev.step = j
                 events.append(ev)
             else:
-                pairs = _match(prev.points, rep.points)
+                pairs = nearest_pairs(
+                    prev.points, rep.points,
+                    lambda p, q: math.dist(p.midpoint(), q.midpoint()))
                 for (i1, j1) in pairs:
                     for (i2, j2) in pairs:
                         if i1 >= i2:
@@ -261,9 +258,10 @@ def _global_min_location(report: MorseReport):
 
 def maxwell_refine(u: Unfolding, a: ParameterPoint, b: ParameterPoint,
                    tol: Fraction = VALUE_TOL,
-                   box_radius: Fraction = DEFAULT_BOX_RADIUS,
-                   max_iter: int = 80) -> MaxwellPoint | None:
-    """Bisect segment [a, b] for a point where the two lowest minima agree.
+                   box_radius: Fraction = DEFAULT_BOX_RADIUS
+                   ) -> MaxwellPoint | None:
+    """Bisect segment [a, b], at most 80 times, for a point where the two
+    lowest minima agree.
 
     The predicate is the identity of the global minimizer; the segment
     must switch basins between its endpoints for a crossing to exist.
@@ -279,7 +277,7 @@ def maxwell_refine(u: Unfolding, a: ParameterPoint, b: ParameterPoint,
     if loc_a is None or loc_b is None or math.dist(loc_a, loc_b) < 1e-6:
         return None
     s_lo, s_hi = Fraction(0), Fraction(1)
-    for _ in range(max_iter):
+    for _ in range(80):
         mid = (s_lo + s_hi) / 2
         rep = _report_at(u, path, mid, r)
         if rep is None:

@@ -6,7 +6,7 @@ and rects with fixed formatting so identical inputs give identical bytes.
 
 from __future__ import annotations
 
-from .discriminant import CerfTrace, SliceGrid
+from .discriminant import CerfTrace, SliceGrid, nearest_pairs
 
 WIDTH = 640
 HEIGHT = 480
@@ -61,19 +61,9 @@ def cerf_svg(trace: CerfTrace) -> str:
             continue
         cur = [(float(s), float(p.value.mid()), p.index) for p in rep.points]
         cur_chain = [-1] * len(cur)
-        used = set()
-        for i, (_, v, _) in enumerate(prev):
-            best, best_d = None, None
-            for j, (_, w, _) in enumerate(cur):
-                if j in used:
-                    continue
-                d = abs(v - w)
-                if best is None or d < best_d:
-                    best, best_d = j, d
-            if best is not None:
-                used.add(best)
-                chains[prev_chain[i]].append(cur[best])
-                cur_chain[best] = prev_chain[i]
+        for i, j in nearest_pairs(prev, cur, lambda a, b: abs(a[1] - b[1])):
+            chains[prev_chain[i]].append(cur[j])
+            cur_chain[j] = prev_chain[i]
         for j, pt in enumerate(cur):
             if cur_chain[j] < 0:
                 chains.append([pt])

@@ -22,7 +22,7 @@ so none of these choices shows in the result.
 
 One step counter bounds a whole computation: every pair popped and every
 division step, in the pair loop and in the final inter-reduction, counts
-against the cap read from SINGLAB_BUDGET unless one is passed explicitly.
+against the cap read from SINGLAB_BUDGET, the only source of the cap.
 """
 
 from __future__ import annotations
@@ -39,14 +39,14 @@ DEFAULT_BUDGET = 200_000
 
 class Budget:
     """Step counter shared by every stage of one computation; its cap is
-    explicit or read from SINGLAB_BUDGET."""
+    read from SINGLAB_BUDGET."""
 
-    def __init__(self, explicit: int | None, what: str):
+    def __init__(self, what: str):
         raw = os.environ.get("SINGLAB_BUDGET", str(DEFAULT_BUDGET)).strip()
-        if explicit is None and not raw.isdecimal():
+        if not raw.isdecimal():
             raise InvalidInput(
                 f"SINGLAB_BUDGET must be a non-negative integer, not {raw!r}")
-        self.cap = int(raw) if explicit is None else explicit
+        self.cap = int(raw)
         self.what = what
         self.used = 0
 
@@ -99,13 +99,13 @@ class _Packing:
 
 
 def _packed_run(run, maps: list[dict], order: MonomialOrder, n: int,
-                budget: int | None, what: str):
+                what: str):
     """(packing, run(maps, packing, step counter)), rerun at twice the
     field width with a fresh counter while a product overflows."""
     for widen in itertools.count():
         pk = _Packing(order, n, maps, widen)
         try:
-            return pk, run(maps, pk, Budget(budget, what))
+            return pk, run(maps, pk, Budget(what))
         except OverflowError:
             pass
 
@@ -147,8 +147,7 @@ def _reduce(work: dict, divisors: list[tuple[int, dict]], pk: _Packing,
 
 
 def normal_form(p: Polynomial, basis: list[Polynomial],
-                order: MonomialOrder = GREVLEX,
-                budget: int | None = None) -> Polynomial:
+                order: MonomialOrder = GREVLEX) -> Polynomial:
     """Remainder of p under multivariate division by basis.
 
     Unique when basis is a Groebner basis for the order.  Divisors are
@@ -163,13 +162,12 @@ def normal_form(p: Polynomial, basis: list[Polynomial],
         return _reduce(work, divisors, pk, steps)
 
     pk, rem = _packed_run(run, [p.terms] + [g.terms for g in basis if g.terms],
-                          order, len(p.variables), budget, "normal_form")
+                          order, len(p.variables), "normal_form")
     return Polynomial(p.variables, {pk.unpack(m): c for m, c in rem.items()})
 
 
 def groebner_basis(generators: list[Polynomial],
-                   order: MonomialOrder = GREVLEX,
-                   budget: int | None = None) -> list[Polynomial]:
+                   order: MonomialOrder = GREVLEX) -> list[Polynomial]:
     """Reduced Groebner basis of the ideal generated by the inputs."""
     if not generators:
         raise ValueError("empty generator list")
@@ -179,7 +177,7 @@ def groebner_basis(generators: list[Polynomial],
     if not maps:
         return [Polynomial.zero(variables)]
     pk, basis = _packed_run(_buchberger, maps, order, len(variables),
-                            budget, "groebner_basis")
+                            "groebner_basis")
     return [Polynomial(variables, {pk.unpack(m): c for m, c in g.items()})
             for g in basis]
 
@@ -248,15 +246,15 @@ def ideal_contains(p: Polynomial, basis: list[Polynomial],
     return normal_form(p, basis, order).is_zero()
 
 
-def eliminate(generators: list[Polynomial], drop: list[str],
-              budget: int | None = None) -> list[Polynomial]:
+def eliminate(generators: list[Polynomial], drop: list[str]
+              ) -> list[Polynomial]:
     """Generators of the elimination ideal with the drop variables removed,
     from a lex basis with the dropped variables first in the ring."""
     variables = generators[0].variables
     front = tuple(v for v in variables if v in drop)
     back = tuple(v for v in variables if v not in drop)
     gb = groebner_basis([g.extend(front + back) for g in generators],
-                        MonomialOrder("lex"), budget=budget)
+                        MonomialOrder("lex"))
     kept = [g for g in gb if not any(g.uses(v) for v in front)]
     return [g.project(back) for g in kept]
 

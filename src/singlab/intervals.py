@@ -1,8 +1,9 @@
 """Rational intervals for certified sign evaluation.
 
 Endpoints are exact Fractions (ints are taken, floats refused), so a sign
-decided on an interval is a proof.
-``enclose`` bounds a polynomial over a box on integers, exactly as
+decided on an interval is a proof.  ``sign`` is the one sign rule, also
+for integer intervals [lo, hi] / den (den > 0), which ``integer_interval``
+makes; ``enclose`` bounds a polynomial over a box of them, exactly as
 term-by-term Fraction products would; ``eval_interval`` wraps it.
 """
 
@@ -32,28 +33,12 @@ class RatInterval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
     def sign(self) -> int | None:
-        """+1/-1 when the sign is certain, None when 0 is inside."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        if self.lo == self.hi == 0:
-            return 0
-        return None
+        return sign(self.lo, self.hi)
 
     def mag(self) -> Fraction:
         """Upper bound on |x| over the interval."""
         return max(abs(self.lo), abs(self.hi))
-
-    def mignitude(self) -> Fraction:
-        """Lower bound on |x| over the interval (0 if it straddles 0)."""
-        if self.contains_zero():
-            return Fraction(0)
-        return min(abs(self.lo), abs(self.hi))
 
     def intersect(self, other: "RatInterval") -> "RatInterval | None":
         lo = max(self.lo, other.lo)
@@ -64,13 +49,22 @@ class RatInterval:
         return other.lo <= self.lo and self.hi <= other.hi
 
 
-def integer_box(box) -> dict[str, tuple[int, int, int]]:
-    """Each interval of box (with Fraction lo and hi) as integers (lo, hi, q)
-    for [lo, hi] / q, where q is the lcm of the endpoint denominators."""
-    return {v: (iv.lo.numerator * (q // iv.lo.denominator),
-                iv.hi.numerator * (q // iv.hi.denominator), q)
-            for v, iv in box.items()
-            for q in (lcm(iv.lo.denominator, iv.hi.denominator),)}
+def sign(lo, hi) -> int | None:
+    """+1/-1 when [lo, hi] (or [lo, hi] / den) is certainly positive or
+    negative, 0 for [0, 0], None when 0 is inside."""
+    return 1 if lo > 0 else -1 if hi < 0 else 0 if lo == hi == 0 else None
+
+
+def integer_interval(lo: Fraction, hi: Fraction) -> list[int]:
+    """[a, b, q] with [lo, hi] = [a, b] / q, q the lcm of the denominators."""
+    q = lcm(lo.denominator, hi.denominator)
+    return [lo.numerator * (q // lo.denominator),
+            hi.numerator * (q // hi.denominator), q]
+
+
+def integer_box(box) -> dict[str, list[int]]:
+    """Each interval of box as its ``integer_interval``."""
+    return {v: integer_interval(iv.lo, iv.hi) for v, iv in box.items()}
 
 
 def enclose(p: Polynomial, box) -> tuple[int, int, int]:

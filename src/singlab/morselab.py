@@ -19,7 +19,8 @@ from .critmap import sign_relation_check
 from .errors import (BoxEscape, DegenerateParameter, IdentityViolation,
                      InconsistentDegree, InsufficientAcceptance, InvalidInput,
                      UnsupportedDimension)
-from .intervals import RatInterval, enclose, eval_interval, integer_box
+from .intervals import (RatInterval, enclose, eval_interval, integer_box,
+                        sign)
 from .milnor import Unfolding
 from .poly import Polynomial
 from .realroots import (IsolatingInterval, count_distinct_roots,
@@ -116,11 +117,6 @@ def _roots_in_box(p: Polynomial, r: Fraction, what: str,
             raise BoxEscape(f"{what} near {float(iv.mid()):.3f} "
                             f"outside [-{r}, {r}]")
     return inside
-
-
-def _sign(lo: int, hi: int) -> int | None:
-    """RatInterval.sign of the integer interval [lo, hi] / den."""
-    return 1 if lo > 0 else -1 if hi < 0 else 0 if lo == hi == 0 else None
 
 
 def _det(m):
@@ -274,23 +270,22 @@ def _classify(Ft: Polynomial, hess, box, margin: Fraction,
         ibox = integer_box(box)
         hv = [[enclose(h, ibox) for h in row] for row in hess]
         lo, hi, den = _det(hv)
-        if (sign := _sign(lo, hi)) is not None or tries == 20:
+        if (det_sign := sign(lo, hi)) is not None or tries == 20:
             break
         box = shrink(box)
-    det = RatInterval(Fraction(lo, den), Fraction(hi, den))
-    if sign is None or det.mignitude() < margin:
+    if det_sign is None or min(abs(lo), abs(hi)) < margin * den:
         raise DegenerateParameter("hessian determinant too close to zero")
-    if sign < 0:
+    if det_sign < 0:
         index = 1
     else:
-        lead = _sign(*hv[0][0][:2])
+        lead = sign(*hv[0][0][:2])
         if lead is None:
             raise DegenerateParameter("cannot resolve hessian corner sign")
         index = 0 if lead > 0 else 2
     return CriticalPoint(
-        location=tuple([RatInterval(iv.lo, iv.hi) for iv in box.values()]),
-        value=eval_interval(Ft, box), index=index,
-        hessian_det_sign=sign, hessian_det=det)
+        location=tuple(box.values()), value=eval_interval(Ft, box),
+        index=index, hessian_det_sign=det_sign,
+        hessian_det=RatInterval(Fraction(lo, den), Fraction(hi, den)))
 
 
 # -- public operations ------------------------------------------------------
@@ -367,13 +362,13 @@ def sample_parameter(rng: random.Random, dim: int,
 def degree_invariance_scan(u: Unfolding, samples: int,
                            delta: Fraction = DEFAULT_DELTA,
                            seed: int = 0,
-                           box_radius: Fraction = DEFAULT_BOX_RADIUS,
-                           draw_budget: int | None = None) -> ScanReport:
-    """Accepted samples must agree on the alternating sum."""
+                           box_radius: Fraction = DEFAULT_BOX_RADIUS
+                           ) -> ScanReport:
+    """Accepted samples (at most 50 draws each) must agree on the alt sum."""
     if samples < 2:
         raise InvalidInput("need at least 2 samples")
     rng = random.Random(seed)
-    budget = draw_budget if draw_budget is not None else 50 * samples
+    budget = 50 * samples
     dim = len(u.parameter_names)
     rejected: dict[str, int] = {}
     histograms: dict[tuple[int, ...], int] = {}

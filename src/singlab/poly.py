@@ -76,10 +76,12 @@ class Polynomial:
             c = _as_fraction(c)
             if c == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != n or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps} for {n} variables")
-            clean[exps] = clean.get(exps, Fraction(0)) + c
+            ints = tuple(int(e) for e in exps)
+            if (len(ints) != n or ints != tuple(exps)
+                    or any(e < 0 for e in ints)):
+                raise ValueError(
+                    f"bad exponent vector {tuple(exps)} for {n} variables")
+            clean[ints] = clean.get(ints, Fraction(0)) + c
         self.variables = variables
         self.terms = {e: c for e, c in clean.items() if c != 0}
         self._hash = self._int = None

@@ -1,12 +1,13 @@
 """Certified real root isolation for univariate rational polynomials.
 
-Sturm counts isolate, so every returned interval provably contains exactly
-one distinct real root; multiplicities come from Yun's square-free
-factorization.  Every decision is an integer sign: polynomials are scaled
-once to primitive integer coefficients and evaluated at p/q (q > 0) as
-sum a_i p^i q^(d-i), on intervals (a/d, b/d] kept as integers a, b, d.
-Refinement ends in the cell that bisection ends in, reached by quadratic
-interval refinement (Abbott 2014; Kerber & Sagraloff 2011).
+Sturm counts isolate, so every returned interval (a RatInterval) provably
+contains exactly one distinct real root; multiplicities come from Yun's
+square-free factorization.  Every decision is an integer sign: polynomials
+are scaled once to primitive integer coefficients and evaluated at p/q
+(q > 0) as sum a_i p^i q^(d-i), on intervals (a/d, b/d] as integer_interval
+triples a, b, d.  Refinement ends in the cell that bisection ends in,
+reached by quadratic interval refinement (Abbott 2014; Kerber & Sagraloff
+2011).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import InvalidInput, ZeroPolynomial
+from .intervals import RatInterval, integer_interval
 from .poly import Polynomial
 
 Coeffs = tuple[int, ...]
@@ -142,12 +144,6 @@ def _count(chain, a: int, b: int, d: int) -> int:
     return _variations(chain, a, d) - _variations(chain, b, d) if a < b else 0
 
 
-def _triple(lo: Fraction, hi: Fraction) -> list[int]:
-    d = lcm(lo.denominator, hi.denominator)
-    return [lo.numerator * (d // lo.denominator),
-            hi.numerator * (d // hi.denominator), d]
-
-
 def _refine(chain, a: int, b: int, d: int, wn: int, wd: int) -> list[int]:
     """(a, b] / d, holding one root of f = chain[0], bisected until no wider
     than wn / wd; a root at a midpoint ends it at mid -+ wn / 4wd.  While f
@@ -189,8 +185,8 @@ def _refine(chain, a: int, b: int, d: int, wn: int, wd: int) -> list[int]:
         m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
         vm = _value(f, m, d)
         if not vm:
-            return _triple(Fraction(4 * m * wd - wn * d, 4 * d * wd),
-                           Fraction(4 * m * wd + wn * d, 4 * d * wd))
+            return integer_interval(Fraction(4 * m * wd - wn * d, 4 * d * wd),
+                                    Fraction(4 * m * wd + wn * d, 4 * d * wd))
         if ((vm < 0) != (va < 0) if va else _count(chain, a, m, d) >= 1):
             b = m
         else:
@@ -200,26 +196,18 @@ def _refine(chain, a: int, b: int, d: int, wn: int, wd: int) -> list[int]:
 
 # -- public API ------------------------------------------------------------
 
-@dataclass
-class IsolatingInterval:
+@dataclass(frozen=True)
+class IsolatingInterval(RatInterval):
     """An interval certified to contain exactly one distinct real root."""
 
-    lo: Fraction
-    hi: Fraction
     multiplicity: int = 1
     _chain: tuple[Coeffs, ...] = field(default=(), repr=False, compare=False)
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     def refine(self, width: Fraction) -> "IsolatingInterval":
         """Shrink to the requested width, preserving the certification."""
         if width <= 0:
             raise InvalidInput(f"refinement width {width} is not positive")
-        a, b, d = _refine(self._chain, *_triple(self.lo, self.hi),
+        a, b, d = _refine(self._chain, *integer_interval(self.lo, self.hi),
                           width.numerator, width.denominator)
         return IsolatingInterval(Fraction(a, d), Fraction(b, d),
                                  self.multiplicity, self._chain)
@@ -263,7 +251,7 @@ def isolate_real_roots(p: Polynomial, window: tuple[Fraction, Fraction],
     def halve(iv: list[int]):
         iv[:3] = _refine(chain, *iv[:3], iv[1] - iv[0], 2 * iv[2])
 
-    a, b, d = _triple(lo, hi)
+    a, b, d = integer_interval(lo, hi)
     # Window endpoints that are themselves roots get tight private intervals.
     w, c = exact_root(a, b - a, d) if _value(f, a, d) == 0 else (0, 1)
     a, b, d = c * a + w, c * b, c * d
@@ -306,6 +294,6 @@ def count_distinct_roots(p: Polynomial, lo: Fraction, hi: Fraction) -> int:
     factors = squarefree_decomposition(p.univariate_coeffs())
     if not factors:
         return 0
-    a, b, d = _triple(Fraction(lo), Fraction(hi))
+    a, b, d = integer_interval(Fraction(lo), Fraction(hi))
     chain = _sturm_chain(factors)
     return _count(chain, a, b, d) + (_value(chain[0], a, d) == 0)

@@ -40,15 +40,6 @@ class NumericalSemigroup:
     apery: tuple[int, ...]
     gaps: tuple[int, ...]
 
-    @property
-    def multiplicity(self) -> int:
-        return self.minimal_generators[0]
-
-    @property
-    def g(self) -> int:
-        """Number of minimal generators minus one (the genus-style index)."""
-        return len(self.minimal_generators) - 1
-
     def contains(self, x: int) -> bool:
         return x >= 0 and (x >= self.conductor or x not in self.gaps)
 
@@ -72,7 +63,7 @@ def semigroup_from_generators(gens: list[int]) -> NumericalSemigroup:
     # the conductor is at most (m - 1)(gens[-1] - 1) (Schur's bound), so
     # the table holds every gap and m members past them
     bound = max(m * gens[-1], m + 1)
-    Budget(None, "semigroup_from_generators").step(bound)
+    Budget("semigroup_from_generators").step(bound)
     table = _achievable(gens, bound)
     gaps = tuple(x for x in range(bound + 1) if not table[x])
     conductor = gaps[-1] + 1 if gaps else 0
@@ -128,8 +119,6 @@ def branch_semigroup(b: PlaneBranch) -> NumericalSemigroup:
     """Value semigroup via the classical generator recursion."""
     if b.x_exponent <= 0:
         raise NotABranch("x exponent must be positive")
-    if b.x_exponent == 1:
-        return semigroup_from_generators([1])
     chain = characteristic_exponents(b)
     e = list(accumulate(chain, math.gcd))
     bars = chain[:2]
@@ -154,8 +143,7 @@ def _weight_of_exps(exps, weights) -> int:
     return sum(e * w for e, w in zip(exps, weights))
 
 
-def toric_ideal(gamma: NumericalSemigroup, budget: int | None = None
-                ) -> ToricIdeal:
+def toric_ideal(gamma: NumericalSemigroup) -> ToricIdeal:
     """Eliminate T from {U_i - T^{gamma_i}}; certify the result binomial."""
     gens = gamma.minimal_generators
     if len(gens) < 2:
@@ -165,7 +153,7 @@ def toric_ideal(gamma: NumericalSemigroup, budget: int | None = None
     T = Polynomial.variable("T", ring)
     ideal = [Polynomial.variable(u, ring) - T ** g
              for u, g in zip(unames, gens)]
-    kernel = eliminate(ideal, ["T"], budget=budget)
+    kernel = eliminate(ideal, ["T"])
     for p in kernel:
         if len(p.terms) != 2:
             raise NonBinomialElement(f"{p} is not a binomial")
@@ -467,9 +455,19 @@ def _represent(value: int, gens, caps) -> tuple[int, ...] | None:
     return None
 
 
-def branch_embedding(b: PlaneBranch, prec: int | None = None
+def _product(xi: list[Series], exps, prec: int) -> Series:
+    """prod xi_i^exps_i, each power taken to precision prec."""
+    out = Series({0: Fraction(1)}, prec)
+    for s, k in zip(xi, exps):
+        if k:
+            out = out.mul(s.power(k, prec))
+    return out
+
+
+def branch_embedding(b: PlaneBranch
                      ) -> tuple[NumericalSemigroup, list[Series]]:
-    """Embedding series (xi_0..xi_g) of a plane branch, one per generator.
+    """Embedding series (xi_0..xi_g) of a plane branch, one per generator,
+    to precision conductor + 60.
 
     xi_0 = x and xi_1 = y; each later xi_k is a semiroot: xi_{k-1} raised
     to n_{k-1}, corrected by monomials in the earlier xi until the order
@@ -477,8 +475,7 @@ def branch_embedding(b: PlaneBranch, prec: int | None = None
     """
     gamma = branch_semigroup(b)
     gens = gamma.minimal_generators
-    if prec is None:
-        prec = gamma.conductor + 60
+    prec = gamma.conductor + 60
     x, y = branch_series(b, prec)
     xi = [x, y]
     for i, s in enumerate(xi[:len(gens)]):  # the semiroot loop needs both
@@ -501,21 +498,17 @@ def branch_embedding(b: PlaneBranch, prec: int | None = None
             if rep is None:
                 raise NotABranch(
                     f"semiroot {k} has order {o} outside the expected chain")
-            mono = Series({0: Fraction(1)}, prec)
-            for j, a in enumerate(rep):
-                if a:
-                    mono = mono.mul(xi[j].power(a, prec))
+            mono = _product(xi, rep, prec)
             c = cur.leading() / mono.leading()
             cur = cur.add(mono.scale(-c))
         xi.append(cur)
     return gamma, xi
 
 
-def verify_strict_transform(xi: list[Series],
-                            gamma: NumericalSemigroup,
-                            cert: ResolutionCertificate,
-                            buffer: int = 10) -> TransformReport:
-    """Chart coordinates of the embedded branch under the toric map.
+def verify_strict_transform(xi: list[Series], gamma: NumericalSemigroup,
+                            cert: ResolutionCertificate) -> TransformReport:
+    """Chart coordinates of the embedded branch under the toric map, to
+    precision conductor + 10.
 
     y_j = prod_i xi_i^{(V^-1)_{j,i}} must have order a_j, with the unique
     a_j = 1 coordinate a uniformized parameter (unit linear coefficient)
@@ -525,14 +518,14 @@ def verify_strict_transform(xi: list[Series],
     d = len(gens)
     if len(xi) != d:
         raise OrderMismatch(f"need {d} embedding series, got {len(xi)}")
-    need = gamma.conductor + buffer
+    need = gamma.conductor + 10
     for i, s in enumerate(xi):
         if s.order() != gens[i]:
             raise OrderMismatch(
                 f"ord xi_{i} = {s.order()}, expected {gens[i]}")
         if s.prec < need:
             raise TruncationInsufficient(
-                f"xi_{i} precision {s.prec} < conductor + buffer = {need}")
+                f"xi_{i} precision {s.prec} < conductor + 10 = {need}")
     cone = cert.chart_cone()
     det = cone.determinant()
     if abs(det) != 1:
@@ -541,10 +534,7 @@ def verify_strict_transform(xi: list[Series],
     inv = [[det * a for a in row] for row in cone.det_adj[1]]
     orders, units = [], []
     for j in range(d):
-        prod = Series({0: Fraction(1)}, need)
-        for i, k in enumerate(inv[j]):
-            if k:
-                prod = prod.mul(xi[i].power(k, need))
+        prod = _product(xi, inv[j], need)
         o = prod.order()
         if o is None:
             raise TruncationInsufficient(

@@ -37,6 +37,6 @@ def mul(a, b) -> RatInterval:
 
 
 def inverse(a: RatInterval) -> RatInterval:
-    if a.contains_zero():
+    if a.lo <= 0 <= a.hi:
         raise ZeroDivisionError("interval straddles zero")
     return RatInterval(1 / a.hi, 1 / a.lo)

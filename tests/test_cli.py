@@ -1,5 +1,6 @@
 """CLI behavior: JSON reports, error objects, exit codes, manifests."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import singlab
-from singlab import serialize
+from singlab import figures, serialize
 from singlab.cli import OPS, main, run_manifest
 from singlab.discriminant import cerf_trace, slice_sample
 from singlab.errors import InvalidInput, ManifestError
@@ -22,6 +23,7 @@ from singlab.poly import parse_polynomial
 from singlab.semitoric import OverweightDeformation, overweight_check
 
 README = Path(__file__).parents[1] / "README.md"
+GOLDEN_SVGS = Path(__file__).parent / "golden" / "cerf_svgs.json"
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +232,19 @@ class TestCommands:
         assert content.startswith("<svg ") and content.rstrip().endswith(
             "</svg>")
 
+    @pytest.mark.parametrize("argv", [
+        ("degree-scan", "z^3", "--samples", "3", "--csv"),
+        ("cerf", "z^3", "--path=-1/2;1/2", "--steps", "4", "--svg"),
+        ("cerf", "z^3", "--path=-1/2;1/2", "--steps", "4", "--csv"),
+        ("slice", "z^3", "--t-axis", "t1", "--lambda-range=-2,2",
+         "--t-range=-2,2", "--grid", "2", "--svg"),
+    ], ids=["scan-csv", "cerf-svg", "cerf-csv", "slice-svg"])
+    def test_unwritable_output_exit_two(self, capsys, tmp_path, argv):
+        code, out = run_cli(capsys, *argv, str(tmp_path / "no-dir" / "out"))
+        assert code == 2
+        assert out["error"]["type"] == "InvalidInput"
+        assert "cannot write" in out["error"]["message"]
+
 
 MANIFEST = {
     "schema": "singlab-manifest/1",
@@ -361,6 +376,29 @@ class TestManifest:
         result = report["jobs"][0]["tasks"][0]["result"]
         assert result["error"]["type"] == "InvalidInput"
 
+
+    @pytest.mark.parametrize("key", ["report", "csv"])
+    def test_unwritable_output_is_a_manifest_error(self, capsys, tmp_path,
+                                                   key):
+        doc = {**MANIFEST, "outputs": {key: str(tmp_path / "no-dir" / key)}}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "run", str(path))
+        assert code == 2
+        assert out["error"]["type"] == "ManifestError"
+        assert out["error"]["field"] == f"outputs.{key}"
+
+    def test_unwritable_task_output_recorded_as_task_error(self, tmp_path):
+        doc = {"schema": "singlab-manifest/1",
+               "jobs": [{"kind": "unfolding", "germ": "z^3",
+                         "tasks": [{"op": "degree-scan", "samples": 3,
+                                    "csv": str(tmp_path / "no-dir" / "s")},
+                                   {"op": "discriminant"}]}]}
+        report, ok = run_manifest(doc)
+        assert not ok
+        first, second = report["jobs"][0]["tasks"]
+        assert first["result"]["error"]["type"] == "InvalidInput"
+        assert second["ok"] is True
 
     def test_source_error_recorded_and_next_job_runs(self):
         doc = {"schema": "singlab-manifest/1",
@@ -524,3 +562,25 @@ class TestFigures:
         a = cerf_svg(cerf_trace(u, path, 16))
         b = cerf_svg(cerf_trace(u, path, 16))
         assert a == b
+
+    # golden key -> (germ, path breakpoints, steps, delta): a z^3 death, a
+    # z^4 Maxwell event at step 16, and z^4 births and deaths
+    SVG_CASES = {
+        "z^3 | -1/2 -> 1/2 | steps=40 delta=1":
+            ("z^3", [(-Fraction(1, 2),), (Fraction(1, 2),)], 40, 1),
+        "z^4 | -1,-2 -> 1,-2 | steps=31 delta=2":
+            ("z^4", [(-1, -2), (1, -2)], 31, 2),
+        "z^4 | 0,-2 -> 1/3,1/2 -> -1/2,-1 | steps=48 delta=3":
+            ("z^4", [(0, -2), (Fraction(1, 3), Fraction(1, 2)),
+                     (-Fraction(1, 2), -1)], 48, 3),
+    }
+
+    @pytest.mark.parametrize("key", SVG_CASES)
+    def test_cerf_svg_matches_golden_digest(self, key):
+        germ, path, steps, delta = self.SVG_CASES[key]
+        u = unfold_germ(parse_polynomial(germ, ("z",)))
+        trace = cerf_trace(u, [ParameterPoint(tuple(map(Fraction, p)))
+                               for p in path], steps, delta=delta)
+        svg = figures.cerf_svg(trace).encode()
+        assert hashlib.sha256(svg).hexdigest() == \
+            json.loads(GOLDEN_SVGS.read_text())[key]

@@ -285,8 +285,8 @@ def test_budget_bounds_the_whole_computation(monkeypatch):
     cap = max(pair_steps, max(runs))
     # the pair loop and every single reduction fit the cap; their sum does not
     assert cap < total
-    with pytest.raises(BudgetExceeded):
-        groebner_basis(gens, LEX, budget=cap)
     monkeypatch.setenv("SINGLAB_BUDGET", str(cap))
+    with pytest.raises(BudgetExceeded):
+        groebner_basis(gens, LEX)
     with pytest.raises(BudgetExceeded):
         eliminate(gens, ["T"])

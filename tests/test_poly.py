@@ -55,6 +55,17 @@ class TestArithmetic:
         assert q.variables == ("z",)
         assert q == parse_polynomial("z^2 + 5", ("z",))
 
+    @pytest.mark.parametrize("exps", [(1.5,), (Fraction(1, 2),), (-1,),
+                                      (1, 0)])
+    def test_bad_exponent_vector_rejected(self, exps):
+        # a non-integral exponent is not truncated to 3*z
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            Polynomial(("z",), {exps: 1, (1,): 2})
+
+    def test_integral_exponents_of_any_type_accepted(self):
+        assert Polynomial(("z",), {(2.0,): 1, (Fraction(1),): 2}) == \
+            Polynomial(("z",), {(2,): 1, (1,): 2})
+
     def test_mismatched_rings_rejected(self):
         with pytest.raises(VariableMismatch):
             P("z") + parse_polynomial("u", ("u",))
