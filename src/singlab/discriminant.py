@@ -14,14 +14,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (BoxEscape, DegenerateParameter, InvalidInput,
-                     PathOutsideBox, UnsupportedDimension)
+from .errors import (BoxEscape, DegenerateParameter, IdentityViolation,
+                     InvalidInput, PathOutsideBox, UnsupportedDimension)
 from .milnor import Unfolding
 from .morselab import (DEFAULT_BOX_RADIUS, DEFAULT_DELTA, CriticalPoint,
                        MorseReport, ParameterPoint, critical_points,
                        morse_report, sample_parameter)
 from .poly import GREVLEX, Polynomial
-from .resultant import resultant
+from .resultant import poly_determinant, resultant  # bench/tracing.py wraps resultant
 
 LAMBDA = "lambda"
 VALUE_TOL = Fraction(1, 10 ** 8)
@@ -72,15 +72,27 @@ class EqualLevelWitness:
 
 
 def exact_discriminant_1d(u: Unfolding) -> DiscriminantCurve:
-    """Resultant of (F - lambda, dF/dz) in z, canonically normalized."""
+    """Res_z(F - lambda, dF/dz), canonically normalized.  dF/dz has a constant
+    top coefficient, so Res_z = c * det(M - lambda), c != 0, where M multiplies
+    by F on Q[t][z]/(dF/dz) (Stickelberger; Cox, Little & O'Shea, UAG 2.4)."""
     if u.n != 1:
         raise UnsupportedDimension("exact discriminants only for n = 1")
     zname = u.z_names[0]
     ring = (LAMBDA,) + u.F.variables
     F = u.F.extend(ring)
     lam = Polynomial.variable(LAMBDA, ring)
-    res = resultant(F - lam, F.diff(zname), zname)
-    res = res.primitive()
+    g = F.diff(zname).coeffs_in(zname)
+    m = len(g) - 1
+    if m < 1 or not g[m].is_constant():
+        raise IdentityViolation("dF/dz: degree < 1 or nonconstant top coefficient")
+    col, cols = (F - lam).coeffs_in(zname), []
+    for _ in range(m):  # column j is z^j (F - lambda) mod dF/dz
+        while len(col) > m:  # z^k -> -z^(k-m) sum_{i<m} g_i z^i / g_m
+            lead = col.pop() * (1 / g[m].constant_term())
+            col[-m:] = [c - lead * gi for c, gi in zip(col[-m:], g)]
+        cols.append(col)
+        col = [Polynomial.zero(lead.variables)] + col
+    res = poly_determinant(cols).primitive()  # det of the transpose
     # positive leading coefficient of the highest lambda-power
     top = res.coeffs_in(LAMBDA)[-1]
     if top.leading(GREVLEX)[1] < 0:

@@ -230,7 +230,8 @@ def test_criterion_07_exact_discriminant():
 
 
 @pytest.mark.parametrize("name,germ", [
-    ("a3", "z^4"), ("a4", "z^5"), ("a5", "z^6")])
+    ("a3", "z^4"), ("a4", "z^5"), ("a5", "z^6"), ("a6", "z^7"),
+    ("a5_rational", "-2/3*z^4 + z^6")])
 def test_golden_discriminants(name, germ):
     golden = (GOLDEN / f"{name}_discriminant.txt").read_bytes()
     produced = str(exact_discriminant_1d(_unfold(germ, ("z",))).poly) + "\n"

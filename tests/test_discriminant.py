@@ -1,17 +1,23 @@
 """Exact discriminants, Cerf traces, Maxwell scans, equal-level probe."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from singlab.discriminant import (cerf_trace, equal_level_search,
+from singlab.discriminant import (LAMBDA, cerf_trace, equal_level_search,
                                   exact_discriminant_1d, maxwell_refine,
                                   maxwell_scan, slice_sample)
-from singlab.errors import PathOutsideBox, UnsupportedDimension
+from singlab.errors import (IdentityViolation, PathOutsideBox,
+                            UnsupportedDimension)
 from singlab.milnor import unfold_germ
 from singlab.morselab import ParameterPoint
-from singlab.poly import parse_polynomial
+from singlab.poly import GREVLEX, Polynomial, parse_polynomial
 from singlab.realroots import count_distinct_roots
+from singlab.resultant import resultant
 
 
 def U(text, names):
@@ -20,6 +26,41 @@ def U(text, names):
 
 def T(*xs):
     return ParameterPoint(tuple(Fraction(x) for x in xs))
+
+
+def sylvester_discriminant(u):
+    """The Sylvester-resultant route: Res_z(F - lambda, dF/dz), made
+    primitive with a positive top lambda-coefficient."""
+    z = u.z_names[0]
+    ring = (LAMBDA,) + u.F.variables
+    F = u.F.extend(ring)
+    res = resultant(F - Polynomial.variable(LAMBDA, ring), F.diff(z), z)
+    res = res.primitive()
+    if res.coeffs_in(LAMBDA)[-1].leading(GREVLEX)[1] < 0:
+        res = -res
+    return res.restrict()
+
+
+def to_sympy(p):
+    expr = sympy.Integer(0)
+    for e, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for name, k in zip(p.variables, e):
+            term *= sympy.Symbol(name) ** k
+        expr += term
+    return expr
+
+
+@st.composite
+def germs_1d(draw, max_degree):
+    """sum c_k z^k over 2 <= k <= top <= max_degree with small rational c_k
+    and c_top != 0; c_2 = 0 below a higher top, as unfold_germ rejects
+    order-2 germs with mu > 1."""
+    top = draw(st.integers(2, max_degree))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    coeffs = {(k,): draw(small) for k in range(3, top)}
+    coeffs[(top,)] = draw(small.filter(bool))
+    return Polynomial(("z",), coeffs)
 
 
 class TestExactDiscriminant:
@@ -49,6 +90,34 @@ class TestExactDiscriminant:
     def test_2d_unsupported(self):
         with pytest.raises(UnsupportedDimension):
             exact_discriminant_1d(U("z^3 + w^3", ("z", "w")))
+
+    @given(germs_1d(6))
+    @settings(max_examples=15, deadline=None)
+    def test_agrees_with_sylvester_resultant(self, germ):
+        u = unfold_germ(germ)
+        assert exact_discriminant_1d(u).poly == sylvester_discriminant(u)
+
+    @pytest.mark.parametrize("germ", [
+        "z^2", "z^3", "-z^3", "z^4", "z^5", "2/3*z^3 - z^5",
+        "z^3 + z^4 + z^5", "-1/2*z^2", "3*z^4 - 1/5*z^5"])
+    def test_agrees_with_sympy_resultant(self, germ):
+        # equal up to a nonzero rational factor, over the same variables
+        u = U(germ, ("z",))
+        ours = exact_discriminant_1d(u).poly
+        z, lam = sympy.symbols(("z", LAMBDA))
+        F = to_sympy(u.F)
+        theirs = sympy.resultant(F - lam, sympy.diff(F, z), z)
+        ratio = sympy.cancel(to_sympy(ours) / theirs)
+        assert ratio.is_Rational and ratio != 0
+        assert set(ours.variables) == {LAMBDA, *u.parameter_names}
+
+    def test_parameter_in_top_coefficient_of_derivative_raises(self):
+        u = U("z^3", ("z",))
+        t1 = Polynomial.variable("t1", u.F.variables)
+        z = Polynomial.variable("z", u.F.variables)
+        bad = dataclasses.replace(u, F=u.F + t1 * z ** 3)
+        with pytest.raises(IdentityViolation):
+            exact_discriminant_1d(bad)
 
 
 class TestCerfTrace:
