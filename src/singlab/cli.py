@@ -68,7 +68,7 @@ def _integer(raw) -> int:
 def _rational(raw) -> Fraction:
     try:
         if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
-            return serialize.parse_rational(raw)
+            return Fraction(str(raw))
     except (ValueError, ZeroDivisionError):
         pass
     raise _bad(raw, "a rational")

@@ -472,7 +472,7 @@ def slice_sample(u: Unfolding, t_axis: str,
             tv = a0 + (a1 - a0) * Fraction(2 * j + 1, 2 * grid)
             assign = dict(fixed)
             assign[t_axis] = tv
-            Ft = u.F.substitute(assign).project(u.z_names)
+            Ft = u.specialize(tuple(assign[t] for t in u.parameter_names))
             row_c.append(count_distinct_roots(Ft - lam, -r, r))
             if disc is not None:
                 full = dict(assign)

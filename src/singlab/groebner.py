@@ -30,6 +30,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
+from fractions import Fraction
 
 from .errors import BudgetExceeded, InvalidInput, VariableMismatch
 from .poly import GREVLEX, Exponents, MonomialOrder, Polynomial
@@ -163,7 +164,8 @@ def normal_form(p: Polynomial, basis: list[Polynomial],
 
     pk, rem = _packed_run(run, [p.terms] + [g.terms for g in basis if g.terms],
                           order, len(p.variables), "normal_form")
-    return Polynomial(p.variables, {pk.unpack(m): c for m, c in rem.items()})
+    return Polynomial._of(p.variables,
+                          {pk.unpack(m): c for m, c in rem.items()})
 
 
 def groebner_basis(generators: list[Polynomial],
@@ -178,7 +180,7 @@ def groebner_basis(generators: list[Polynomial],
         return [Polynomial.zero(variables)]
     pk, basis = _packed_run(_buchberger, maps, order, len(variables),
                             "groebner_basis")
-    return [Polynomial(variables, {pk.unpack(m): c for m, c in g.items()})
+    return [Polynomial._of(variables, {pk.unpack(m): c for m, c in g.items()})
             for g in basis]
 
 
@@ -236,7 +238,7 @@ def _buchberger(maps: list[dict], pk: _Packing, steps: Budget) -> list[dict]:
         tail = {e: c for e, c in basis[g].items() if e != leads[g]}
         r = _reduce(tail, [(leads[o], basis[o]) for o in keep if o != g],
                     pk, steps)
-        out.append({leads[g]: 1, **r})
+        out.append({leads[g]: Fraction(1), **r})
     return out
 
 

@@ -7,7 +7,7 @@ cobasis monomial other than 1, with the linear monomials first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (IdentityViolation, NotCritical, NotIsolated,
@@ -42,6 +42,21 @@ class Unfolding:
     deformation_monomials: tuple[Polynomial, ...]
     parameter_names: tuple[str, ...]
     F: Polynomial
+    _by_z: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """F as (e, f_e, ((k, c), ...)) for each (f_e + sum c t_k) z^e."""
+        n, by_z = self.n, {}
+        for e, c in self.F.terms.items():
+            group = by_z.setdefault(e[:n], [Fraction(0), []])
+            if not any(e[n:]):
+                group[0] = c
+            elif sum(e[n:]) == 1:
+                group[1].append((e.index(1, n) - n, c))
+            else:
+                raise IdentityViolation(f"F = {self.F} is not linear in t")
+        object.__setattr__(self, "_by_z", tuple(
+            (e, c, tuple(linear)) for e, (c, linear) in by_z.items()))
 
     @property
     def n(self) -> int:
@@ -60,8 +75,13 @@ class Unfolding:
         if len(t) != len(self.parameter_names):
             raise VariableMismatch(
                 f"expected {len(self.parameter_names)} parameters, got {len(t)}")
-        values = dict(zip(self.parameter_names, t))
-        return self.F.substitute(values)
+        t, terms = tuple(map(Fraction, t)), {}
+        for e, c, linear in self._by_z:
+            for k, ck in linear:
+                c += ck * t[k]
+            if c:
+                terms[e] = c
+        return Polynomial._of(self.z_names, terms)
 
 
 def _sign_changes(coeffs) -> int:
@@ -152,7 +172,7 @@ def miniversal_unfolding(a: GermAnalysis) -> Unfolding:
         analysis=a,
         deformation_monomials=tuple(monomials),
         parameter_names=t_names,
-        F=Polynomial(names + t_names, terms),
+        F=Polynomial._of(names + t_names, terms),
     )
 
 

@@ -2,8 +2,11 @@
 
 Terms are stored as a map from exponent tuples to nonzero Fraction
 coefficients, so equal polynomials have identical canonical form and all
-arithmetic is exact.  Monomial orders (grevlex and lex) are provided as
-key functions on exponent tuples; lex with the eliminated variables first
+arithmetic is exact.  The constructor checks and sums outside terms;
+results derived from valid polynomials are built by ``Polynomial._of``,
+which checks nothing: its terms are already nonzero Fractions on int
+tuples of the ring's length.  Monomial orders (grevlex and lex) are key
+functions on exponent tuples; lex with the eliminated variables first
 serves as the elimination order.  Products and exact quotients also run
 on bare term maps, which the Bareiss determinant in ``resultant`` shares.
 """
@@ -86,6 +89,13 @@ class Polynomial:
         self.terms = {e: c for e, c in clean.items() if c != 0}
         self._hash = self._int = None
 
+    @classmethod
+    def _of(cls, variables: tuple[str, ...], terms: dict) -> "Polynomial":
+        """The polynomial of a clean term map, taken as it is."""
+        p = object.__new__(cls)
+        p.variables, p.terms, p._hash, p._int = variables, terms, None, None
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -153,13 +163,13 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Polynomial(self.variables, terms)
+            terms[e] = terms.get(e, 0) + c
+        return self._of(self.variables, {e: c for e, c in terms.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return self._of(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -172,12 +182,12 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            return Polynomial(self.variables,
-                              {e: c * v for e, v in self.terms.items()})
+            return self._of(self.variables,
+                            {e: c * v for e, v in self.terms.items() if c})
         self._check(other)
         terms: dict[Exponents, Fraction] = {}
         mul_terms(terms, self.terms, other.terms)
-        return Polynomial(self.variables, terms)
+        return self._of(self.variables, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -218,13 +228,10 @@ class Polynomial:
 
     def diff(self, var: str) -> "Polynomial":
         i = self.variables.index(var)
-        terms: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = tuple(x - 1 if j == i else x for j, x in enumerate(e))
-            terms[ne] = terms.get(ne, Fraction(0)) + c * e[i]
-        return Polynomial(self.variables, terms)
+        # e -> e - unit_i is one-to-one, so no two terms meet
+        return self._of(self.variables, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+            for e, c in self.terms.items() if e[i]})
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         """Evaluate at a full assignment of exact rationals."""
@@ -253,8 +260,8 @@ class Polynomial:
                 if e[i]:
                     c = c * x ** e[i]
             ne = tuple(e[i] for i in idx)
-            terms[ne] = terms.get(ne, Fraction(0)) + c
-        return Polynomial(tuple(keep), terms)
+            terms[ne] = terms.get(ne, 0) + c
+        return self._of(tuple(keep), {e: c for e, c in terms.items() if c})
 
     def extend(self, variables: Iterable[str]) -> "Polynomial":
         """Reinterpret over a larger variable tuple (superset, any order)."""
@@ -270,7 +277,7 @@ class Polynomial:
             for p, k in zip(pos, e):
                 ne[p] = k
             terms[tuple(ne)] = c
-        return Polynomial(variables, terms)
+        return self._of(variables, terms)
 
     def restrict(self) -> "Polynomial":
         """Drop variables that do not occur."""
@@ -290,7 +297,7 @@ class Polynomial:
             if any(e[i] for i in dropped):
                 raise VariableMismatch("polynomial uses a dropped variable")
             terms[tuple(e[i] for i in idx)] = c
-        return Polynomial(variables, terms)
+        return self._of(variables, terms)
 
     # -- univariate views --------------------------------------------------
 
@@ -305,7 +312,7 @@ class Polynomial:
         for e, c in self.terms.items():
             ne = tuple(x for j, x in enumerate(e) if j != i)
             coeffs[e[i]][ne] = c
-        return [Polynomial(rest, t) for t in coeffs]
+        return [self._of(rest, t) for t in coeffs]
 
     def univariate_coeffs(self) -> list[Fraction]:
         """Dense ascending Fraction coefficients; requires <= 1 active var."""
@@ -350,8 +357,8 @@ class Polynomial:
         (a, b), _ = integer_terms([self.terms, divisor.terms])
         g = gcd(*b.values())
         q = div_terms(a, {e: c // g for e, c in b.items()})
-        return Polynomial(self.variables,
-                          {e: Fraction(c, g) for e, c in q.items()})
+        return self._of(self.variables,
+                        {e: Fraction(c, g) for e, c in q.items()})
 
     # -- formatting --------------------------------------------------------
 

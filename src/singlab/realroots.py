@@ -144,15 +144,18 @@ def _count(chain, a: int, b: int, d: int) -> int:
     return _variations(chain, a, d) - _variations(chain, b, d) if a < b else 0
 
 
-def _refine(chain, a: int, b: int, d: int, wn: int, wd: int) -> list[int]:
-    """(a, b] / d, holding one root of f = chain[0], bisected until no wider
-    than wn / wd; a root at a midpoint ends it at mid -+ wn / 4wd.  While f
-    is nonzero and of opposite signs at the ends (d^deg f times: va, vb),
-    the root is on no grid point yet, so a grid cell shown to hold it is
-    bisection's: QIR jumps m halvings if the rounded secant root and a
-    neighbour show it (m doubles), else halves m and takes one halving."""
+def _refine(chain, a: int, b: int, d: int, wn: int, wd: int,
+            va: int = 0) -> list[int]:
+    """[a, b, d, va]: (a, b] / d, holding one root of f = chain[0], bisected
+    until no wider than wn / wd, with va of f's sign at a / d (0 where f is
+    0), which a caller that knows it may pass; a root at a midpoint ends it
+    at mid -+ wn / 4wd.  While f is nonzero and of opposite signs at the
+    ends (d^deg f times: va, vb), the root is on no grid point yet, so a
+    grid cell shown to hold it is bisection's: QIR jumps m halvings if the
+    rounded secant root and a neighbour show it (m doubles), else halves m
+    and takes one halving."""
     f, n = chain[0], len(chain[0]) - 1
-    va = _value(f, a, d)
+    va = va or _value(f, a, d)
     k = (-(-(b - a) * wd // (wn * d)) - 1).bit_length()  # halvings to go
     vb, m = _value(f, b, d) if k > 2 else 0, 2
     while k and va * vb < 0:
@@ -185,13 +188,14 @@ def _refine(chain, a: int, b: int, d: int, wn: int, wd: int) -> list[int]:
         m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
         vm = _value(f, m, d)
         if not vm:
-            return integer_interval(Fraction(4 * m * wd - wn * d, 4 * d * wd),
-                                    Fraction(4 * m * wd + wn * d, 4 * d * wd))
+            return [*integer_interval(
+                Fraction(4 * m * wd - wn * d, 4 * d * wd),
+                Fraction(4 * m * wd + wn * d, 4 * d * wd)), va]
         if ((vm < 0) != (va < 0) if va else _count(chain, a, m, d) >= 1):
             b = m
         else:
             a, va = m, vm
-    return [a, b, d]
+    return [a, b, d, va]
 
 
 # -- public API ------------------------------------------------------------
@@ -207,8 +211,8 @@ class IsolatingInterval(RatInterval):
         """Shrink to the requested width, preserving the certification."""
         if width <= 0:
             raise InvalidInput(f"refinement width {width} is not positive")
-        a, b, d = _refine(self._chain, *integer_interval(self.lo, self.hi),
-                          width.numerator, width.denominator)
+        a, b, d, _ = _refine(self._chain, *integer_interval(self.lo, self.hi),
+                             width.numerator, width.denominator)
         return IsolatingInterval(Fraction(a, d), Fraction(b, d),
                                  self.multiplicity, self._chain)
 
@@ -233,34 +237,37 @@ def isolate_real_roots(p: Polynomial, window: tuple[Fraction, Fraction],
     f = chain[0]
     # the one root in an emitted (a, b] is a root of exactly one factor
     owners = [(_sturm_chain([fm]), fm[1]) for fm in factors[:-1]]
-    out: list[list[int]] = []  # [a, b, d, multiplicity]
+    out: list[list[int]] = []  # [a, b, d, va as in _refine, multiplicity]
 
-    def emit(a: int, b: int, d: int):
-        out.append([a, b, d, next((m for ch, m in owners
-                                   if _count(ch, a, b, d)), factors[-1][1])])
+    def emit(a: int, b: int, d: int, va: int):
+        out.append([a, b, d, va, next((m for ch, m in owners
+                                       if _count(ch, a, b, d)),
+                                      factors[-1][1])])
 
     def exact_root(r: int, s: int, e: int) -> tuple[int, int]:
         # (r - w, r + w] / ce for w = s / 4 (or 1/4) halved to isolate r
         w, r, c = s or e, 4 * r, 4
         while (_count(chain, r - w, r + w, c * e) != 1
-               or _value(f, r - w, c * e) == 0):
+               or not (va := _value(f, r - w, c * e))):
             r, c = 2 * r, 2 * c
-        emit(r - w, r + w, c * e)
+        emit(r - w, r + w, c * e, va)
         return w, c
 
-    def halve(iv: list[int]):
-        iv[:3] = _refine(chain, *iv[:3], iv[1] - iv[0], 2 * iv[2])
+    def halve(iv: list[int]):  # one evaluation of f: its sign at a is known
+        iv[:4] = _refine(chain, *iv[:3], iv[1] - iv[0], 2 * iv[2], iv[3])
 
     a, b, d = integer_interval(lo, hi)
     # Window endpoints that are themselves roots get tight private intervals.
     w, c = exact_root(a, b - a, d) if _value(f, a, d) == 0 else (0, 1)
     a, b, d = c * a + w, c * b, c * d
+    # no stacked (x, y] starts at a root, so when it holds one root of the
+    # square-free f and f(y) != 0, f(x) has the sign of -f(y)
     stack = [(a, b, d, _variations(chain, a, d), _variations(chain, b, d))]
     while stack:
         x, y, d, vx, vy = stack.pop()  # vx, vy: the variations at x/d, y/d
         k = vx - vy if x < y else 0
-        if k == 1 and _value(f, y, d):
-            emit(x, y, d)
+        if k == 1 and (fy := _value(f, y, d)):
+            emit(x, y, d, -fy)
         elif k == 1:  # y is the single root in (x, y]
             exact_root(y, y - x, d)
         elif k > 1:
@@ -284,7 +291,7 @@ def isolate_real_roots(p: Polynomial, window: tuple[Fraction, Fraction],
                 break
             halve(iv)
     return [IsolatingInterval(Fraction(a, d), Fraction(b, d), m, chain)
-            for a, b, d, m in out]
+            for a, b, d, _, m in out]
 
 
 def count_distinct_roots(p: Polynomial, lo: Fraction, hi: Fraction) -> int:

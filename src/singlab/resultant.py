@@ -69,8 +69,8 @@ def poly_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
                 m[i][j] = div_terms(num, prev)
         prev = pivot
     # det(den * matrix) = den^n det(matrix)
-    return Polynomial(variables, {e: Fraction(c, sign * den ** n)
-                                  for e, c in m[n - 1][n - 1].items()})
+    return Polynomial._of(variables, {e: Fraction(c, sign * den ** n)
+                                      for e, c in m[n - 1][n - 1].items()})
 
 
 def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:

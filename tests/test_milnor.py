@@ -4,6 +4,7 @@ The oracle recomputes mu independently: sympy Groebner basis of the
 Jacobian ideal, then brute-force counting of staircase monomials.
 """
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -216,6 +217,16 @@ class TestUnfolding:
         for t, g in zip(u.parameter_names, u.deformation_monomials):
             F = F + Polynomial.variable(t, ring) * g.extend(ring)
         assert list(u.F.terms.items()) == list(F.terms.items())
+
+    def test_specialize_follows_a_replaced_F(self):
+        # the z-grouping behind specialize is rebuilt from F itself
+        u = unfold_germ(P("z^3", ("z",)))
+        t1, z = (Polynomial.variable(v, u.F.variables) for v in ("t1", "z"))
+        moved = dataclasses.replace(u, F=u.F + t1 * z ** 2)
+        assert moved.specialize((Fraction(2),)) == P("z^3 + 2*z^2 + 2*z",
+                                                     ("z",))
+        with pytest.raises(IdentityViolation, match="not linear in t"):
+            dataclasses.replace(u, F=u.F + t1 * t1)
 
     def test_monomial_count_mismatch_raises(self, monkeypatch):
         # a repeated constant monomial raises mu without adding a parameter

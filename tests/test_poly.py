@@ -7,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlab.errors import VariableMismatch
+from singlab.groebner import groebner_basis, normal_form
+from singlab.milnor import unfold_germ
 from singlab.poly import (GREVLEX, LEX, Polynomial, div_terms,
                           infer_variables, parse_polynomial)
+from singlab.resultant import poly_determinant
+from test_discriminant import germs_1d
 
 VARS = ("z", "w")
 
@@ -80,6 +84,72 @@ class TestArithmetic:
     def test_commutativity(self, a, b):
         assert a * b == b * a
         assert a + b == b + a
+
+
+def assert_clean(p):
+    """p is what the validating constructor makes of its own term map, and
+    holds only nonzero Fractions on int tuples of the ring's length."""
+    assert p == Polynomial(p.variables, p.terms)
+    assert type(p.variables) is tuple
+    for e, c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert type(e) is tuple and len(e) == len(p.variables)
+        assert all(type(k) is int and k >= 0 for k in e)
+
+
+small = st.fractions(-3, 3, max_denominator=4)
+
+
+class TestTrustedResults:
+    """Results built on Polynomial._of, without the constructor's checks."""
+
+    @given(polynomials(), polynomials(), small)
+    @settings(max_examples=100, deadline=None)
+    def test_arithmetic(self, a, b, c):
+        for p in (-a, a + b, a - b, a - a, (a + b) - b, a * b, a * c,
+                  a * 0, (a + b) * (a - b) - a * a, a ** 2, a + c):
+            assert_clean(p)
+
+    @given(polynomials(max_exp=6), small, st.sampled_from(VARS))
+    @settings(max_examples=100, deadline=None)
+    def test_calculus_and_views(self, p, x, v):
+        results = [p.diff("z"), p.diff("w"), p.substitute({v: x}),
+                   p.substitute({"z": x, "w": 0}), *p.coeffs_in(v),
+                   p.extend(("u",) + VARS), p.extend(VARS[::-1] + ("u",)),
+                   p.extend(("u",) + VARS).project(VARS), p.restrict()]
+        if not p.is_zero():
+            results.append((p * (p + 1)).exact_div(p))
+        for q in results:
+            assert_clean(q)
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(polynomials(max_terms=3, max_exp=2), min_size=n,
+                 max_size=n), min_size=n, max_size=n)))
+    @settings(max_examples=60, deadline=None)
+    def test_determinant(self, matrix):
+        assert_clean(poly_determinant(matrix))
+
+    @given(st.lists(polynomials(max_terms=3, max_exp=3), min_size=1,
+                    max_size=3), polynomials(), st.sampled_from([GREVLEX, LEX]))
+    @settings(max_examples=60, deadline=None)
+    def test_groebner_basis_and_normal_form(self, gens, p, order):
+        basis = groebner_basis(gens, order)
+        for q in basis + [normal_form(p, basis, order)]:
+            assert_clean(q)
+
+    @given(st.one_of(germs_1d(6).map(lambda f: unfold_germ(f)),
+                     st.sampled_from(["z^3 + w^3", "z^3 + w^4",
+                                      "z^2*w + w^4", "1/2*z^4 + z*w^3"]).map(
+                         lambda g: unfold_germ(P(g)))),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_grouped_specialize_is_substitution(self, u, data):
+        t = data.draw(st.tuples(*(small for _ in u.parameter_names)))
+        got = u.specialize(t)
+        want = u.F.substitute(dict(zip(u.parameter_names, t)))
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+        assert_clean(got)
 
 
 class TestParsing:

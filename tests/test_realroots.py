@@ -283,6 +283,30 @@ class TestIsolation:
             morselab._roots_in_box(_singlab_poly(expr), r, "x")
 
 
+    def test_each_halving_evaluates_f_once(self, monkeypatch):
+        # the intervals about 1 and 3/2 touch, and 3/2 lies just inside r,
+        # so both loops halve; the sign of f at each low end is known
+        p, r = P("(z - 1)*(z - 3/2)*(z^2 - 2)"), Fraction(1501, 1000)
+        want = morselab._roots_in_box(p, r, "x")
+        calls, per_halving = [], []
+        value, refine = realroots._value, realroots._refine
+
+        def counted_value(c, x, q):
+            calls.append(c)
+            return value(c, x, q)
+
+        def counted_refine(*args):
+            before = len(calls)
+            out = refine(*args)
+            per_halving.append(len(calls) - before)
+            return out
+        monkeypatch.setattr(realroots, "_value", counted_value)
+        monkeypatch.setattr(realroots, "_refine", counted_refine)
+        got = morselab._roots_in_box(p, r, "x")
+        assert per_halving == [1] * 14
+        assert got == want
+
+
 class TestRefine:
     @given(POLY, st.integers(1, 2 ** 70))
     @settings(max_examples=60, deadline=None)
