@@ -24,7 +24,7 @@ from .morselab import (CriticalPoint, EulerReport, HermanWitness, MorseReport,
                        ParameterPoint, ScanReport, critical_points,
                        degree_invariance_scan, euler_fiber_check,
                        herman_probe, morse_counts, morse_report,
-                       sample_parameter)
+                       sample_parameters)
 from .poly import (GREVLEX, LEX, MonomialOrder, Polynomial, infer_variables,
                    parse_polynomial)
 from .realroots import (IsolatingInterval, count_distinct_roots,

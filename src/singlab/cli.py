@@ -313,7 +313,7 @@ _BOX_RADIUS = Field("box_radius", _rational, "4", low=0,
                     help="working box half-width in z (rational)")
 _DELTA = Field("delta", _rational, "1", low=0, help="parameter box radius")
 _T = Field("t", _point, REQUIRED, help="parameter point, e.g. '1/2,-1'")
-_TOL = Field("tol", _rational, "1/100000000")
+_TOL = Field("tol", _rational, "1/100000000", low=0)
 _RANGE = _seq(_rational, ",", 2, 2)
 _CURVE = ("semigroup", "branch")
 
@@ -345,14 +345,14 @@ OPS = {
         "search for a parameter with no critical point",
         lambda u, v: ({"witness": serialize.jsonable(herman_probe(
             u, v["budget"], v["delta"], v["seed"], v["box_radius"]))}, True),
-        Field("budget", _integer, "100"), _DELTA),
+        Field("budget", _integer, "100", low=0), _DELTA),
     "discriminant": _germ_op("exact discriminant (n = 1)", _discriminant),
     "cerf": _germ_op(
         "critical values along a parameter path", _cerf,
         Field("path", _seq(_point, ";", least=2), REQUIRED,
               help="breakpoints, e.g. '-1/2,0;1/2,0'"),
         Field("steps", _integer, "32", low=1), _DELTA,
-        Field("hessian_tol", _rational, "1/1000000"),
+        Field("hessian_tol", _rational, "1/1000000", low=0),
         Field("svg", help="write the trace figure here"),
         Field("csv", help="write per-step critical values here")),
     "maxwell": _germ_op(
@@ -360,7 +360,7 @@ OPS = {
         lambda u, v: ({"points": serialize.jsonable(maxwell_scan(
             u, v["samples"], v["delta"], v["seed"], v["tol"],
             v["box_radius"], v["segment"] and [v["segment"]]))}, True),
-        Field("samples", _integer, "50"),
+        Field("samples", _integer, "50", low=0),
         Field("segment", _seq(_point, ";", 2, 2),
               help="explicit segment 'a1,a2;b1,b2' instead of sampling"),
         _DELTA, _TOL),
@@ -369,7 +369,8 @@ OPS = {
         lambda u, v: ({"witness": serialize.jsonable(equal_level_search(
             u, v["index"], v["budget"], v["tol"], v["delta"], v["seed"],
             v["box_radius"]))}, True),
-        Field("index", _integer, REQUIRED), Field("budget", _integer, "200"),
+        Field("index", _integer, REQUIRED),
+        Field("budget", _integer, "200", low=0),
         _DELTA, _TOL),
     "slice": _germ_op(
         "fiber root counts over a (lambda, t) slice", _slice,

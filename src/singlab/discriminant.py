@@ -10,18 +10,19 @@ the configured budgets are labeled 'unresolved' rather than guessed.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (BoxEscape, DegenerateParameter, IdentityViolation,
-                     InvalidInput, PathOutsideBox, UnsupportedDimension)
+from .errors import (IdentityViolation, InvalidInput, PathOutsideBox,
+                     UnsupportedDimension)
 from .milnor import Unfolding
 from .morselab import (DEFAULT_BOX_RADIUS, DEFAULT_DELTA, CriticalPoint,
                        MorseReport, ParameterPoint, critical_points,
-                       morse_report, sample_parameter)
+                       morse_report, report_or_reason, sample_parameters)
 from .poly import GREVLEX, Polynomial
-from .resultant import poly_determinant, resultant  # bench/tracing.py wraps resultant
+from .realroots import count_distinct_roots
+# bench/tracing.py wraps critical_points and resultant, unused here
+from .resultant import poly_determinant, resultant
 
 LAMBDA = "lambda"
 VALUE_TOL = Fraction(1, 10 ** 8)
@@ -79,7 +80,7 @@ def exact_discriminant_1d(u: Unfolding) -> DiscriminantCurve:
         raise UnsupportedDimension("exact discriminants only for n = 1")
     zname = u.z_names[0]
     ring = (LAMBDA,) + u.F.variables
-    F = u.F.extend(ring)
+    F = u.F.project(ring)
     lam = Polynomial.variable(LAMBDA, ring)
     g = F.diff(zname).coeffs_in(zname)
     m = len(g) - 1
@@ -113,11 +114,10 @@ def _path_point(path: list[ParameterPoint], s: Fraction) -> ParameterPoint:
         ai + (bi - ai) * frac for ai, bi in zip(a, b)))
 
 
-def _report_at(u, path, s, r):
-    try:
-        return morse_report(u, _path_point(path, s), r)
-    except (DegenerateParameter, BoxEscape):
-        return None
+def _report_at(u: Unfolding, t: ParameterPoint, r: Fraction):
+    """The report at t, or None when t is rejected."""
+    rep = report_or_reason(morse_report, u, t, r)
+    return None if isinstance(rep, str) else rep
 
 
 def nearest_pairs(prev: list, cur: list, dist) -> list[tuple[int, int]]:
@@ -148,26 +148,22 @@ def _closest_pair_hessian(points: list[CriticalPoint]) -> float:
                      points[j].hessian_det.mag()))
 
 
-def _refine_count_change(u, path, s_lo, s_hi, r, tol, kind) -> CerfEvent:
+def _refine_count_change(u, path, s_lo, s_hi, r, tol, kind,
+                         rich_rep: MorseReport) -> CerfEvent:
     """Bisect a birth/death, at most 200 times, until the merging pair's |h|
     drops below tol.
 
     The side with more critical points (left for a death, right for a
-    birth) carries the merging pair; bisection drives that endpoint
-    toward the event.
+    birth), whose report is rich_rep, carries the merging pair; bisection
+    drives that endpoint toward the event.
     """
-    rich_s = s_lo if kind == "death" else s_hi
-    rich_rep = _report_at(u, path, rich_s, r)
-    if rich_rep is None:
-        return CerfEvent(step=0, s=(s_lo + s_hi) / 2, kind="unresolved",
-                         data={"reason": "degenerate endpoint"})
     rich_count = len(rich_rep.points)
     witness = _closest_pair_hessian(rich_rep.points)
     for _ in range(200):
         if witness < float(tol):
             break
         mid = (s_lo + s_hi) / 2
-        rep_mid = _report_at(u, path, mid, r)
+        rep_mid = _report_at(u, _path_point(path, mid), r)
         cnt = len(rep_mid.points) if rep_mid is not None else None
         if cnt == rich_count:
             if kind == "death":
@@ -200,7 +196,7 @@ def cerf_trace(u: Unfolding, path: list[ParameterPoint], steps: int,
             raise PathOutsideBox(f"breakpoint {p.t} outside |t| <= {delta}")
     r = Fraction(box_radius)
     s_values = [Fraction(j, steps) for j in range(steps + 1)]
-    samples = [_report_at(u, path, s, r) for s in s_values]
+    samples = [_report_at(u, _path_point(path, s), r) for s in s_values]
     events: list[CerfEvent] = []
     last_good = None
     for j, rep in enumerate(samples):
@@ -211,11 +207,11 @@ def cerf_trace(u: Unfolding, path: list[ParameterPoint], steps: int,
         if last_good is not None:
             prev = samples[last_good]
             if len(rep.points) != len(prev.points):
-                kind = "death" if len(rep.points) < len(prev.points) \
-                    else "birth"
+                kind, rich = ("death", prev) \
+                    if len(rep.points) < len(prev.points) else ("birth", rep)
                 ev = _refine_count_change(
                     u, path, s_values[last_good], s_values[j], r,
-                    hessian_tol, kind)
+                    hessian_tol, kind, rich)
                 ev.step = j
                 events.append(ev)
             else:
@@ -280,8 +276,8 @@ def maxwell_refine(u: Unfolding, a: ParameterPoint, b: ParameterPoint,
     """
     path = [a, b]
     r = Fraction(box_radius)
-    rep_a = _report_at(u, path, Fraction(0), r)
-    rep_b = _report_at(u, path, Fraction(1), r)
+    rep_a = _report_at(u, a, r)
+    rep_b = _report_at(u, b, r)
     if rep_a is None or rep_b is None:
         return None
     loc_a = _global_min_location(rep_a)
@@ -291,11 +287,11 @@ def maxwell_refine(u: Unfolding, a: ParameterPoint, b: ParameterPoint,
     s_lo, s_hi = Fraction(0), Fraction(1)
     for _ in range(80):
         mid = (s_lo + s_hi) / 2
-        rep = _report_at(u, path, mid, r)
+        rep = _report_at(u, _path_point(path, mid), r)
         if rep is None:
             # nudge off the degenerate midpoint
             mid = s_lo + (s_hi - s_lo) * Fraction(127, 256)
-            rep = _report_at(u, path, mid, r)
+            rep = _report_at(u, _path_point(path, mid), r)
             if rep is None:
                 return None
         loc = _global_min_location(rep)
@@ -324,13 +320,10 @@ def maxwell_scan(u: Unfolding, samples: int = 50,
                  segments: list[tuple[ParameterPoint, ParameterPoint]] | None
                  = None) -> list[MaxwellPoint]:
     """Maxwell points found along random (or supplied) parameter segments."""
-    rng = random.Random(seed)
-    dim = len(u.parameter_names)
     out = []
     if segments is None:
-        segments = [(sample_parameter(rng, dim, delta),
-                     sample_parameter(rng, dim, delta))
-                    for _ in range(samples)]
+        points = sample_parameters(u, 2 * samples, delta, seed)
+        segments = zip(points, points)  # consecutive draws a, b
     for a, b in segments:
         found = maxwell_refine(u, a, b, tol, box_radius)
         if found is not None:
@@ -350,15 +343,14 @@ def equal_level_search(u: Unfolding, index: int, budget: int = 200,
     Absence of a witness proves nothing; a parameter with at most one
     index-i point qualifies vacuously and is flagged 'singleton'.
     """
-    rng = random.Random(seed)
-    dim = len(u.parameter_names)
+    if not 0 <= index <= u.n:
+        raise InvalidInput(f"index: {index} is not between 0 and {u.n}")
     r = Fraction(box_radius)
     grid = 2 ** 24
 
     def level_gap(t: ParameterPoint):
-        try:
-            rep = morse_report(u, t, r)
-        except (DegenerateParameter, BoxEscape):
+        rep = _report_at(u, t, r)
+        if rep is None:
             return None, None
         vals = sorted(float(p.value.mid()) for p in rep.points
                       if p.index == index)
@@ -368,8 +360,7 @@ def equal_level_search(u: Unfolding, index: int, budget: int = 200,
 
     start = None
     singleton = None
-    for _ in range(budget):
-        t = sample_parameter(rng, dim, delta)
+    for t in sample_parameters(u, budget, delta, seed):
         vals, gap = level_gap(t)
         if vals is None:
             continue
@@ -387,7 +378,7 @@ def equal_level_search(u: Unfolding, index: int, budget: int = 200,
         if gap < float(tol):
             break
         improved = False
-        for k in range(dim):
+        for k in range(len(coords)):
             lo, hi = -Fraction(delta), Fraction(delta)
             for _ in range(48):
                 third = (hi - lo) / 3
@@ -459,31 +450,25 @@ def slice_sample(u: Unfolding, t_axis: str,
     if set(fixed) != set(others):
         raise InvalidInput(f"fixed: give one value for each of "
                            f"{', '.join(others) or 'no parameter'}")
-    from .realroots import count_distinct_roots
     r = Fraction(box_radius)
     disc = exact_discriminant_1d(u) if grid > 1 else None
     l0, l1 = Fraction(lambda_range[0]), Fraction(lambda_range[1])
     a0, a1 = Fraction(t_range[0]), Fraction(t_range[1])
+    columns = []  # the parameters and F_t of each t_axis cell
+    for j in range(grid):
+        assign = {**fixed,
+                  t_axis: a0 + (a1 - a0) * Fraction(2 * j + 1, 2 * grid)}
+        columns.append((assign, u.specialize(
+            tuple(assign[t] for t in u.parameter_names))))
     counts, signs = [], []
     for i in range(grid):
         lam = l0 + (l1 - l0) * Fraction(2 * i + 1, 2 * grid)
-        row_c, row_s = [], []
-        for j in range(grid):
-            tv = a0 + (a1 - a0) * Fraction(2 * j + 1, 2 * grid)
-            assign = dict(fixed)
-            assign[t_axis] = tv
-            Ft = u.specialize(tuple(assign[t] for t in u.parameter_names))
-            row_c.append(count_distinct_roots(Ft - lam, -r, r))
-            if disc is not None:
-                full = dict(assign)
-                full[LAMBDA] = lam
-                val = disc.poly.evaluate(
-                    {v: full.get(v, Fraction(0))
-                     for v in disc.poly.variables})
-                row_s.append(0 if val == 0 else (1 if val > 0 else -1))
-        counts.append(row_c)
+        counts.append([count_distinct_roots(Ft - lam, -r, r)
+                       for _, Ft in columns])
         if disc is not None:
-            signs.append(row_s)
+            values = [disc.poly.evaluate({**assign, LAMBDA: lam})
+                      for assign, _ in columns]
+            signs.append([(v > 0) - (v < 0) for v in values])
     return SliceGrid(lambda_range=(float(l0), float(l1)), t_axis=t_axis,
                      t_range=(float(a0), float(a1)), fixed=fixed, grid=grid,
                      root_counts=counts, disc_signs=signs or None)

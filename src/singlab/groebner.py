@@ -33,7 +33,7 @@ import os
 from fractions import Fraction
 
 from .errors import BudgetExceeded, InvalidInput, VariableMismatch
-from .poly import GREVLEX, Exponents, MonomialOrder, Polynomial
+from .poly import GREVLEX, LEX, Exponents, MonomialOrder, Polynomial
 
 DEFAULT_BUDGET = 200_000
 
@@ -255,8 +255,7 @@ def eliminate(generators: list[Polynomial], drop: list[str]
     variables = generators[0].variables
     front = tuple(v for v in variables if v in drop)
     back = tuple(v for v in variables if v not in drop)
-    gb = groebner_basis([g.extend(front + back) for g in generators],
-                        MonomialOrder("lex"))
+    gb = groebner_basis([g.project(front + back) for g in generators], LEX)
     kept = [g for g in gb if not any(g.uses(v) for v in front)]
     return [g.project(back) for g in kept]
 

@@ -351,12 +351,27 @@ def morse_report(u: Unfolding, t: ParameterPoint,
     return morse_counts(critical_points(u, t, box_radius, margin), t, u.n)
 
 
-def sample_parameter(rng: random.Random, dim: int,
-                     delta: Fraction) -> ParameterPoint:
-    """Uniform dyadic rational point of the parameter box."""
+def sample_parameters(u: Unfolding, draws: int, delta: Fraction, seed: int):
+    """draws uniform dyadic rational points of the parameter box, from one
+    seeded stream."""
+    rng = random.Random(seed)
     d = int(Fraction(delta) * DENOMINATOR)
-    return ParameterPoint(tuple(
-        Fraction(rng.randint(-d, d), DENOMINATOR) for _ in range(dim)))
+    for _ in range(draws):
+        yield ParameterPoint(tuple(Fraction(rng.randint(-d, d), DENOMINATOR)
+                                   for _ in u.parameter_names))
+
+
+def report_or_reason(report, u: Unfolding, t: ParameterPoint,
+                     box_radius: Fraction):
+    """report(u, t, box_radius), where report is morse_report or
+    critical_points, or the reason t is rejected: 'degenerate' or
+    'box-escape'."""
+    try:
+        return report(u, t, box_radius)
+    except DegenerateParameter:
+        return "degenerate"
+    except BoxEscape:
+        return "box-escape"
 
 
 def degree_invariance_scan(u: Unfolding, samples: int,
@@ -367,28 +382,17 @@ def degree_invariance_scan(u: Unfolding, samples: int,
     """Accepted samples (at most 50 draws each) must agree on the alt sum."""
     if samples < 2:
         raise InvalidInput("need at least 2 samples")
-    rng = random.Random(seed)
     budget = 50 * samples
-    dim = len(u.parameter_names)
     rejected: dict[str, int] = {}
     histograms: dict[tuple[int, ...], int] = {}
     rows = []
     alt = None
     accepted = 0
-    for _ in range(budget):
-        if accepted >= samples:
-            break
-        t = sample_parameter(rng, dim, delta)
-        try:
-            report = morse_report(u, t, box_radius)
-        except DegenerateParameter:
-            rejected["degenerate"] = rejected.get("degenerate", 0) + 1
-            continue
-        except BoxEscape:
-            rejected["box-escape"] = rejected.get("box-escape", 0) + 1
-            continue
-        if not report.excellent:
-            rejected["non-excellent"] = rejected.get("non-excellent", 0) + 1
+    for t in sample_parameters(u, budget, delta, seed):
+        report = report_or_reason(morse_report, u, t, box_radius)
+        if isinstance(report, str) or not report.excellent:
+            reason = report if isinstance(report, str) else "non-excellent"
+            rejected[reason] = rejected.get(reason, 0) + 1
             continue
         accepted += 1
         histograms[report.counts] = histograms.get(report.counts, 0) + 1
@@ -400,6 +404,8 @@ def degree_invariance_scan(u: Unfolding, samples: int,
         elif alt != report.alt_sum:
             raise InconsistentDegree(
                 f"alt_sum {report.alt_sum} at {t.t} disagrees with {alt}")
+        if accepted == samples:
+            break
     if accepted < 2:
         raise InsufficientAcceptance(
             f"only {accepted} accepted samples within budget {budget}")
@@ -455,15 +461,9 @@ def herman_probe(u: Unfolding, budget: int = 100,
 
     Absence of a witness proves nothing about surjectivity.
     """
-    rng = random.Random(seed)
-    dim = len(u.parameter_names)
-    for _ in range(budget):
-        t = sample_parameter(rng, dim, delta)
-        try:
-            pts = critical_points(u, t, box_radius)
-        except (DegenerateParameter, BoxEscape):
-            continue
-        if not pts:
+    for t in sample_parameters(u, budget, delta, seed):
+        # [] is a witness; a rejection reason is a nonempty string
+        if not report_or_reason(critical_points, u, t, box_radius):
             if u.n == 1:
                 cert = "Sturm count of dF_t/dz on the box is zero"
             else:

@@ -248,37 +248,6 @@ class Polynomial:
             total += prod
         return total
 
-    def substitute(self, values: Mapping[str, Fraction]) -> "Polynomial":
-        """Substitute rationals for some variables; drop them from the ring."""
-        keep = [v for v in self.variables if v not in values]
-        idx = [self.variables.index(v) for v in keep]
-        sub = [(self.variables.index(v), Fraction(values[v])) for v in values
-               if v in self.variables]
-        terms: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            for i, x in sub:
-                if e[i]:
-                    c = c * x ** e[i]
-            ne = tuple(e[i] for i in idx)
-            terms[ne] = terms.get(ne, 0) + c
-        return self._of(tuple(keep), {e: c for e, c in terms.items() if c})
-
-    def extend(self, variables: Iterable[str]) -> "Polynomial":
-        """Reinterpret over a larger variable tuple (superset, any order)."""
-        variables = tuple(variables)
-        pos = []
-        for v in self.variables:
-            if v not in variables:
-                raise VariableMismatch(f"{v} not in target variables")
-            pos.append(variables.index(v))
-        terms: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(variables)
-            for p, k in zip(pos, e):
-                ne[p] = k
-            terms[tuple(ne)] = c
-        return self._of(variables, terms)
-
     def restrict(self) -> "Polynomial":
         """Drop variables that do not occur."""
         used = tuple(v for i, v in enumerate(self.variables)
@@ -288,15 +257,21 @@ class Polynomial:
         return self.project(used)
 
     def project(self, variables: Iterable[str]) -> "Polynomial":
-        """Reinterpret over a sub-tuple; fails if a dropped variable occurs."""
+        """Reinterpret over another variable tuple, in any order, that may
+        add variables or leave some out; fails if one left out occurs."""
         variables = tuple(variables)
-        idx = [self.variables.index(v) for v in variables]
-        dropped = [i for i, v in enumerate(self.variables) if v not in variables]
+        pos = [variables.index(v) if v in variables else None
+               for v in self.variables]
         terms: dict[Exponents, Fraction] = {}
         for e, c in self.terms.items():
-            if any(e[i] for i in dropped):
-                raise VariableMismatch("polynomial uses a dropped variable")
-            terms[tuple(e[i] for i in idx)] = c
+            ne = [0] * len(variables)
+            for i, k in zip(pos, e):
+                if k:
+                    if i is None:
+                        raise VariableMismatch(
+                            "polynomial uses a dropped variable")
+                    ne[i] = k
+            terms[tuple(ne)] = c
         return self._of(variables, terms)
 
     # -- univariate views --------------------------------------------------
@@ -340,12 +315,6 @@ class Polynomial:
         if not self.terms:
             return self
         return self * (1 / self.content())
-
-    def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
-        if not self.terms:
-            return self
-        _, lc = self.leading(order)
-        return self * (1 / lc)
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Exact quotient self/divisor; raises if division is not exact."""

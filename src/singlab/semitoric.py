@@ -589,7 +589,7 @@ def overweight_check(d: OverweightDeformation) -> list[OverweightVerdict]:
             s.variables,
             {e: c for e, c in s.terms.items()
              if _weight_of_exps(e, d.weights) == w})
-        ok = initial == expected.extend(s.variables)
+        ok = initial == expected.project(s.variables)
         detail = "initial form matches; all other terms heavier" if ok else \
             f"initial form {initial} at weight {w} differs from {expected}"
         out.append(OverweightVerdict(ok=ok, initial_form=initial,

@@ -27,7 +27,7 @@ from singlab.errors import BoxEscape, DegenerateParameter
 from singlab.milnor import analyze_germ, unfold_germ
 from singlab.morselab import (ParameterPoint, critical_points,
                               degree_invariance_scan, euler_fiber_check,
-                              herman_probe, sample_parameter)
+                              herman_probe, sample_parameters)
 from singlab.poly import parse_polynomial
 from singlab.semitoric import (OverweightDeformation, PlaneBranch, Series,
                                branch_embedding, branch_semigroup,
@@ -106,13 +106,10 @@ def test_criterion_02_jacobian_identity():
 def _accepted_samples(germ, names, count=100, seed=0):
     """(t, points) for `count` accepted parameter samples."""
     u = _unfold(germ, names)
-    rng = random.Random(seed)
-    dim = len(u.parameter_names)
     out = []
-    for _ in range(60 * count):
+    for t in sample_parameters(u, 60 * count, Fraction(1), seed):
         if len(out) >= count:
             break
-        t = sample_parameter(rng, dim, Fraction(1))
         try:
             pts = critical_points(u, t)
         except (DegenerateParameter, BoxEscape):
@@ -181,13 +178,10 @@ def test_criterion_06_euler_fiber_relation():
     ok = True
     for germ in ("z^3", "z^4", "z^5", "z^6"):
         u = _unfold(germ, ("z",))
-        rng = random.Random(17)
-        dim = len(u.parameter_names)
         accepted = 0
-        for _ in range(2000):
+        for t in sample_parameters(u, 2000, Fraction(1), 17):
             if accepted >= 20:
                 break
-            t = sample_parameter(rng, dim, Fraction(1))
             try:
                 rep = euler_fiber_check(u, t)
             except (DegenerateParameter, BoxEscape):

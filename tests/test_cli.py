@@ -14,7 +14,7 @@ import pytest
 import singlab
 from singlab import figures, serialize
 from singlab.cli import OPS, main, run_manifest
-from singlab.discriminant import cerf_trace, slice_sample
+from singlab.discriminant import cerf_trace, equal_level_search, slice_sample
 from singlab.errors import InvalidInput, ManifestError
 from singlab.milnor import unfold_germ
 from singlab.morselab import (ParameterPoint, critical_points,
@@ -185,6 +185,15 @@ class TestCommands:
         ("morse", "z^3", "--t", "-1/2"),
         ("morse", "z^3"),
         (),
+        ("herman-probe", "z^3", "--budget=-2"),
+        ("herman-probe", "z^3", "--budget", "0"),
+        ("maxwell", "z^4", "--samples=-3"),
+        ("maxwell", "z^4", "--tol=-1"),
+        ("equal-level", "z^4", "--index", "0", "--budget=-1"),
+        ("equal-level", "z^4", "--index", "0", "--tol", "0"),
+        ("cerf", "z^3", "--path=-1/2;1/2", "--hessian-tol=-1"),
+        ("equal-level", "z^4", "--index", "5"),
+        ("equal-level", "z^4", "--index=-1"),
     ], ids=["germ-syntax", "t-not-rational", "box-radius-not-rational",
             "one-cerf-step", "one-scan-sample", "weights-not-integers",
             "segment-of-one-point", "expected-not-binomial",
@@ -194,7 +203,11 @@ class TestCommands:
             "morse-t-too-short", "euler-t-too-long", "cerf-path-too-short",
             "maxwell-segment-too-short",
             "negative-fraction-as-flag", "missing-required-flag",
-            "missing-command"])
+            "missing-command", "herman-budget-negative", "herman-budget-zero",
+            "maxwell-samples-negative", "maxwell-tol-negative",
+            "equal-level-budget-negative", "equal-level-tol-zero",
+            "cerf-hessian-tol-negative", "equal-level-index-above-n",
+            "equal-level-index-negative"])
     def test_bad_input_exit_two(self, capsys, argv):
         code, out = run_cli(capsys, *argv)
         assert code == 2
@@ -539,9 +552,12 @@ class TestLibraryInputErrors:
         lambda u: overweight_check(OverweightDeformation(
             (2, 3), (parse_polynomial("y^2", ("x", "y")),),
             (parse_polynomial("y^2 - x", ("x", "y")),))),
+        lambda u: equal_level_search(u, 2),
+        lambda u: equal_level_search(u, -1),
     ], ids=["syntax", "unknown-variable", "box-radius", "t-length",
             "slice-grid", "samples", "steps",
-            "path", "not-weight-homogeneous"])
+            "path", "not-weight-homogeneous", "index-above-n",
+            "index-negative"])
     def test_raises_invalid_input(self, call):
         u = unfold_germ(parse_polynomial("z^3", ("z",)))
         with pytest.raises(InvalidInput):

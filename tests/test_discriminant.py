@@ -33,7 +33,7 @@ def sylvester_discriminant(u):
     primitive with a positive top lambda-coefficient."""
     z = u.z_names[0]
     ring = (LAMBDA,) + u.F.variables
-    F = u.F.extend(ring)
+    F = u.F.project(ring)
     res = resultant(F - Polynomial.variable(LAMBDA, ring), F.diff(z), z)
     res = res.primitive()
     if res.coeffs_in(LAMBDA)[-1].leading(GREVLEX)[1] < 0:

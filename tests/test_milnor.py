@@ -213,9 +213,9 @@ class TestUnfolding:
         # F = f + t1 g1 + t2 g2 + ... term by term, in the same term order
         u = unfold_germ(P(germ, names))
         ring = u.F.variables
-        F = u.analysis.f.extend(ring)
+        F = u.analysis.f.project(ring)
         for t, g in zip(u.parameter_names, u.deformation_monomials):
-            F = F + Polynomial.variable(t, ring) * g.extend(ring)
+            F = F + Polynomial.variable(t, ring) * g.project(ring)
         assert list(u.F.terms.items()) == list(F.terms.items())
 
     def test_specialize_follows_a_replaced_F(self):
