@@ -74,6 +74,12 @@ def _rational(raw) -> Fraction:
     raise _bad(raw, "a rational")
 
 
+def _margin(raw) -> Fraction:
+    if (value := _rational(raw)) < 0:  # 0 is a margin, below it is none
+        raise _bad(raw, "at least 0")
+    return value
+
+
 def _seq(item, sep=",", least=1, most=None):
     """A list of items; on the command line, text split at sep."""
     def convert(raw):
@@ -245,6 +251,7 @@ def _cerf(u, v):
     _write(v["svg"], figures.cerf_svg, trace)
     _write(v["csv"], _cerf_csv, trace)
     return {"steps": trace.steps, "events": serialize.jsonable(trace.events),
+            "certified": trace.certified,
             "counts": [len(r.points) if r is not None else None
                        for r in trace.samples]}, \
         not any(e.kind == "unresolved" for e in trace.events)
@@ -332,7 +339,7 @@ OPS = {
     "morse": _germ_op(
         "certified critical points of F_t", lambda u, v: _report(morse_report(
             u, v["t"], v["box_radius"], v["margin"])),
-        _T, Field("margin", _rational, "1/1000000000",
+        _T, Field("margin", _margin, "1/1000000000",
                   help="hessian degeneracy margin (rational)")),
     "degree-scan": _germ_op(
         "alternating-sum invariance over random samples", _degree_scan,

@@ -194,6 +194,7 @@ class TestCommands:
         ("cerf", "z^3", "--path=-1/2;1/2", "--hessian-tol=-1"),
         ("equal-level", "z^4", "--index", "5"),
         ("equal-level", "z^4", "--index=-1"),
+        ("morse", "z^3", "--t=-3", "--margin=-1"),
     ], ids=["germ-syntax", "t-not-rational", "box-radius-not-rational",
             "one-cerf-step", "one-scan-sample", "weights-not-integers",
             "segment-of-one-point", "expected-not-binomial",
@@ -207,7 +208,7 @@ class TestCommands:
             "maxwell-samples-negative", "maxwell-tol-negative",
             "equal-level-budget-negative", "equal-level-tol-zero",
             "cerf-hessian-tol-negative", "equal-level-index-above-n",
-            "equal-level-index-negative"])
+            "equal-level-index-negative", "morse-margin-negative"])
     def test_bad_input_exit_two(self, capsys, argv):
         code, out = run_cli(capsys, *argv)
         assert code == 2
@@ -441,8 +442,12 @@ class TestManifest:
          "jobs[0].tasks[0].sampels"),
         ({"kind": "unfolding", "germ": "z^3", "box_radus": "2",
           "tasks": [{"op": "analyze"}]}, "jobs[0].box_radus"),
+        ({"kind": "unfolding", "germ": "z^3",
+          "tasks": [{"op": "morse", "t": ["-3"], "margin": "-1/2"}]},
+         "jobs[0].tasks[0].margin"),
     ], ids=["germ-syntax", "t-not-rational", "y-exponent-not-integral",
-            "x-exponent-bool", "unknown-task-key", "unknown-job-key"])
+            "x-exponent-bool", "unknown-task-key", "unknown-job-key",
+            "margin-negative"])
     def test_bad_field_rejected_at_validation(self, job, field):
         with pytest.raises(ManifestError) as err:
             run_manifest({"schema": "singlab-manifest/1", "jobs": [job]})
@@ -520,6 +525,13 @@ class TestOpTable:
                 "margin": "100"}
         assert _one_task(GERM, task) == (cli_payload, False)
 
+    def test_margin_zero_is_accepted(self, capsys):
+        # a margin of 0 rejects only a Hessian determinant enclosing 0
+        code, out = run_cli(capsys, "morse", "z^3", "--t=-3", "--margin=0")
+        assert code == 0 and out["counts"] == [1, 1]
+        task = {"op": "morse", "t": ["-3"], "margin": 0}
+        assert _one_task(GERM, task) == (out, True)
+
     def test_readme_commands_run(self, capsys, tmp_path, monkeypatch):
         """Every README command line runs: exit 0, or 3 for a negative
         verdict; `run experiment.json` runs the README's manifest."""
@@ -580,12 +592,15 @@ class TestFigures:
         assert a == b
 
     # golden key -> (germ, path breakpoints, steps, delta): a z^3 death, a
-    # z^4 Maxwell event at step 16, and z^4 births and deaths
+    # z^4 Maxwell event at s = 1/2 between samples and on sample 16, and
+    # z^4 births, deaths and a Maxwell point
     SVG_CASES = {
         "z^3 | -1/2 -> 1/2 | steps=40 delta=1":
             ("z^3", [(-Fraction(1, 2),), (Fraction(1, 2),)], 40, 1),
         "z^4 | -1,-2 -> 1,-2 | steps=31 delta=2":
             ("z^4", [(-1, -2), (1, -2)], 31, 2),
+        "z^4 | -1,-2 -> 1,-2 | steps=32 delta=2":
+            ("z^4", [(-1, -2), (1, -2)], 32, 2),
         "z^4 | 0,-2 -> 1/3,1/2 -> -1/2,-1 | steps=48 delta=3":
             ("z^4", [(0, -2), (Fraction(1, 3), Fraction(1, 2)),
                      (-Fraction(1, 2), -1)], 48, 3),

@@ -1,6 +1,7 @@
 """Exact discriminants, Cerf traces, Maxwell scans, equal-level probe."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlab.discriminant import (LAMBDA, cerf_trace, equal_level_search,
-                                  exact_discriminant_1d, maxwell_refine,
-                                  maxwell_scan, slice_sample)
+from singlab import discriminant
+from singlab.discriminant import (LAMBDA, PATH_S, cerf_trace,
+                                  equal_level_search, exact_discriminant_1d,
+                                  maxwell_refine, maxwell_scan, slice_sample)
 from singlab.errors import (IdentityViolation, PathOutsideBox,
                             UnsupportedDimension)
 from singlab.milnor import unfold_germ
-from singlab.morselab import ParameterPoint
+from singlab.morselab import ParameterPoint, morse_report
 from singlab.poly import GREVLEX, Polynomial, parse_polynomial
 from singlab.realroots import count_distinct_roots
 from singlab.resultant import resultant
@@ -150,6 +152,147 @@ class TestCerfTrace:
     def test_path_outside_box_rejected(self):
         with pytest.raises(PathOutsideBox):
             cerf_trace(U("z^3", ("z",)), [T(0), T(5)], steps=10)
+
+
+def segment_polynomials(u, a, b):
+    """(E, C, X, p) as the one segment a -> b computes them: the arguments
+    and result of its _crossing_factor call, and the polynomial whose roots
+    it isolates."""
+    seen = []
+    real = discriminant._crossing_factor
+
+    def spy(E, C):
+        seen.append((E, C, real(E, C)))
+        return seen[-1][2]
+    discriminant._crossing_factor = spy
+    try:
+        _, p = discriminant._segment_roots(u, [a, b], 0, Fraction(4))
+    finally:
+        discriminant._crossing_factor = real
+    (E, C, X), = seen
+    return E, C, X, p
+
+
+def proportional(ours, theirs):
+    ratio = sympy.cancel(to_sympy(ours) / theirs)
+    return ratio.is_Rational and ratio != 0
+
+
+class TestExactEvents:
+    """n = 1 events from the roots of exact polynomials in the path's s."""
+
+    def test_maxwell_point_on_a_sample(self):
+        # s = 1/2 is sample 16, where t1 = 0 and the two minima are equal
+        trace = cerf_trace(U("z^4", ("z",)), [T(-1, -2), T(1, -2)],
+                           steps=32, delta=2)
+        assert trace.certified
+        assert [(e.kind, e.s, e.step) for e in trace.events] == \
+            [("maxwell", Fraction(1, 2), 16)]
+        assert trace.events[0].data == {"values": [-1.0, -1.0],
+                                        "indices": [0, 0]}
+
+    def test_two_crossings_between_adjacent_samples(self):
+        # t1 runs 1/8 -> -1/8 -> 1/8 twice: the samples s = 0, 1/2, 1 are
+        # all at t = (1/8, -2), and the minima swap at s = k/8, k odd
+        e = Fraction(1, 8)
+        path = [T(e, -2), T(-e, -2), T(e, -2), T(-e, -2), T(e, -2)]
+        trace = cerf_trace(U("z^4", ("z",)), path, steps=2, delta=2)
+        assert [len(r.points) for r in trace.samples] == [3, 3, 3]
+        assert [(ev.kind, ev.s, ev.step) for ev in trace.events] == [
+            ("maxwell", Fraction(k, 8), (k + 3) // 4) for k in (1, 3, 5, 7)]
+
+    def test_exact_maxwell_point(self):
+        # t1 = -1/2 + 3s/2 = 0 at s = 1/3, not a dyadic point, where
+        # t2 = -3/2 + 1/12
+        point = maxwell_refine(U("z^4", ("z",)),
+                               T(Fraction(-1, 2), Fraction(-3, 2)),
+                               T(1, Fraction(-5, 4)))
+        assert point.t == T(0, Fraction(-17, 12))
+        assert point.minima[0] == point.minima[1] and point.gap == 0
+
+    def test_path_through_the_cusp_uses_E(self):
+        # E = c (2s - 1)^8 (64s - 5)^3 and C = c' (2s - 1)^2 (64s - 5):
+        # X = 2s - 1 is exact but shares the cusp root s = 1/2 with C
+        u = U("z^4", ("z",))
+        a, b = T(Fraction(-1, 2), -1), T(Fraction(1, 2), 1)
+        E, C, X, p = segment_polynomials(u, a, b)
+        assert X is not None and X.degree_in(PATH_S) == 1
+        p.exact_div(E)  # the roots isolated are those of E (times the box)
+        # the side reports pass the cusp (one point on both sides) and
+        # keep the death at the caustic root 5/64
+        trace = cerf_trace(u, [a, b], steps=15)
+        assert trace.certified
+        assert [(e.kind, e.s) for e in trace.events] == \
+            [("death", Fraction(5, 64))]
+        assert trace.events[0].data["hessian_witness"] < 1e-6
+
+    def test_death_through_the_origin(self):
+        # at t = 0 two critical points of z^5 merge with a third, so |h|
+        # drops like a higher power of the distance than at a fold; the
+        # witness is still bisected down from an accepted report
+        a = T(Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 3))
+        trace = cerf_trace(U("z^5", ("z",)), [a, T(*(-x for x in a.t))],
+                           steps=31)
+        assert [(e.kind, e.s) for e in trace.events] == \
+            [("death", Fraction(1, 2))]
+        assert trace.events[0].data["hessian_witness"] < 1e-6
+
+    def test_crossing_of_minima_above_the_lowest(self):
+        # two of the three minima of z^6 swap at s ~ 0.1935 while a third
+        # stays lower: a crossing, not a Maxwell point
+        u = U("z^6", ("z",))
+        path = [T(Fraction(-1, 2), Fraction(-1, 2), Fraction(3, 2), -2),
+                T(Fraction(7, 4), 2, Fraction(-3, 2), 0)]
+        trace = cerf_trace(u, path, steps=2, delta=2)
+        assert [e.kind for e in trace.events] == \
+            ["birth", "crossing", "death", "death"]
+        crossing = trace.events[1]
+        assert crossing.data["indices"] == [0, 0]
+        values = [float(p.value.mid()) for p in morse_report(
+            u, discriminant._path_point(path, crossing.s)).points]
+        assert min(values) < min(crossing.data["values"]) - 1e-3
+
+    def test_point_leaving_the_box(self):
+        # the two points of z^3 + t1 z leave [-1, 1] at t1 = -3, s = 1/2,
+        # where F'(1) = F'(-1) = 0; beyond it every report is rejected
+        trace = cerf_trace(U("z^3", ("z",)), [T(-4), T(-2)], steps=5,
+                           box_radius=1, delta=4)
+        assert [(e.s, e.data["reason"]) for e in trace.events] == [
+            (0, "degenerate-step"), (Fraction(1, 5), "degenerate-step"),
+            (Fraction(2, 5), "degenerate-step"),
+            (Fraction(1, 2), "degenerate-side")]
+
+    def test_path_in_the_maxwell_stratum_is_unresolved(self):
+        # t1 = 0 all along: the two minima have equal values, so E = 0
+        trace = cerf_trace(U("z^4", ("z",)), [T(0, -2), T(0, -1)], steps=4,
+                           delta=2)
+        assert [(e.kind, e.data) for e in trace.events] == \
+            [("unresolved", {"reason": "values-coincide-on-path"})]
+
+    def test_two_variable_trace_is_sampled(self):
+        trace = cerf_trace(U("z^3 + w^3", ("z", "w")),
+                           [T(-1, 0, 0), T(1, 0, 0)], steps=4)
+        assert not trace.certified
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_eliminants_match_sympy(self, k):
+        """C ~ Res_z(F', F''), E ~ disc_lambda(Res_z(F - lambda, F')) and
+        C^3 X^2 ~ E on seeded paths of A_(k-1) with small dyadic ends."""
+        rng = random.Random(k)
+        u = U(f"z^{k}", ("z",))
+        z, lam, s = sympy.symbols(("z", LAMBDA, PATH_S))
+        for _ in range(2):
+            a, b = (T(*(Fraction(rng.randint(-8, 8), 8)
+                        for _ in u.parameter_names)) for _ in range(2))
+            E, C, X, _ = segment_polynomials(u, a, b)
+            F = to_sympy(u.F).subs({
+                sympy.Symbol(name): x + s * (y - x)
+                for name, x, y in zip(u.parameter_names, a, b)})
+            dF = sympy.diff(F, z)
+            assert proportional(C, sympy.resultant(dF, sympy.diff(dF, z), z))
+            D = sympy.resultant(F - lam, dF, z)
+            assert proportional(E, sympy.discriminant(D, lam))
+            assert X is not None and proportional(E, to_sympy(C ** 3 * X * X))
 
 
 class TestMaxwell:
