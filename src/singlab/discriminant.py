@@ -189,6 +189,11 @@ class _Root:
         x = self.exact()
         return self.iv.mid() if x is None else x
 
+    def at(self, s: Fraction) -> bool:
+        """Whether s is this root, checked exactly."""
+        return self.iv.lo <= s <= self.iv.hi and \
+            self.p.evaluate({PATH_S: s}) == 0
+
 
 def _path_roots(u: Unfolding, path: list[ParameterPoint], r: Fraction):
     """The _segment_roots of each segment in path order, or None.  A root
@@ -261,7 +266,15 @@ def _path_point(path: list[ParameterPoint], s: Fraction) -> ParameterPoint:
     frac = x - i
     a, b = path[i].t, path[i + 1].t
     return ParameterPoint(tuple(
-        ai + (bi - ai) * frac for ai, bi in zip(a, b)))
+        ai + (bi - ai) * frac for ai, bi in zip(a, b, strict=True)))
+
+
+def _check_path(u: Unfolding, path: list[ParameterPoint]) -> None:
+    """Every breakpoint has one coordinate per parameter of u."""
+    for k, p in enumerate(path):
+        if len(p) != len(u.parameter_names):
+            raise InvalidInput(f"breakpoint {k} has {len(p)} coordinates, "
+                               f"expected {len(u.parameter_names)}")
 
 
 def _report_at(u: Unfolding, t: ParameterPoint, r: Fraction):
@@ -407,6 +420,7 @@ def cerf_trace(u: Unfolding, path: list[ParameterPoint], steps: int,
         raise InvalidInput("need at least 2 steps")
     if len(path) < 2:
         raise InvalidInput("path needs at least 2 breakpoints")
+    _check_path(u, path)
     for p in path:
         if any(abs(x) > delta for x in p.t):
             raise PathOutsideBox(f"breakpoint {p.t} outside |t| <= {delta}")
@@ -414,22 +428,25 @@ def cerf_trace(u: Unfolding, path: list[ParameterPoint], steps: int,
     s_values = [Fraction(j, steps) for j in range(steps + 1)]
     report = _reports(u, path, r)
     samples = [report(s) for s in s_values]
-    events = []
+    events, roots = [], []
     if u.n == 1:
         if (roots := _path_roots(u, path, r)) is None:
             events.append(CerfEvent(0, Fraction(0), "unresolved",
                                     {"reason": "values-coincide-on-path"}))
-        brackets = _brackets(roots or [], report, s_values)
+            roots = []
+        brackets = _brackets(roots, report, s_values)
     else:
         good = [(s, rep) for s, rep in zip(s_values, samples) if rep]
         brackets = ((None, a, b) for a, b in zip(good, good[1:]))
     found = list(_events(brackets, report, hessian_tol, VALUE_TOL))
     spans = [span for _, _, span in found if span]
-    # a rejected sample inside a birth or death is that event's own point
+    # a rejected sample inside a birth or death, or on a root (n = 1), is
+    # decided by that event or by the root's side reports
     events += [ev for ev, _, _ in found] + [
         CerfEvent(0, s, "unresolved", {"reason": "degenerate-step"})
         for s, rep in zip(s_values, samples)
-        if rep is None and not any(s0 < s < s1 for s0, s1 in spans)]
+        if rep is None and not any(s0 < s < s1 for s0, s1 in spans)
+        and not any(root.at(s) for root in roots)]
     events.sort(key=lambda e: e.s)
     for e in events:
         e.step = math.ceil(e.s * steps)
@@ -470,6 +487,7 @@ def maxwell_refine(u: Unfolding, a: ParameterPoint, b: ParameterPoint,
     must switch basins between the segment's ends.
     """
     path, r = [a, b], Fraction(box_radius)
+    _check_path(u, path)
     report = _reports(u, path, r)
     ends = (Fraction(0), Fraction(1))
     loc_a, loc_b = (_global_min_location(report(s)) for s in ends)

@@ -1,12 +1,12 @@
 """Certified real critical-point analysis of F_t on a working box.
 
 n = 1 and n = 2 share one path.  Candidate boxes come from exact root
-isolation of F_t' (n = 1), or from resultant elimination in each variable
-and interval Newton (n = 2; Moore, Kearfott & Cloud 2009) on integer
-enclosures (lo, hi, den), so they provably hold all real critical points
-in the box.  One classifier shrinks each box until the sign of
-det(Hess F_t) is known and reads the Morse index from it.  Parameters too
-close to the bifurcation set are rejected rather than resolved.
+isolation of F_t' (n = 1), or from pairs of the roots of the resultant in
+each variable, each refined to CANDIDATE_WIDTH, and interval Newton (n = 2;
+Moore, Kearfott & Cloud 2009) on integer enclosures (lo, hi, den): they
+provably hold all real critical points in the box.  One classifier shrinks
+each box until det(Hess F_t) has a known sign, which gives the Morse index.
+Parameters too close to the bifurcation set are rejected, not resolved.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ DEFAULT_BOX_RADIUS = Fraction(4)
 DEFAULT_DELTA = Fraction(1)
 DEFAULT_MARGIN = Fraction(1, 10 ** 9)
 VALUE_WIDTH = Fraction(1, 2 ** 60)
+CANDIDATE_WIDTH = Fraction(1, 2 ** 32)  # n = 2 eliminant roots, before Newton
 DENOMINATOR = 2 ** 16
 
 
@@ -250,7 +251,8 @@ def _boxes_2d(grad, hess, z, r: Fraction) -> list[dict[str, RatInterval]]:
     if rz.is_zero() or rw.is_zero():
         raise DegenerateParameter("elimination collapsed; system not finite")
     roots = [[] if q.is_constant() else
-             _roots_in_box(q, r, f"elimination root in {var}")
+             [iv.refine(CANDIDATE_WIDTH)
+              for iv in _roots_in_box(q, r, f"elimination root in {var}")]
              for var, q in ((z1, rz), (z2, rw))]
     return [out for ivz in roots[0] for ivw in roots[1]
             for status, out in _resolve_candidate(grad, hess,

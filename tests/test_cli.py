@@ -214,6 +214,18 @@ class TestCommands:
         assert code == 2
         assert out["error"]["type"] == "InvalidInput"
 
+    @pytest.mark.parametrize("argv", [
+        ("maxwell", "z^4", "--segment=-1,-2;1,-2,5"),
+        ("cerf", "z^3", "--path=-1/2;1/2,1", "--steps", "4"),
+        ("cerf", "z^3 + w^3", "--path=0,0,0;1,1,1,1", "--steps", "4"),
+    ], ids=["maxwell-segment", "cerf-path", "cerf-path-two-variables"])
+    def test_breakpoint_of_the_wrong_length_is_named(self, capsys, argv):
+        # checked before any report, so a path is never truncated
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out["error"]["type"] == "InvalidInput"
+        assert out["error"]["message"].startswith("breakpoint 1 has")
+
     def test_usage_error_names_the_flag(self, capsys):
         _, out = run_cli(capsys, "morse", "z^3", "--t", "-1/2")
         assert "--t" in out["error"]["message"]

@@ -219,11 +219,23 @@ class TestExactEvents:
         assert X is not None and X.degree_in(PATH_S) == 1
         p.exact_div(E)  # the roots isolated are those of E (times the box)
         # the side reports pass the cusp (one point on both sides) and
-        # keep the death at the caustic root 5/64
-        trace = cerf_trace(u, [a, b], steps=15)
-        assert trace.certified
+        # keep the death at the caustic root 5/64; sample 8 is the cusp,
+        # rejected, and adds no marker as it is a root of p
+        trace = cerf_trace(u, [a, b], steps=16)
+        assert trace.certified and trace.samples[8] is None
         assert [(e.kind, e.s) for e in trace.events] == \
             [("death", Fraction(5, 64))]
+        assert trace.events[0].data["hessian_witness"] < 1e-6
+
+    def test_rejected_sample_on_a_root_adds_no_marker(self):
+        # sample 16 is t = 0, a root of the path's polynomial with one
+        # critical point on both sides: only the death is reported
+        a = T(Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 3),
+              Fraction(-1, 4))
+        trace = cerf_trace(U("z^6", ("z",)), [a, T(*(-x for x in a.t))],
+                           steps=32)
+        assert trace.samples[16] is None
+        assert [e.kind for e in trace.events] == ["death"]
         assert trace.events[0].data["hessian_witness"] < 1e-6
 
     def test_death_through_the_origin(self):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,11 +15,13 @@ from singlab import morselab
 from singlab.errors import (BoxEscape, DegenerateParameter, IdentityViolation,
                             InvalidInput)
 from interval_arith import inverse, mul, point, sub
+from test_discriminant import to_sympy
 from singlab.intervals import RatInterval, eval_interval
 from singlab.milnor import unfold_germ
 from singlab.morselab import (ParameterPoint, critical_points,
                               degree_invariance_scan, euler_fiber_check,
-                              herman_probe, morse_report, sample_parameters)
+                              herman_probe, morse_report, report_or_reason,
+                              sample_parameters)
 from singlab.poly import Polynomial, parse_polynomial
 from singlab.serialize import dumps, jsonable
 
@@ -306,6 +309,52 @@ class TestCriticalPoints2D:
         for p in pts:
             assert sign_relation_check(Fraction(p.hessian_det_sign),
                                        p.index, 2)
+
+
+def sympy_critical_points(Ft: Polynomial, r: Fraction):
+    """The real solutions of grad F_t = 0 in (-r, r)^2, independently of
+    morselab: z runs over sympy's exact real_roots of Res_w(F_z, F_w), and
+    w over the real nroots of F_w(z, w), at 50 digits, that also zero
+    F_z."""
+    z, w = sympy.symbols("z w")
+    fz, fw = (sympy.diff(to_sympy(Ft), v) for v in (z, w))
+    out = []
+    for z0 in set(sympy.real_roots(sympy.Poly(sympy.resultant(fz, fw, w),
+                                              z))):
+        zv = z0.evalf(50)
+        for wv in sympy.Poly(fw.subs(z, zv), w).nroots(n=50):
+            if wv.is_real and abs(fz.subs({z: zv, w: wv})) < 1e-30 and \
+                    abs(zv) < r and abs(wv) < r:
+                out.append((zv, wv))
+    return out
+
+
+class TestCriticalPoints2DOracle:
+    @pytest.mark.parametrize("germ,r", [
+        (germ, r) for germ in ("z^3 + w^3", "z^3 + w^4") for r in (4, 1)])
+    def test_certified_points_match_sympy(self, germ, r):
+        # six accepted points of one seeded stream: each sympy solution
+        # lies within 1e-12 of exactly one certified box, and each box
+        # holds exactly one solution
+        u, r = U(germ, ("z", "w")), Fraction(r)
+        checked = 0
+        for t in sample_parameters(u, 60, Fraction(1), 6):
+            pts = report_or_reason(critical_points, u, t, r)
+            if isinstance(pts, str):
+                continue
+            oracle = sympy_critical_points(u.specialize(tuple(t)), r)
+            matched = []
+            for x in oracle:
+                hits = [k for k, p in enumerate(pts) if all(
+                    iv.lo - 1e-12 <= c <= iv.hi + 1e-12
+                    for iv, c in zip(p.location, x))]
+                assert len(hits) == 1, (t, x)
+                matched += hits
+            assert sorted(matched) == list(range(len(pts))), t
+            checked += 1
+            if checked == 6:
+                break
+        assert checked == 6
 
 
 class TestMorseReport:
