@@ -4,9 +4,10 @@ n = 1 and n = 2 share one path.  Candidate boxes come from exact root
 isolation of F_t' (n = 1), or from pairs of the roots of the resultant in
 each variable, each refined to CANDIDATE_WIDTH, and interval Newton (n = 2;
 Moore, Kearfott & Cloud 2009) on integer enclosures (lo, hi, den): they
-provably hold all real critical points in the box.  One classifier shrinks
-each box until det(Hess F_t) has a known sign, which gives the Morse index.
-Parameters too close to the bifurcation set are rejected, not resolved.
+provably hold all real critical points in the box, and there are none when
+an eliminant has no real root.  One classifier shrinks each box until
+det(Hess F_t) has a known sign, which gives the Morse index.  Parameters too
+close to the bifurcation set are rejected, not resolved.
 """
 
 from __future__ import annotations
@@ -100,24 +101,30 @@ class HermanWitness:
     certificate: str
 
 
-def _roots_in_box(p: Polynomial, r: Fraction, what: str,
-                  factors=None) -> list[IsolatingInterval]:
-    """Isolating intervals of p's real roots, each certified inside (-r, r).
-
-    The window holds the Cauchy bound, so a root outside the box raises
-    BoxEscape, as does one straddling the boundary after 79 halvings.
+def _real_roots(p: Polynomial, r: Fraction, factors=None):
+    """Isolating intervals of all real roots of p (the window holds the
+    Cauchy bound), each halved at most 79 times to keep -r and r out of it.
     factors is p's squarefree_decomposition, if the caller has it."""
     coeffs = p.univariate_coeffs()
     bound = 1 + max((abs(c / coeffs[-1]) for c in coeffs[:-1]), default=-1)
     window = max(bound, r) + 1
-    inside = isolate_real_roots(p, (-window, window), factors, (-r, r))
-    for iv in inside:
+    return isolate_real_roots(p, (-window, window), factors, (-r, r))
+
+
+def _in_box(roots, r: Fraction, what: str) -> list[IsolatingInterval]:
+    """roots, each certified inside (-r, r): a root outside the box, or one
+    still straddling its boundary, raises BoxEscape."""
+    for iv in roots:
         if iv.lo < -r < iv.hi or iv.lo < r < iv.hi:
             raise BoxEscape(f"{what} on the box boundary")
         if iv.hi <= -r or iv.lo >= r:
             raise BoxEscape(f"{what} near {float(iv.mid()):.3f} "
                             f"outside [-{r}, {r}]")
-    return inside
+    return roots
+
+
+def _roots_in_box(p: Polynomial, r: Fraction, what: str, factors=None):
+    return _in_box(_real_roots(p, r, factors), r, what)
 
 
 def _det(m):
@@ -151,11 +158,10 @@ def _eliminate_var(p1: Polynomial, p2: Polynomial, var: str) -> Polynomial:
     d1, d2 = p1.degree_in(var), p2.degree_in(var)
     if d1 <= 0 and d2 <= 0:
         raise DegenerateParameter(f"neither equation involves {var}")
-    if d1 <= 0:
-        return p1.restrict() if not p1.is_zero() else p1
-    if d2 <= 0:
-        return p2.restrict()
-    return resultant(p1, p2, var)
+    q = p1 if d1 <= 0 else p2 if d2 <= 0 else resultant(p1, p2, var)
+    if q.is_zero():
+        raise DegenerateParameter("elimination collapsed; system not finite")
+    return q
 
 
 def _newton_step(eqs, jac, box: dict[str, RatInterval]):
@@ -244,17 +250,20 @@ def _resolve_candidate(eqs, jac, box, depth=0):
 
 
 def _boxes_2d(grad, hess, z, r: Fraction) -> list[dict[str, RatInterval]]:
-    """Certified 'in' boxes of the candidates from both eliminants."""
+    """Certified 'in' boxes of the candidates from both eliminants: [] as
+    soon as one has no real root (each real critical point gives a root of
+    both), before any root outside the box raises BoxEscape (z first)."""
     (p1, p2), (z1, z2) = grad, z
-    rz = _eliminate_var(p1, p2, z2)
-    rw = _eliminate_var(p1, p2, z1)
-    if rz.is_zero() or rw.is_zero():
-        raise DegenerateParameter("elimination collapsed; system not finite")
-    roots = [[] if q.is_constant() else
-             [iv.refine(CANDIDATE_WIDTH)
-              for iv in _roots_in_box(q, r, f"elimination root in {var}")]
-             for var, q in ((z1, rz), (z2, rw))]
-    return [out for ivz in roots[0] for ivw in roots[1]
+    roots = []
+    for other in (z2, z1):
+        q = _eliminate_var(p1, p2, other)
+        if q.is_constant() or not (ivs := _real_roots(q, r)):
+            return []
+        roots.append(ivs)
+    zs, ws = ([iv.refine(CANDIDATE_WIDTH)
+               for iv in _in_box(ivs, r, f"elimination root in {var}")]
+              for var, ivs in zip(z, roots))
+    return [out for ivz in zs for ivw in ws
             for status, out in _resolve_candidate(grad, hess,
                                                   {z1: ivz, z2: ivw})
             if status == "in"]

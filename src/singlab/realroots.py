@@ -81,11 +81,21 @@ def _exquo(a, b) -> Coeffs:
     return tuple(q)
 
 
-def _gcd(a, b) -> Coeffs:
-    """Primitive gcd with positive leading coefficient."""
-    while b:
-        a, b = b, _integer(_prem(a, b))
-    return _positive(_integer(a))
+def _gcd(a, b) -> tuple[Coeffs, tuple[Coeffs, ...]]:
+    """Primitive gcd with positive leading coefficient, and the sequence
+    that found it: a, b and the primitive parts of the negated remainders,
+    for b = a' the Sturm chain of a (Basu, Pollack & Roy, ch. 2)."""
+    seq = [a, b]
+    while r := _prem(seq[-2], seq[-1]):
+        seq.append(_integer([-x for x in r]))
+    return _positive(_integer(seq[-1])), tuple(seq)
+
+
+class Factors(list):
+    """Yun's factors, with the Sturm chain of a square-free input, which
+    Yun's gcd(c, c') found (empty for any other input)."""
+
+    chain: tuple[Coeffs, ...] = ()
 
 
 def squarefree_decomposition(c) -> list[tuple[Coeffs, int]]:
@@ -96,14 +106,16 @@ def squarefree_decomposition(c) -> list[tuple[Coeffs, int]]:
         return []
     c = _positive(_integer(c))
     d = _diff(c)
-    g = _gcd(c, d)
-    out = []
+    g, chain = _gcd(c, _integer(d))
+    out = Factors()
+    if len(g) == 1:  # square-free
+        out.chain = chain
     # w and z keep one common scale, which Yun's step z - w' needs
     w, z = _exquo(c, g), _exquo(d, g)
     k = 1
     while len(w) > 1:
         h = _strip([a - b for a, b in zip_longest(z, _diff(w), fillvalue=0)])
-        y = _gcd(w, h) if h else w
+        y = _gcd(w, h)[0] if h else w
         if len(y) > 1:
             out.append((y, k))
         if not h:
@@ -123,15 +135,14 @@ def _value(c: Coeffs, p: int, q: int) -> int:
 
 
 def _sturm_chain(factors) -> tuple[Coeffs, ...]:
-    """Sturm sequence of the product of Yun's factors, the square-free part,
-    each member as primitive integer coefficients."""
+    """Sturm sequence of the square-free part, the product of Yun's factors,
+    as primitive integer coefficients; Yun kept it for a square-free input."""
+    if chain := getattr(factors, "chain", ()):
+        return chain
     f = (1,)
     for g, _ in factors:
         f = _mul(f, g)
-    chain = [tuple(f), _integer(_diff(f))]
-    while r := _prem(chain[-2], chain[-1]):
-        chain.append(_integer([-x for x in r]))
-    return tuple(chain)
+    return _gcd(tuple(f), _integer(_diff(f)))[1]
 
 
 def _variations(chain, p: int, q: int) -> int:

@@ -303,6 +303,17 @@ class TestCriticalPoints2D:
             critical_points(U("z^3 + w^3", ("z", "w")), T(-3, -3, 0),
                             box_radius=Fraction(1, 2))
 
+    @pytest.mark.parametrize("t,r", [
+        (T(Fraction(23, 16), -2, 0), Fraction(1, 2)),
+        (T(Fraction(-59, 16), Fraction(15, 8), 0), Fraction(1))])
+    def test_eliminant_with_no_real_root_gives_no_point(self, t, r):
+        # F_z = 3z^2 + 23/16 > 0 in the first, F_w = 3w^2 + 15/8 > 0 in
+        # the second: no real critical point, so no BoxEscape for the other
+        # eliminant's roots outside the box
+        u = U("z^3 + w^3", ("z", "w"))
+        assert critical_points(u, t, box_radius=r) == []
+        assert sympy_critical_points(u.specialize(tuple(t)), 10 ** 6) == []
+
     def test_sign_relation_on_all_points(self):
         pts = critical_points(U("z^3 + w^3", ("z", "w")), T(-3, -3, 0),
                               box_radius=R2)

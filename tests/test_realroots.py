@@ -403,3 +403,25 @@ class TestSquarefree:
         p = P("z^3 - z")
         factors = squarefree_decomposition(p.univariate_coeffs())
         assert [m for _, m in factors] == [1]
+
+    @given(st.one_of(POLY, CLOSE))
+    @example(([1], [2, 2, -3]))  # (4z - 2)^2 (4z + 3)
+    @example(([-2, 0, 1], []))  # z^2 - 2
+    @settings(max_examples=80, deadline=None)
+    def test_chain_is_the_sturm_chain_built_from_scratch(self, poly):
+        # Yun keeps the chain of a square-free input; isolation receives
+        # the Fraction Sturm chain of the square-free part, made primitive
+        expr = _sympy_poly(*poly)
+        if sympy.degree(expr, Z) < 1:
+            return
+        factors = squarefree_decomposition(_ascending(expr))
+        f = _sqfree(expr)
+        f = f if f[-1] > 0 else [-x for x in f]
+        want = tuple(realroots._integer(m) for m in _ref_chain(f))
+        assert bool(factors.chain) == (len(factors) == 1
+                                       and factors[0][1] == 1)
+        assert realroots._sturm_chain(factors) == want
+        assert realroots._sturm_chain(list(factors)) == want
+        for iv in isolate_real_roots(_singlab_poly(expr),
+                                     (Fraction(-16), Fraction(16))):
+            assert iv._chain == want
