@@ -1,13 +1,18 @@
 """Certified real critical-point analysis of F_t on a working box.
 
-n = 1 and n = 2 share one path.  Candidate boxes come from exact root
-isolation of F_t' (n = 1), or from pairs of the roots of the resultant in
-each variable, each refined to CANDIDATE_WIDTH, and interval Newton (n = 2;
-Moore, Kearfott & Cloud 2009) on integer enclosures (lo, hi, den): they
-provably hold all real critical points in the box, and there are none when
-an eliminant has no real root.  One classifier shrinks each box until
-det(Hess F_t) has a known sign, which gives the Morse index.  Parameters too
-close to the bifurcation set are rejected, not resolved.
+n = 1 and n = 2 share one classifier.  For n = 1 the boxes are the roots of
+F_t' isolated by Sturm sequences.  For n = 2 each real root z0 of
+Res_w(F_z, F_w) carries exactly one critical point, at w0 = -s10/s11(z0),
+when F_w has a constant leading coefficient in w and the first subresultant
+S1 = s11*w + s10 has s11(z0) != 0: the shape lemma read off the
+subresultants (Rouillier, AAECC 1999), with the shear z -> z + k*w,
+k = 1, 2, ..., where the projection does not separate the points
+(Bouzidi, Lazard, Moroz, Pouget, Rouillier & Sagraloff, J. Complexity
+2016).  w0 is enclosed on integer enclosures (lo, hi, den) over z0's
+interval, and there is no point when Res_w has no real root.  The
+classifier shrinks each box until det(Hess F_t) has a known sign, which
+gives the Morse index.  Parameters too close to the bifurcation set are
+rejected, not resolved.
 """
 
 from __future__ import annotations
@@ -24,15 +29,15 @@ from .intervals import (RatInterval, enclose, eval_interval, integer_box,
                         sign)
 from .milnor import Unfolding
 from .poly import Polynomial
-from .realroots import (IsolatingInterval, count_distinct_roots,
-                        isolate_real_roots, squarefree_decomposition)
-from .resultant import resultant
+from .realroots import (IsolatingInterval, _gcd, _integer,
+                        count_distinct_roots, isolate_real_roots,
+                        squarefree_decomposition)
+from .resultant import poly_determinant, resultant, sylvester_matrix
 
 DEFAULT_BOX_RADIUS = Fraction(4)
 DEFAULT_DELTA = Fraction(1)
 DEFAULT_MARGIN = Fraction(1, 10 ** 9)
 VALUE_WIDTH = Fraction(1, 2 ** 60)
-CANDIDATE_WIDTH = Fraction(1, 2 ** 32)  # n = 2 eliminant roots, before Newton
 DENOMINATOR = 2 ** 16
 
 
@@ -141,6 +146,10 @@ def _det(m):
 
 # -- n = 1 ------------------------------------------------------------------
 
+def _quarter(box):
+    return {v: iv.refine(iv.width() / 4) for v, iv in box.items()}
+
+
 def _boxes_1d(p: Polynomial, z: str, r: Fraction):
     """A box per root of p = F_t' in the box, refined to VALUE_WIDTH lazily."""
     if p.is_zero():
@@ -154,119 +163,114 @@ def _boxes_1d(p: Polynomial, z: str, r: Fraction):
 
 # -- n = 2 ------------------------------------------------------------------
 
-def _eliminate_var(p1: Polynomial, p2: Polynomial, var: str) -> Polynomial:
-    d1, d2 = p1.degree_in(var), p2.degree_in(var)
-    if d1 <= 0 and d2 <= 0:
-        raise DegenerateParameter(f"neither equation involves {var}")
-    q = p1 if d1 <= 0 else p2 if d2 <= 0 else resultant(p1, p2, var)
-    if q.is_zero():
-        raise DegenerateParameter("elimination collapsed; system not finite")
-    return q
-
-
-def _newton_step(eqs, jac, box: dict[str, RatInterval]):
-    """The interval Newton image of box, rounded outward to the 2^-64 grid,
-    or None when 0 is in det J.  J, det J, the midpoint residuals f and the
-    numerators N of Cramer's rule are integer triples; for det J > 0 (else
-    negate it and f), N / det J runs from nl / (dl if nl < 0 else dh) to
-    nh / (dh if nh < 0 else dl)."""
-    ibox = integer_box(box)
-    J = [[enclose(h, ibox) for h in row] for row in jac]
-    dl, dh, dd = _det(J)
-    if dl <= 0 <= dh:
-        # det J = [0, 0] is unreachable: on a candidate box it needs
-        # constant or zero Hessian entries, which _boxes_2d rejects or
-        # gives no candidate; a contracted box lies in one with a det sign
-        return None
-    mid = {v: (lo + hi, lo + hi, 2 * q) for v, (lo, hi, q) in ibox.items()}
-    f0, f1 = [enclose(e, mid) for e in eqs]
-    if dl < 0:  # N / det J = -N / -det J, and N is linear in f
-        dl, dh = -dh, -dl
-        f0, f1 = [(-hi, -lo, den) for lo, hi, den in (f0, f1)]
-    (a, b), (c, d) = J
-    out = {}
-    for v, (nl, nh, nd) in zip(ibox, (_det([[f0, b], [f1, d]]),
-                                      _det([[a, f0], [c, f1]]))):
-        m, _, mq = mid[v]  # v - N / det J = m / mq - n * dd / (nd * dx)
-        dx = dh if nh < 0 else dl
-        lo_num, lo_den = m * nd * dx - mq * nh * dd, mq * nd * dx
-        dx = dl if nl < 0 else dh
-        hi_num, hi_den = m * nd * dx - mq * nl * dd, mq * nd * dx
-        out[v] = RatInterval(Fraction((lo_num << 64) // lo_den, 1 << 64),
-                             Fraction(-((-hi_num << 64) // hi_den), 1 << 64))
+def _sheared(F: Polynomial, k: int, z) -> Polynomial:
+    """F(z - k*w, w), whose critical point (z + k*w, w) is F's (z, w)."""
+    shift = Polynomial.variable(z[0], z) - k * Polynomial.variable(z[1], z)
+    out = Polynomial.zero(z)
+    for c in reversed(F.coeffs_in(z[0])):
+        out = out * shift + c.project(z)
     return out
 
 
-def _certify_box(eqs, jac, box: dict[str, RatInterval]):
-    """Interval Newton: 'in' (unique root, contracted box), 'out', or split."""
-    names = list(box)
+def _first_subresultant(p: Polynomial, q: Polynomial, w: str):
+    """[s11, s10], S1 = s11*w + s10 the first subresultant of p and q in w
+    (m + n > 2): the determinants of the Sylvester rows of w^(n-2)p, ...,
+    p and w^(m-2)q, ..., q over the columns of w^(m+n-2), ..., w^2 and of
+    w or of 1."""
+    m, n = p.degree_in(w), q.degree_in(w)
+    s, k = sylvester_matrix(p, q, w), m + n - 2
+    rows = s[:n - 1] + s[n:n + m - 1]
+    return [poly_determinant([row[:k - 1] + [row[c]] for row in rows])
+            for c in (k - 1, k)]
+
+
+def _separates(res: Polynomial, s11: Polynomial, r: Fraction) -> bool:
+    """Whether s11 vanishes at no real root of res, decided exactly: by
+    the real roots of gcd(res, s11), which are the common ones."""
+    if s11.is_constant():
+        return not s11.is_zero()
+    g = _gcd(_integer(res.univariate_coeffs()),
+             _integer(s11.univariate_coeffs()))[0]
+    return len(g) == 1 or not _real_roots(
+        Polynomial(res.variables, {(i,): c for i, c in enumerate(g)}), r)
+
+
+def _fiber_boxes(iv: IsolatingInterval, s11, s10, k: int, z):
+    """Boxes holding the critical point over the root u0 in iv, iv refined
+    to a quarter of its width from one box to the next: w0 = -s10/s11 on
+    iv, rounded outward to the 2^-64 grid, and z0 = u0 - k*w0."""
+    while True:
+        ibox = integer_box({z[0]: iv})
+        al, ah, ad = enclose(s10, ibox)
+        bl, bh, bd = enclose(s11, ibox)
+        if sign(bl, bh):  # -a/b = a/-b, so make b positive
+            if bl < 0:
+                al, ah, bl, bh = -ah, -al, -bh, -bl
+            # -a/b runs from -ah/(bl or bh) to -al/(bh or bl), by their signs
+            lo_den = (bl if ah >= 0 else bh) * ad
+            hi_den = (bh if al >= 0 else bl) * ad
+            w = RatInterval(Fraction((-ah * bd << 64) // lo_den, 1 << 64),
+                            Fraction(-((al * bd << 64) // hi_den), 1 << 64))
+            yield {z[0]: RatInterval(iv.lo - k * w.hi, iv.hi - k * w.lo)
+                   if k else iv, z[1]: w}
+        iv = iv.refine(iv.width() / 4)
+
+
+def _inside(boxes, r: Fraction):
+    """The first of boxes inside (-r, r)^2, after at most 40; BoxEscape for
+    a box whose point is outside, or when none is decided."""
     for _ in range(40):
-        ibox = integer_box(box)
-        if any(lo > 0 or hi < 0 for lo, hi, _ in
-               (enclose(e, ibox) for e in eqs)):
-            return "out", box
-        nbox = _newton_step(eqs, jac, box)
-        if nbox is None:
-            return "unknown", box
-        if all(nbox[v].subset_of(box[v]) and nbox[v].width() < box[v].width()
-               for v in names):
-            # certified: contract further for tight output
-            for _ in range(30):
-                step = _newton_step(eqs, jac, nbox)
-                if step is None:
-                    break
-                inter = {v: step[v].intersect(nbox[v]) for v in names}
-                if not all(inter.values()):
-                    break
-                prev, nbox = nbox, inter
-                if all(nbox[v].width() < VALUE_WIDTH for v in names):
-                    break
-                if all(nbox[v].width() >= prev[v].width() * Fraction(3, 4)
-                       for v in names):
-                    break
-            return "in", nbox
-        inter = {v: nbox[v].intersect(box[v]) for v in names}
-        if not all(inter.values()):
-            return "out", box
-        if all(inter[v].width() > box[v].width() * Fraction(7, 8)
-               for v in names):
-            return "unknown", box
-        box = inter
-    return "unknown", box
+        box = next(boxes)
+        for v, iv in box.items():
+            if iv.hi <= -r or iv.lo >= r:
+                raise BoxEscape(f"elimination root in {v} near "
+                                f"{float(iv.mid()):.3f} outside [-{r}, {r}]")
+        if all(-r < iv.lo and iv.hi < r for iv in box.values()):
+            return box
+    raise BoxEscape("critical point on the box boundary")
 
 
-def _resolve_candidate(eqs, jac, box, depth=0):
-    status, out = _certify_box(eqs, jac, box)
-    if status != "unknown":
-        return [(status, out)]
-    if depth >= 12:
-        raise DegenerateParameter("cannot certify candidate box")
-    v = max(box, key=lambda v: box[v].width())
-    m = box[v].mid()
-    return [res for half in (RatInterval(box[v].lo, m),
-                             RatInterval(m, box[v].hi))
-            for res in _resolve_candidate(eqs, jac, {**box, v: half},
-                                          depth + 1)]
-
-
-def _boxes_2d(grad, hess, z, r: Fraction) -> list[dict[str, RatInterval]]:
-    """Certified 'in' boxes of the candidates from both eliminants: [] as
-    soon as one has no real root (each real critical point gives a root of
-    both), before any root outside the box raises BoxEscape (z first)."""
-    (p1, p2), (z1, z2) = grad, z
-    roots = []
-    for other in (z2, z1):
-        q = _eliminate_var(p1, p2, other)
-        if q.is_constant() or not (ivs := _real_roots(q, r)):
+def _boxes_2d(Ft: Polynomial, grad, z, r: Fraction):
+    """(box, shrink) per real critical point of F_t in the box, from
+    G = F_t(z - k*w, w) for the first k = 0, 1, ... at which G_z has w, G_w
+    has a constant leading coefficient in w and s11 no real root in common
+    with R = Res_w(G_z, G_w): then each real root u0 of R carries exactly
+    one point, at w0 = -s10/s11(u0).  A k >= 1 fails only at a zero of
+    the leading form of F_t or F_z (2d - 1 at most), for a pair of points
+    on one fiber (b(b - 1)/2 at most, b the Bezout bound) or for a point
+    whose fiber is tangent to both curves (b at most), so the range
+    outlasts them all unless a point is singular on both curves, which no
+    shear separates.  [] when R has no real root; for k = 0 a root outside
+    the box raises BoxEscape before s11 is formed."""
+    d = max(map(sum, Ft.terms), default=0)
+    b = (d - 1) ** 2  # Bezout's bound on the number of points
+    for k in range(2 * d + b * (b + 1) // 2 + 1):
+        p, q = [_sheared(Ft, k, z).diff(v) for v in z] if k else grad
+        n = q.degree_in(z[1])
+        # G_z has w, and G_w no term z^i w^n, i > 0, so its lead is constant
+        if p.degree_in(z[1]) < 1 or n < 1 or any(
+                i for i, j in q.terms if j == n):
+            continue
+        res = resultant(p, q, z[1])
+        if res.is_zero():
+            raise DegenerateParameter(
+                "elimination collapsed; system not finite")
+        if res.is_constant() or not (roots := _real_roots(res, r)):
             return []
-        roots.append(ivs)
-    zs, ws = ([iv.refine(CANDIDATE_WIDTH)
-               for iv in _in_box(ivs, r, f"elimination root in {var}")]
-              for var, ivs in zip(z, roots))
-    return [out for ivz in zs for ivw in ws
-            for status, out in _resolve_candidate(grad, hess,
-                                                  {z1: ivz, z2: ivw})
-            if status == "in"]
+        if not k:
+            _in_box(roots, r, "elimination root in z")
+        s11, s10 = _first_subresultant(p, q, z[1])
+        if _separates(res, s11, r):
+            break
+    else:
+        raise DegenerateParameter("no shear separates the critical points")
+    points = []
+    for iv in roots:
+        boxes = _fiber_boxes(iv.refine(VALUE_WIDTH), s11, s10, k, z)
+        points.append((_inside(boxes, r), lambda _, boxes=boxes: next(boxes)))
+    if any(iv.multiplicity > 1 for iv in roots):
+        raise DegenerateParameter("F_t has a degenerate critical point")
+    return points
 
 
 # -- classification --------------------------------------------------------
@@ -319,19 +323,11 @@ def critical_points(u: Unfolding, t: ParameterPoint,
     grad = [Ft.diff(v) for v in z]
     hess = [[g.diff(v) for v in z] for g in grad]
     if u.n == 1:
-        boxes = _boxes_1d(grad[0], z[0], r)
-
-        def shrink(box):
-            return {v: iv.refine(iv.width() / 4) for v, iv in box.items()}
+        points = ((box, _quarter) for box in _boxes_1d(grad[0], z[0], r))
     else:
-        boxes = _boxes_2d(grad, hess, z, r)
-
-        def shrink(box):
-            status, box = _certify_box(grad, hess, box)
-            if status != "in":
-                raise DegenerateParameter("lost certification while refining")
-            return box
-    pts = sorted([_classify(Ft, hess, box, margin, shrink) for box in boxes],
+        points = _boxes_2d(Ft, grad, z, r)
+    pts = sorted([_classify(Ft, hess, box, margin, shrink)
+                  for box, shrink in points],
                  key=lambda p: [iv.lo for iv in p.location])
     for p in pts:
         if not sign_relation_check(Fraction(p.hessian_det_sign), p.index, u.n):
@@ -478,7 +474,7 @@ def herman_probe(u: Unfolding, budget: int = 100,
             if u.n == 1:
                 cert = "Sturm count of dF_t/dz on the box is zero"
             else:
-                cert = ("elimination polynomials have no real root pair "
-                        "admitting a certified solution in the box")
+                cert = ("Res_w(dF_t/dz, dF_t/dw) has no real root, after a "
+                        "shear z -> z + k*w if needed")
             return HermanWitness(t=t, certificate=cert)
     return None

@@ -14,9 +14,8 @@ from singlab.critmap import sign_relation_check
 from singlab import morselab
 from singlab.errors import (BoxEscape, DegenerateParameter, IdentityViolation,
                             InvalidInput)
-from interval_arith import inverse, mul, point, sub
 from test_discriminant import to_sympy
-from singlab.intervals import RatInterval, eval_interval
+from singlab.intervals import RatInterval
 from singlab.milnor import unfold_germ
 from singlab.morselab import (ParameterPoint, critical_points,
                               degree_invariance_scan, euler_fiber_check,
@@ -176,119 +175,6 @@ class TestClassify:
 ZW = ("z", "w")
 
 
-def reference_newton_step(eqs, jac, box):
-    """The interval Newton step on RatInterval arithmetic, as it was before
-    the integer one: J, det J, the residuals at the midpoint, products by
-    1 / det J, then the endpoints rounded outward to the 2^-64 grid."""
-    def dyadic(iv):
-        scale = 1 << 64
-        return RatInterval(Fraction((iv.lo * scale).__floor__(), scale),
-                           Fraction(-((-iv.hi * scale).__floor__()), scale))
-
-    x, y = box
-    J = [[eval_interval(h, box) for h in row] for row in jac]
-    det = sub(mul(J[0][0], J[1][1]), mul(J[0][1], J[1][0]))
-    if det.sign() is None:
-        return None
-    mid = {v: point(box[v].mid()) for v in box}
-    fm = [eval_interval(e, mid) for e in eqs]
-    inv_det = inverse(det)  # ZeroDivisionError for det J = [0, 0]
-    return {x: dyadic(sub(mid[x], mul(sub(mul(J[1][1], fm[0]),
-                                          mul(J[0][1], fm[1])), inv_det))),
-            y: dyadic(sub(mid[y], mul(sub(mul(J[0][0], fm[1]),
-                                          mul(J[1][0], fm[0])), inv_det)))}
-
-
-def step_signs(eqs, jac, box):
-    """Sign of det J and of the two Cramer numerators (None: straddles 0)."""
-    J = [[eval_interval(h, box) for h in row] for row in jac]
-    mid = {v: point(box[v].mid()) for v in box}
-    f0, f1 = [eval_interval(e, mid) for e in eqs]
-    return (sub(mul(J[0][0], J[1][1]), mul(J[0][1], J[1][0])).sign(),
-            sub(mul(J[1][1], f0), mul(J[0][1], f1)).sign(),
-            sub(mul(J[0][0], f1), mul(J[1][0], f0)).sign())
-
-
-def newton_system(F):
-    eqs = [F.diff(v) for v in ZW]
-    return eqs, [[g.diff(v) for v in ZW] for g in eqs]
-
-
-@st.composite
-def newton_cases(draw):
-    """The gradient of F = P - P_z(c) z - P_w(c) w, which vanishes at c, its
-    Hessian (entries of degree <= 4), and a box near c whose endpoints have
-    denominators up to 999 * 40 * 7, mostly not powers of 2; c is inside
-    the box or beside it."""
-    coeffs = st.fractions(-4, 4, max_denominator=12).filter(bool)
-    exps = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(
-        lambda e: 2 <= sum(e) <= 6)
-    P = Polynomial(ZW, draw(st.dictionaries(exps, coeffs, min_size=2,
-                                            max_size=6)))
-    c = {v: draw(st.fractions(-2, 2, max_denominator=40)) for v in ZW}
-    F = P - sum((P.diff(v).evaluate(c) * Polynomial.variable(v, ZW)
-                 for v in ZW), Polynomial.zero(ZW))
-    widths = st.fractions(Fraction(1, 999), Fraction(1, 3),
-                          max_denominator=999)
-    box = {}
-    for v in ZW:
-        lo = c[v] - draw(widths) + draw(st.sampled_from((0, Fraction(1, 7))))
-        box[v] = RatInterval(lo, lo + draw(widths))
-    return (*newton_system(F), box)
-
-
-class TestNewtonStep:
-    """The integer step against the RatInterval one, box for box."""
-
-    # boxes on F = z^3 + w^3 + z^2 w - 4z - 9w for each sign of det J and
-    # of the z numerator nz (None: nz straddles 0); together they divide
-    # each end of nz by each end of det J that the sign cases choose
-    F = parse_polynomial("z^3 + w^3 + z^2*w - 4*z - 9*w", ZW)
-    SIGN_CASES = [
-        ((-1, -1), ("-263/110", "-124/55"), ("23/330", "21/110")),
-        ((-1, None), ("-11/5", "-19/10"), ("4/45", "8/15")),
-        ((-1, 1), ("-38/15", "-61/30"), ("58/105", "26/35")),
-        ((1, -1), ("-97/30", "-41/15"), ("-1489/510", "-483/170")),
-        ((1, None), ("7/15", "29/30"), ("454/255", "158/85")),
-        ((1, 1), ("1/110", "8/55"), ("-967/330", "-309/110")),
-    ]
-
-    @pytest.mark.parametrize("signs,z,w", SIGN_CASES)
-    def test_each_sign_case_of_the_division(self, signs, z, w):
-        eqs, jac = newton_system(self.F)
-        box = {"z": RatInterval(*map(Fraction, z)),
-               "w": RatInterval(*map(Fraction, w))}
-        assert step_signs(eqs, jac, box)[:2] == signs
-        want = reference_newton_step(eqs, jac, box)
-        assert want is not None
-        assert morselab._newton_step(eqs, jac, box) == want
-
-    def test_unknown_det_sign_gives_none(self):
-        eqs, jac = newton_system(self.F)
-        box = {"z": RatInterval(-1, 1), "w": RatInterval(-1, 1)}
-        assert step_signs(eqs, jac, box)[0] is None
-        assert morselab._newton_step(eqs, jac, box) is None
-
-    def test_exact_zero_det_gives_none(self):
-        # det J = [0, 0]: F_ww and F_zw vanish; the RatInterval step had no
-        # inverse to take here
-        eqs, jac = newton_system(parse_polynomial("z^3 - z", ZW))
-        box = {"z": RatInterval(Fraction(1, 3), 2),
-               "w": RatInterval(-1, Fraction(1, 5))}
-        assert step_signs(eqs, jac, box)[0] == 0
-        assert morselab._newton_step(eqs, jac, box) is None
-
-    @given(newton_cases())
-    @settings(max_examples=400, deadline=None)
-    def test_same_box_as_rational_step(self, case):
-        eqs, jac, box = case
-        try:
-            want = reference_newton_step(eqs, jac, box)
-        except ZeroDivisionError:
-            want = None
-        assert morselab._newton_step(eqs, jac, box) == want
-
-
 class TestCriticalPoints2D:
     def test_cubic_surface_four_points(self):
         pts = critical_points(U("z^3 + w^3", ("z", "w")), T(-3, -3, 0),
@@ -303,13 +189,23 @@ class TestCriticalPoints2D:
             critical_points(U("z^3 + w^3", ("z", "w")), T(-3, -3, 0),
                             box_radius=Fraction(1, 2))
 
+    def test_w_outside_box_escapes(self):
+        # every root of Res_w is a z inside (-1, 1), but one point has
+        # w near -1.035
+        u, t, r = U("z^3 + w^3", ZW), T(Fraction(-1, 2), Fraction(-5, 2), 1), 1
+        with pytest.raises(BoxEscape, match="elimination root in w"):
+            critical_points(u, t, box_radius=r)
+        oracle = sympy_critical_points(u.specialize(tuple(t)), 10 ** 6)
+        assert all(abs(z) < r for z, _ in oracle)
+        assert any(abs(w) > r for _, w in oracle)
+
     @pytest.mark.parametrize("t,r", [
         (T(Fraction(23, 16), -2, 0), Fraction(1, 2)),
         (T(Fraction(-59, 16), Fraction(15, 8), 0), Fraction(1))])
     def test_eliminant_with_no_real_root_gives_no_point(self, t, r):
         # F_z = 3z^2 + 23/16 > 0 in the first, F_w = 3w^2 + 15/8 > 0 in
-        # the second: no real critical point, so no BoxEscape for the other
-        # eliminant's roots outside the box
+        # the second: no real critical point, so Res_w of the sheared
+        # gradient has no real root and no root outside the box escapes
         u = U("z^3 + w^3", ("z", "w"))
         assert critical_points(u, t, box_radius=r) == []
         assert sympy_critical_points(u.specialize(tuple(t)), 10 ** 6) == []
@@ -320,6 +216,69 @@ class TestCriticalPoints2D:
         for p in pts:
             assert sign_relation_check(Fraction(p.hessian_det_sign),
                                        p.index, 2)
+
+
+class TestSubresultantRoute:
+    """Res_w and its first subresultant S1 = s11*w + s10: the point over a
+    root z0 is (z0, -s10/s11(z0)), in coordinates sheared until that
+    holds."""
+
+    @pytest.mark.parametrize("p,q,kind", [
+        ("3*z^2 + 5*w^2 + 2*w - 1", "4*w^3 + 2*z*w + z - 2*w + 3", "prem"),
+        ("z^2 - 2*z*w + 1/3", "3*w^2 + z^3 - 5", "p"),
+        ("w^3 - z", "w - z^2 + 7", "q")], ids=["prem", "p", "q"])
+    def test_first_subresultant(self, p, q, kind):
+        # deg_w q = deg_w p + 1 gives S1 = prem(q, p), p linear in w gives
+        # S1 = p, q linear in w gives S1 = q
+        p, q = (parse_polynomial(x, ZW) for x in (p, q))
+        s11, s10 = morselab._first_subresultant(p, q, "w")
+        w = sympy.Symbol("w")
+        sp, sq = to_sympy(p), to_sympy(q)
+        want = {"prem": sympy.prem(sq, sp, w), "p": sp, "q": sq}[kind]
+        got = to_sympy(s11.project(ZW)) * w + to_sympy(s10.project(ZW))
+        assert sympy.expand(got - want) == 0
+
+    def test_shear_when_fz_has_no_w(self):
+        # F_z = 3z^2 - 1/2: each of its roots carries two of the points
+        u = U("z^3 + w^3", ZW)
+        t = T(Fraction(-1, 2), Fraction(-1, 3), 0)
+        pts = critical_points(u, t)
+        assert sorted(p.index for p in pts) == [0, 1, 1, 2]
+        assert_sympy_points(pts, u.specialize(tuple(t)), Fraction(4))
+
+    def test_shear_when_s11_vanishes_at_a_real_root(self, monkeypatch):
+        # F is even in w, so its points (z, +-w) share z, and F_z involves w
+        u = U("z^3 + w^4", ZW)
+        t = T(Fraction(-1, 2), 0, 0, -1, 1)
+        shears = []
+        sheared = morselab._sheared
+        monkeypatch.setattr(morselab, "_sheared", lambda F, k, z: (
+            shears.append(k), sheared(F, k, z))[1])
+        pts = critical_points(u, t)
+        assert shears == [1, 1]  # once for each gradient component
+        assert len(pts) == 6
+        assert_sympy_points(pts, u.specialize(tuple(t)), Fraction(4))
+
+    def test_degenerate_point_rejected(self):
+        # det Hess = 36zw - 9 vanishes at the critical point (1/2, 1/2)
+        with pytest.raises(DegenerateParameter, match="degenerate critical"):
+            critical_points(U("z^3 + w^3", ZW),
+                            T(Fraction(-9, 4), Fraction(-9, 4), 3))
+
+    def test_non_reduced_point_fails_every_shear(self):
+        # at t = 0 the origin is a fourfold point, singular on F_z = 0 and
+        # on F_w = 0, so s11 vanishes there for every k
+        with pytest.raises(DegenerateParameter, match="no shear separates"):
+            critical_points(U("z^3 + w^3", ZW), T(0, 0, 0))
+
+
+def assert_sympy_points(pts, Ft: Polynomial, r: Fraction):
+    """Each of sympy's solutions lies in exactly one box, and each box
+    holds exactly one."""
+    hits = sorted(k for x in sympy_critical_points(Ft, r)
+                  for k, p in enumerate(pts)
+                  if all(iv.lo <= c <= iv.hi for iv, c in zip(p.location, x)))
+    assert hits == list(range(len(pts)))
 
 
 def sympy_critical_points(Ft: Polynomial, r: Fraction):
@@ -472,5 +431,9 @@ class TestHermanProbe:
         assert herman_probe(U("z^4", ("z",)), budget=60, seed=0) is None
 
     def test_cubic_surface_finds_witness(self):
-        w = herman_probe(U("z^3 + w^3", ("z", "w")), budget=100, seed=0)
+        u = U("z^3 + w^3", ("z", "w"))
+        w = herman_probe(u, budget=100, seed=0)
         assert w is not None
+        assert w.certificate == ("Res_w(dF_t/dz, dF_t/dw) has no real root, "
+                                 "after a shear z -> z + k*w if needed")
+        assert sympy_critical_points(u.specialize(w.t.t), 10 ** 6) == []
