@@ -173,11 +173,13 @@ def _sheared(F: Polynomial, k: int, z) -> Polynomial:
 
 
 def _first_subresultant(p: Polynomial, q: Polynomial, w: str):
-    """[s11, s10], S1 = s11*w + s10 the first subresultant of p and q in w
-    (m + n > 2): the determinants of the Sylvester rows of w^(n-2)p, ...,
-    p and w^(m-2)q, ..., q over the columns of w^(m+n-2), ..., w^2 and of
-    w or of 1."""
+    """[s11, s10], S1 = s11*w + s10 the first subresultant of p and q in w:
+    q's coefficients if m = n = 1, else the determinants of the Sylvester
+    rows of w^(n-2)p, ..., p and w^(m-2)q, ..., q over the columns of
+    w^(m+n-2), ..., w^2 and of w or of 1."""
     m, n = p.degree_in(w), q.degree_in(w)
+    if m == n == 1:
+        return q.coeffs_in(w)[::-1]
     s, k = sylvester_matrix(p, q, w), m + n - 2
     rows = s[:n - 1] + s[n:n + m - 1]
     return [poly_determinant([row[:k - 1] + [row[c]] for row in rows])

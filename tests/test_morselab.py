@@ -226,10 +226,12 @@ class TestSubresultantRoute:
     @pytest.mark.parametrize("p,q,kind", [
         ("3*z^2 + 5*w^2 + 2*w - 1", "4*w^3 + 2*z*w + z - 2*w + 3", "prem"),
         ("z^2 - 2*z*w + 1/3", "3*w^2 + z^3 - 5", "p"),
-        ("w^3 - z", "w - z^2 + 7", "q")], ids=["prem", "p", "q"])
+        ("w^3 - z", "w - z^2 + 7", "q"),
+        ("z^2*w + z - 1", "-2*w + 3*z", "q")],
+        ids=["prem", "p", "q", "both-linear"])
     def test_first_subresultant(self, p, q, kind):
         # deg_w q = deg_w p + 1 gives S1 = prem(q, p), p linear in w gives
-        # S1 = p, q linear in w gives S1 = q
+        # S1 = p, q linear in w gives S1 = q, also when p is linear too
         p, q = (parse_polynomial(x, ZW) for x in (p, q))
         s11, s10 = morselab._first_subresultant(p, q, "w")
         w = sympy.Symbol("w")
@@ -258,6 +260,15 @@ class TestSubresultantRoute:
         assert shears == [1, 1]  # once for each gradient component
         assert len(pts) == 6
         assert_sympy_points(pts, u.specialize(tuple(t)), Fraction(4))
+
+    @pytest.mark.parametrize("germ,index", [
+        ("z*w", 1), ("z^2 + w^2", 0), ("z^2 - w^2", 1), ("-z^2 - w^2", 2)])
+    def test_morse_germ_one_point(self, germ, index):
+        # no parameters; the gradient is linear, so a shear makes both of
+        # its components linear in w and S1 is G_w itself
+        pts = critical_points(U(germ, ZW), T())
+        assert [p.index for p in pts] == [index]
+        assert all(iv.lo <= 0 <= iv.hi for iv in pts[0].location)
 
     def test_degenerate_point_rejected(self):
         # det Hess = 36zw - 9 vanishes at the critical point (1/2, 1/2)
@@ -374,6 +385,7 @@ class TestDegreeScan:
     @pytest.mark.parametrize("germ,names,alt", [
         ("z^3", ("z",), 0), ("z^4", ("z",), 1), ("z^5", ("z",), 0),
         ("z^6", ("z",), 1), ("z^3 + w^3", ("z", "w"), 0),
+        ("z*w", ("z", "w"), -1),
     ])
     def test_constant_alternating_sum(self, germ, names, alt):
         rep = degree_invariance_scan(U(germ, names), samples=12, seed=5)
@@ -429,6 +441,10 @@ class TestHermanProbe:
 
     def test_a3_reports_absent(self):
         assert herman_probe(U("z^4", ("z",)), budget=60, seed=0) is None
+
+    def test_morse_saddle_reports_absent(self):
+        # no parameters: every draw is t = (), with the saddle at the origin
+        assert herman_probe(U("z*w", ZW), budget=5, seed=0) is None
 
     def test_cubic_surface_finds_witness(self):
         u = U("z^3 + w^3", ("z", "w"))
