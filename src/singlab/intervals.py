@@ -40,14 +40,6 @@ class RatInterval:
         """Upper bound on |x| over the interval."""
         return max(abs(self.lo), abs(self.hi))
 
-    def intersect(self, other: "RatInterval") -> "RatInterval | None":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return RatInterval(lo, hi) if lo <= hi else None
-
-    def subset_of(self, other: "RatInterval") -> bool:
-        return other.lo <= self.lo and self.hi <= other.hi
-
 
 def sign(lo, hi) -> int | None:
     """+1/-1 when [lo, hi] (or [lo, hi] / den) is certainly positive or

@@ -1,18 +1,20 @@
 """Certified real critical-point analysis of F_t on a working box.
 
-n = 1 and n = 2 share one classifier.  For n = 1 the boxes are the roots of
-F_t' isolated by Sturm sequences.  For n = 2 each real root z0 of
-Res_w(F_z, F_w) carries exactly one critical point, at w0 = -s10/s11(z0),
-when F_w has a constant leading coefficient in w and the first subresultant
-S1 = s11*w + s10 has s11(z0) != 0: the shape lemma read off the
-subresultants (Rouillier, AAECC 1999), with the shear z -> z + k*w,
-k = 1, 2, ..., where the projection does not separate the points
-(Bouzidi, Lazard, Moroz, Pouget, Rouillier & Sagraloff, J. Complexity
-2016).  w0 is enclosed on integer enclosures (lo, hi, den) over z0's
-interval, and there is no point when Res_w has no real root.  The
-classifier shrinks each box until det(Hess F_t) has a known sign, which
-gives the Morse index.  Parameters too close to the bifurcation set are
-rejected, not resolved.
+n = 1 and n = 2 share one route.  Each real critical point sits over a real
+root u0 of one univariate polynomial R, with coordinates rational in u0:
+for n = 1, R = F_t' and the point is u0; for n = 2, R = Res_w(F_z, F_w) and
+the point is (u0, w0), w0 = -s10/s11(u0), when F_w has a constant leading
+coefficient in w and the first subresultant S1 = s11*w + s10 has
+s11(u0) != 0: the shape lemma read off the subresultants (Rouillier, AAECC
+1999), with the shear z -> z + k*w, k = 1, 2, ..., where the projection
+does not separate the points (Bouzidi, Lazard, Moroz, Pouget, Rouillier &
+Sagraloff, J. Complexity 2016).  w0 is enclosed on integer enclosures (lo,
+hi, den) over u0's interval, and there is no point when R has no real root.
+Each point gets one iterator of ever smaller boxes, from u0's interval
+refined to a quarter of its width each time: the box test draws from it
+until a box lies inside (-r, r)^n or outside it, and the classifier goes on
+drawing until det(Hess F_t) has a known sign, which gives the Morse index.
+Parameters too close to the bifurcation set are rejected, not resolved.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .critmap import sign_relation_check
 from .errors import (BoxEscape, DegenerateParameter, IdentityViolation,
@@ -29,6 +32,8 @@ from .intervals import (RatInterval, enclose, eval_interval, integer_box,
                         sign)
 from .milnor import Unfolding
 from .poly import Polynomial
+# squarefree_decomposition is not called here, but bench/tracing.py wraps
+# this module's binding of it, so the import stays
 from .realroots import (IsolatingInterval, _gcd, _integer,
                         count_distinct_roots, isolate_real_roots,
                         squarefree_decomposition)
@@ -106,30 +111,13 @@ class HermanWitness:
     certificate: str
 
 
-def _real_roots(p: Polynomial, r: Fraction, factors=None):
-    """Isolating intervals of all real roots of p (the window holds the
-    Cauchy bound), each halved at most 79 times to keep -r and r out of it.
-    factors is p's squarefree_decomposition, if the caller has it."""
+def _real_roots(p: Polynomial, r: Fraction):
+    """Isolating intervals of all real roots of p, on a window that holds
+    the Cauchy bound and the box."""
     coeffs = p.univariate_coeffs()
     bound = 1 + max((abs(c / coeffs[-1]) for c in coeffs[:-1]), default=-1)
     window = max(bound, r) + 1
-    return isolate_real_roots(p, (-window, window), factors, (-r, r))
-
-
-def _in_box(roots, r: Fraction, what: str) -> list[IsolatingInterval]:
-    """roots, each certified inside (-r, r): a root outside the box, or one
-    still straddling its boundary, raises BoxEscape."""
-    for iv in roots:
-        if iv.lo < -r < iv.hi or iv.lo < r < iv.hi:
-            raise BoxEscape(f"{what} on the box boundary")
-        if iv.hi <= -r or iv.lo >= r:
-            raise BoxEscape(f"{what} near {float(iv.mid()):.3f} "
-                            f"outside [-{r}, {r}]")
-    return roots
-
-
-def _roots_in_box(p: Polynomial, r: Fraction, what: str, factors=None):
-    return _in_box(_real_roots(p, r, factors), r, what)
+    return isolate_real_roots(p, (-window, window))
 
 
 def _det(m):
@@ -144,24 +132,7 @@ def _det(m):
     return min(ad) * t - max(bc) * s, max(ad) * t - min(bc) * s, s * t
 
 
-# -- n = 1 ------------------------------------------------------------------
-
-def _quarter(box):
-    return {v: iv.refine(iv.width() / 4) for v, iv in box.items()}
-
-
-def _boxes_1d(p: Polynomial, z: str, r: Fraction):
-    """A box per root of p = F_t' in the box, refined to VALUE_WIDTH lazily."""
-    if p.is_zero():
-        raise DegenerateParameter("derivative vanishes identically")
-    factors = squarefree_decomposition(p.univariate_coeffs())
-    if any(mult > 1 for _, mult in factors):
-        raise DegenerateParameter("F_t has a degenerate critical point")
-    return ({z: iv.refine(VALUE_WIDTH)}
-            for iv in _roots_in_box(p, r, "critical point", factors))
-
-
-# -- n = 2 ------------------------------------------------------------------
+# -- n = 2: the shear and the first subresultant ---------------------------
 
 def _sheared(F: Polynomial, k: int, z) -> Polynomial:
     """F(z - k*w, w), whose critical point (z + k*w, w) is F's (z, w)."""
@@ -197,79 +168,89 @@ def _separates(res: Polynomial, s11: Polynomial, r: Fraction) -> bool:
         Polynomial(res.variables, {(i,): c for i, c in enumerate(g)}), r)
 
 
+# -- boxes -----------------------------------------------------------------
+
 def _fiber_boxes(iv: IsolatingInterval, s11, s10, k: int, z):
     """Boxes holding the critical point over the root u0 in iv, iv refined
-    to a quarter of its width from one box to the next: w0 = -s10/s11 on
-    iv, rounded outward to the 2^-64 grid, and z0 = u0 - k*w0."""
+    to a quarter of its width from one box to the next: {z: iv} for n = 1;
+    for n = 2, w0 = -s10/s11 on iv, rounded outward to the 2^-64 grid, and
+    z0 = u0 - k*w0."""
     while True:
-        ibox = integer_box({z[0]: iv})
-        al, ah, ad = enclose(s10, ibox)
-        bl, bh, bd = enclose(s11, ibox)
-        if sign(bl, bh):  # -a/b = a/-b, so make b positive
-            if bl < 0:
-                al, ah, bl, bh = -ah, -al, -bh, -bl
-            # -a/b runs from -ah/(bl or bh) to -al/(bh or bl), by their signs
-            lo_den = (bl if ah >= 0 else bh) * ad
-            hi_den = (bh if al >= 0 else bl) * ad
-            w = RatInterval(Fraction((-ah * bd << 64) // lo_den, 1 << 64),
-                            Fraction(-((al * bd << 64) // hi_den), 1 << 64))
-            yield {z[0]: RatInterval(iv.lo - k * w.hi, iv.hi - k * w.lo)
-                   if k else iv, z[1]: w}
+        if len(z) == 1:
+            yield {z[0]: iv}
+        else:
+            ibox = integer_box({z[0]: iv})
+            al, ah, ad = enclose(s10, ibox)
+            bl, bh, bd = enclose(s11, ibox)
+            if sign(bl, bh):  # -a/b = a/-b, so make b positive
+                if bl < 0:
+                    al, ah, bl, bh = -ah, -al, -bh, -bl
+                # -a/b runs from -ah/(bl or bh) to -al/(bh or bl), by signs
+                lo_den = (bl if ah >= 0 else bh) * ad
+                hi_den = (bh if al >= 0 else bl) * ad
+                w = RatInterval(
+                    Fraction((-ah * bd << 64) // lo_den, 1 << 64),
+                    Fraction(-((al * bd << 64) // hi_den), 1 << 64))
+                yield {z[0]: RatInterval(iv.lo - k * w.hi, iv.hi - k * w.lo)
+                       if k else iv, z[1]: w}
         iv = iv.refine(iv.width() / 4)
 
 
 def _inside(boxes, r: Fraction):
-    """The first of boxes inside (-r, r)^2, after at most 40; BoxEscape for
-    a box whose point is outside, or when none is decided."""
+    """boxes from the first one inside (-r, r)^n, after at most 40;
+    BoxEscape for a box whose point is outside, or when none is decided."""
     for _ in range(40):
         box = next(boxes)
         for v, iv in box.items():
             if iv.hi <= -r or iv.lo >= r:
-                raise BoxEscape(f"elimination root in {v} near "
+                raise BoxEscape(f"critical point with {v} near "
                                 f"{float(iv.mid()):.3f} outside [-{r}, {r}]")
         if all(-r < iv.lo and iv.hi < r for iv in box.values()):
-            return box
+            return chain((box,), boxes)
     raise BoxEscape("critical point on the box boundary")
 
 
-def _boxes_2d(Ft: Polynomial, grad, z, r: Fraction):
-    """(box, shrink) per real critical point of F_t in the box, from
+def _boxes(Ft: Polynomial, grad, z, r: Fraction):
+    """One box iterator per real critical point of F_t, from its first box
+    inside the box, over each real root u0 of one polynomial R.  For n = 1,
+    R = F_t' and the box is u0's interval.  For n = 2, R = Res_w(G_z, G_w),
     G = F_t(z - k*w, w) for the first k = 0, 1, ... at which G_z has w, G_w
     has a constant leading coefficient in w and s11 no real root in common
-    with R = Res_w(G_z, G_w): then each real root u0 of R carries exactly
-    one point, at w0 = -s10/s11(u0).  A k >= 1 fails only at a zero of
-    the leading form of F_t or F_z (2d - 1 at most), for a pair of points
-    on one fiber (b(b - 1)/2 at most, b the Bezout bound) or for a point
-    whose fiber is tangent to both curves (b at most), so the range
-    outlasts them all unless a point is singular on both curves, which no
-    shear separates.  [] when R has no real root; for k = 0 a root outside
-    the box raises BoxEscape before s11 is formed."""
-    d = max(map(sum, Ft.terms), default=0)
-    b = (d - 1) ** 2  # Bezout's bound on the number of points
-    for k in range(2 * d + b * (b + 1) // 2 + 1):
-        p, q = [_sheared(Ft, k, z).diff(v) for v in z] if k else grad
-        n = q.degree_in(z[1])
-        # G_z has w, and G_w no term z^i w^n, i > 0, so its lead is constant
-        if p.degree_in(z[1]) < 1 or n < 1 or any(
-                i for i, j in q.terms if j == n):
-            continue
-        res = resultant(p, q, z[1])
-        if res.is_zero():
-            raise DegenerateParameter(
-                "elimination collapsed; system not finite")
-        if res.is_constant() or not (roots := _real_roots(res, r)):
-            return []
-        if not k:
-            _in_box(roots, r, "elimination root in z")
-        s11, s10 = _first_subresultant(p, q, z[1])
-        if _separates(res, s11, r):
-            break
+    with R: then each u0 carries exactly one point, at w0 = -s10/s11(u0).
+    A k >= 1 fails only at a zero of the leading form of F_t or F_z (2d - 1
+    at most), for a pair of points on one fiber (b(b - 1)/2 at most, b the
+    Bezout bound) or for a point whose fiber is tangent to both curves (b at
+    most), so the range outlasts them all unless a point is singular on
+    both curves, which no shear separates.  [] when R has no real root; a
+    multiple root of R is rejected after every box is decided."""
+    k, s11, s10 = 0, None, None
+    if len(z) == 1:
+        if grad[0].is_zero():
+            raise DegenerateParameter("derivative vanishes identically")
+        roots = _real_roots(grad[0], r)
     else:
-        raise DegenerateParameter("no shear separates the critical points")
-    points = []
-    for iv in roots:
-        boxes = _fiber_boxes(iv.refine(VALUE_WIDTH), s11, s10, k, z)
-        points.append((_inside(boxes, r), lambda _, boxes=boxes: next(boxes)))
+        d = max(map(sum, Ft.terms), default=0)
+        b = (d - 1) ** 2  # Bezout's bound on the number of points
+        for k in range(2 * d + b * (b + 1) // 2 + 1):
+            p, q = [_sheared(Ft, k, z).diff(v) for v in z] if k else grad
+            n = q.degree_in(z[1])
+            # G_z has w, and G_w no z^i w^n, i > 0, so its lead is constant
+            if p.degree_in(z[1]) < 1 or n < 1 or any(
+                    i for i, j in q.terms if j == n):
+                continue
+            res = resultant(p, q, z[1])
+            if res.is_zero():
+                raise DegenerateParameter(
+                    "elimination collapsed; system not finite")
+            if res.is_constant() or not (roots := _real_roots(res, r)):
+                return []
+            s11, s10 = _first_subresultant(p, q, z[1])
+            if _separates(res, s11, r):
+                break
+        else:
+            raise DegenerateParameter("no shear separates the critical points")
+    points = [_inside(_fiber_boxes(iv.refine(VALUE_WIDTH), s11, s10, k, z), r)
+              for iv in roots]
     if any(iv.multiplicity > 1 for iv in roots):
         raise DegenerateParameter("F_t has a degenerate critical point")
     return points
@@ -277,19 +258,18 @@ def _boxes_2d(Ft: Polynomial, grad, z, r: Fraction):
 
 # -- classification --------------------------------------------------------
 
-def _classify(Ft: Polynomial, hess, box, margin: Fraction,
-              shrink) -> CriticalPoint:
-    """The critical point in box, which maps each z to an interval (for
-    n = 1 an IsolatingInterval); shrink(box) keeps the point.  box shrinks
-    at most 20 times until the sign of det(hess) is known; the index is 1
-    when det < 0, else 0 or 2 by the sign of hess[0][0]."""
-    for tries in range(21):
+def _classify(Ft: Polynomial, hess, boxes, margin: Fraction) -> CriticalPoint:
+    """The critical point that each of boxes holds (a box maps each z to an
+    interval).  At most 21 boxes are drawn, until the sign of det(hess) is
+    known; the index is 1 when det < 0, else 0 or 2 by the sign of
+    hess[0][0]."""
+    for _ in range(21):
+        box = next(boxes)
         ibox = integer_box(box)
         hv = [[enclose(h, ibox) for h in row] for row in hess]
         lo, hi, den = _det(hv)
-        if (det_sign := sign(lo, hi)) is not None or tries == 20:
+        if (det_sign := sign(lo, hi)) is not None:
             break
-        box = shrink(box)
     if det_sign is None or min(abs(lo), abs(hi)) < margin * den:
         raise DegenerateParameter("hessian determinant too close to zero")
     if det_sign < 0:
@@ -324,12 +304,8 @@ def critical_points(u: Unfolding, t: ParameterPoint,
     Ft = u.specialize(tuple(t))
     grad = [Ft.diff(v) for v in z]
     hess = [[g.diff(v) for v in z] for g in grad]
-    if u.n == 1:
-        points = ((box, _quarter) for box in _boxes_1d(grad[0], z[0], r))
-    else:
-        points = _boxes_2d(Ft, grad, z, r)
-    pts = sorted([_classify(Ft, hess, box, margin, shrink)
-                  for box, shrink in points],
+    pts = sorted([_classify(Ft, hess, boxes, margin)
+                  for boxes in _boxes(Ft, grad, z, r)],
                  key=lambda p: [iv.lo for iv in p.location])
     for p in pts:
         if not sign_relation_check(Fraction(p.hessian_det_sign), p.index, u.n):

@@ -1,8 +1,10 @@
 """Certified real root isolation for univariate rational polynomials.
 
 Sturm counts isolate, so every returned interval (a RatInterval) provably
-contains exactly one distinct real root; multiplicities come from Yun's
-square-free factorization.  Every decision is an integer sign: polynomials
+contains exactly one distinct real root, and intervals that touch are
+halved apart; multiplicities come from Yun's square-free factorization.
+Where a root lies against any other point is the caller's to decide, by
+refining its interval.  Every decision is an integer sign: polynomials
 are scaled once to primitive integer coefficients and evaluated at p/q
 (q > 0) as sum a_i p^i q^(d-i), on intervals (a/d, b/d] as integer_interval
 triples a, b, d.  Refinement ends in the cell that bisection ends in,
@@ -229,12 +231,10 @@ class IsolatingInterval(RatInterval):
 
 
 def isolate_real_roots(p: Polynomial, window: tuple[Fraction, Fraction],
-                       factors=None, avoid=()) -> list[IsolatingInterval]:
+                       factors=None) -> list[IsolatingInterval]:
     """Disjoint isolating intervals for the distinct real roots in window.
 
-    factors is p's squarefree_decomposition, if the caller has it.  Each
-    interval is halved, at most 79 times, until no point of avoid lies
-    strictly inside it."""
+    factors is p's squarefree_decomposition, if the caller has it."""
     if p.is_zero():
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     lo, hi = Fraction(window[0]), Fraction(window[1])
@@ -295,12 +295,6 @@ def isolate_real_roots(p: Polynomial, window: tuple[Fraction, Fraction],
         while s[1] * t[2] >= t[0] * s[2]:
             halve(s)
             halve(t)
-    cuts = [(x.numerator, x.denominator) for x in map(Fraction, avoid)]
-    for iv in out:
-        for _ in range(79):
-            if not any(iv[0] * q < x * iv[2] < iv[1] * q for x, q in cuts):
-                break
-            halve(iv)
     return [IsolatingInterval(Fraction(a, d), Fraction(b, d), m, chain)
             for a, b, d, _, m in out]
 

@@ -70,11 +70,6 @@ class TestArithmetic:
         iv = inverse(RatInterval(Fraction(2), Fraction(4)))
         assert iv.lo == Fraction(1, 4) and iv.hi == Fraction(1, 2)
 
-    def test_intersect_disjoint_is_none(self):
-        a = RatInterval(Fraction(0), Fraction(1))
-        b = RatInterval(Fraction(2), Fraction(3))
-        assert a.intersect(b) is None
-
     @given(intervals(), intervals(), rationals, rationals)
     @settings(max_examples=80, deadline=None)
     def test_containment_under_operations(self, a, b, x, y):

@@ -142,30 +142,35 @@ class TestClassify:
     def test_shrinks_until_the_sign_is_known(self):
         seen = []
 
-        def toward_one(box):
-            seen.append(box)
-            iv = box["z"]
-            return {"z": RatInterval((iv.lo + 1) / 2, (iv.hi + 1) / 2)}
+        def toward_one(iv):
+            while True:
+                seen.append(iv)
+                yield {"z": iv}
+                iv = RatInterval((iv.lo + 1) / 2, (iv.hi + 1) / 2)
 
         pt = morselab._classify(self.F, self.HESS,
-                                {"z": RatInterval(0, 2)}, Fraction(1),
-                                toward_one)
-        assert len(seen) == 1  # 2z on [1/2, 3/2] is positive
+                                toward_one(RatInterval(0, 2)), Fraction(1))
+        assert len(seen) == 2  # 2z on [1/2, 3/2] is positive
         assert pt.location == (RatInterval(Fraction(1, 2), Fraction(3, 2)),)
         assert (pt.index, pt.hessian_det_sign) == (0, 1)
         assert pt.hessian_det == RatInterval(1, 3)
 
     def test_gives_up_after_twenty_shrinks(self):
         seen = []
+
+        def unchanged():
+            while True:
+                seen.append(1)
+                yield {"z": RatInterval(-1, 1)}
+
         with pytest.raises(DegenerateParameter, match="too close to zero"):
-            morselab._classify(self.F, self.HESS, {"z": RatInterval(-1, 1)},
-                               Fraction(0), lambda box: seen.append(1) or box)
-        assert len(seen) == 20
+            morselab._classify(self.F, self.HESS, unchanged(), Fraction(0))
+        assert len(seen) == 21  # the first box and twenty shrinks
 
     def test_margin_message_is_shared(self):
         with pytest.raises(DegenerateParameter, match="too close to zero"):
-            morselab._classify(self.F, self.HESS, {"z": RatInterval(-2, -1)},
-                               Fraction(3), lambda box: box)
+            morselab._classify(self.F, self.HESS,
+                               iter([{"z": RatInterval(-2, -1)}]), Fraction(3))
 
     def test_wrong_length_parameter_is_bad_input(self):
         with pytest.raises(InvalidInput, match="1 coordinates, expected 2"):
@@ -185,7 +190,7 @@ class TestCriticalPoints2D:
         assert mids == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
 
     def test_elimination_root_outside_box_escapes(self):
-        with pytest.raises(BoxEscape, match="elimination root in z"):
+        with pytest.raises(BoxEscape, match="critical point with z"):
             critical_points(U("z^3 + w^3", ("z", "w")), T(-3, -3, 0),
                             box_radius=Fraction(1, 2))
 
@@ -193,7 +198,7 @@ class TestCriticalPoints2D:
         # every root of Res_w is a z inside (-1, 1), but one point has
         # w near -1.035
         u, t, r = U("z^3 + w^3", ZW), T(Fraction(-1, 2), Fraction(-5, 2), 1), 1
-        with pytest.raises(BoxEscape, match="elimination root in w"):
+        with pytest.raises(BoxEscape, match="critical point with w"):
             critical_points(u, t, box_radius=r)
         oracle = sympy_critical_points(u.specialize(tuple(t)), 10 ** 6)
         assert all(abs(z) < r for z, _ in oracle)
@@ -296,21 +301,38 @@ def sympy_critical_points(Ft: Polynomial, r: Fraction):
     """The real solutions of grad F_t = 0 in (-r, r)^2, independently of
     morselab: z runs over sympy's exact real_roots of Res_w(F_z, F_w), and
     w over the real nroots of F_w(z, w), at 50 digits, that also zero
-    F_z."""
+    F_z; over a z where F_w(z, w) vanishes for every w, the roles of F_z
+    and F_w swap."""
     z, w = sympy.symbols("z w")
     fz, fw = (sympy.diff(to_sympy(Ft), v) for v in (z, w))
     out = []
     for z0 in set(sympy.real_roots(sympy.Poly(sympy.resultant(fz, fw, w),
                                               z))):
         zv = z0.evalf(50)
-        for wv in sympy.Poly(fw.subs(z, zv), w).nroots(n=50):
-            if wv.is_real and abs(fz.subs({z: zv, w: wv})) < 1e-30 and \
+        f, g = fw.subs(z, zv), fz.subs(z, zv)
+        if all(abs(c) < 1e-30 for c in sympy.Poly(f, w).all_coeffs()):
+            f, g = g, f
+        for wv in sympy.Poly(f, w).nroots(n=50):
+            if wv.is_real and abs(g.subs(w, wv)) < 1e-30 and \
                     abs(zv) < r and abs(wv) < r:
                 out.append((zv, wv))
     return out
 
 
 class TestCriticalPoints2DOracle:
+    def test_fiber_where_fw_vanishes(self):
+        # F_w = (2z + 1)w vanishes on the whole fiber z = -1/2, which holds
+        # two of the three points, so the oracle takes their w from F_z
+        u = U("z*w^2 + z^4", ZW)
+        t = T(Fraction(1, 2), 0, Fraction(1, 4), Fraction(1, 2))
+        Ft, r = u.specialize(tuple(t)), Fraction(1)
+        oracle = [(round(float(x), 4), round(float(y), 4))
+                  for x, y in sympy_critical_points(Ft, r)]
+        assert sorted(oracle) == [(-0.5, -0.5), (-0.5, 0.5), (-0.4176, 0)]
+        pts = critical_points(u, t, box_radius=r)
+        assert sorted(p.index for p in pts) == [0, 1, 1]
+        assert_sympy_points(pts, Ft, r)
+
     @pytest.mark.parametrize("germ,r", [
         (germ, r) for germ in ("z^3 + w^3", "z^3 + w^4") for r in (4, 1)])
     def test_certified_points_match_sympy(self, germ, r):

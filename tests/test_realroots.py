@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singlab import morselab, realroots
-from singlab.errors import BoxEscape, InvalidInput
+from singlab.errors import BoxEscape, DegenerateParameter, InvalidInput
 from singlab.poly import parse_polynomial
 from singlab.realroots import (IsolatingInterval, count_distinct_roots,
                                isolate_real_roots, squarefree_decomposition)
@@ -128,26 +128,41 @@ def _ref_isolate(expr, lo, hi):
     return out
 
 
-def _ref_roots_in_box(expr, r):
-    """morselab._roots_in_box on Fractions: each interval from the Cauchy
-    window is halved off the box boundary; the first one still straddling
-    it after 80 checks, or lying outside, raises BoxEscape."""
+def _ref_boxes(expr, r):
+    """morselab._boxes for n = 1 on Fractions, R = expr: each interval from
+    the Cauchy window is refined to VALUE_WIDTH, then by quarters, until a
+    box lies inside (-r, r), its point's first box, or outside it, which
+    raises BoxEscape; so does a 40th box still undecided.  A multiple root
+    is rejected after every box is decided."""
     coeffs = _ascending(expr)
     bound = 1 + max(abs(x / coeffs[-1]) for x in coeffs[:-1])
     window = max(bound + 1, r + 1)
-    out = []
-    for lo, hi, mult in _ref_isolate(expr, -window, window):
-        for _ in range(80):
-            if not (lo < -r < hi or lo < r < hi):
+    c, out = _sqfree(expr), []
+    roots = _ref_isolate(expr, -window, window)
+    for lo, hi, _ in roots:
+        lo, hi = _ref_refine(c, lo, hi, morselab.VALUE_WIDTH)
+        for _ in range(40):
+            if hi <= -r or lo >= r:
+                raise BoxEscape(f"critical point with z near "
+                                f"{float((lo + hi) / 2):.3f} outside "
+                                f"[-{r}, {r}]")
+            if -r < lo and hi < r:
+                out.append((lo, hi))
                 break
-            lo, hi = _ref_refine(_sqfree(expr), lo, hi, (hi - lo) / 2)
+            lo, hi = _ref_refine(c, lo, hi, (hi - lo) / 4)
         else:
-            raise BoxEscape("x on the box boundary")
-        if hi <= -r or lo >= r:
-            raise BoxEscape(f"x near {float((lo + hi) / 2):.3f} "
-                            f"outside [-{r}, {r}]")
-        out.append((lo, hi, mult))
+            raise BoxEscape("critical point on the box boundary")
+    if any(m > 1 for *_, m in roots):
+        raise DegenerateParameter("F_t has a degenerate critical point")
     return out
+
+
+def _first_boxes(expr, r):
+    """The first box of each point of morselab._boxes on F = the integral
+    of expr, so that R = F' = expr."""
+    F = _singlab_poly(sympy.integrate(expr, Z))
+    return [(box["z"].lo, box["z"].hi) for box in
+            map(next, morselab._boxes(F, [F.diff("z")], ("z",), r))]
 
 
 def _ascending(expr):
@@ -253,6 +268,12 @@ class TestIsolation:
     @given(POLY, st.integers(1, 24),
            st.sampled_from([Fraction(0), Fraction(1, 1000),
                             Fraction(-1, 2 ** 30), Fraction(1, 3)]))
+    @example(([1], [4]), 4, Fraction(0))  # the root is r: boundary
+    # the root is 2^-62 inside r, so quarters of the first box decide it
+    @example(([1], [4]), 4, Fraction(1, 2 ** 62))
+    @example(([1], [4, 4]), 8, Fraction(0))  # a double root inside
+    # a double root at 0, and a root at 3 outside: the box decides first
+    @example(([1], [0, 0, 12]), 4, Fraction(0))
     @settings(max_examples=60, deadline=None)
     def test_box_matches_fraction_straddle_loop(self, poly, quarters, offset):
         # box radius at or near a root k/4, so intervals straddle it
@@ -261,33 +282,35 @@ class TestIsolation:
             return
         r = Fraction(quarters, 4) + offset
         try:
-            want = _ref_roots_in_box(expr, r)
-        except BoxEscape as exc:
-            with pytest.raises(BoxEscape) as got:
-                morselab._roots_in_box(_singlab_poly(expr), r, "x")
+            want = _ref_boxes(expr, r)
+        except (BoxEscape, DegenerateParameter) as exc:
+            with pytest.raises(type(exc)) as got:
+                _first_boxes(expr, r)
             assert str(got.value) == str(exc)
         else:
-            got = morselab._roots_in_box(_singlab_poly(expr), r, "x")
-            assert [(iv.lo, iv.hi, iv.multiplicity) for iv in got] == want
+            assert _first_boxes(expr, r) == want
 
-    def test_straddle_cleared_by_the_80th_halving_still_escapes(self):
-        # r is the midpoint of the 79th halving's cell about sqrt(2): after
-        # 79 halvings the interval straddles r, and only an 80th clears it
-        expr = Z ** 2 - 2
+    def test_root_undecided_after_forty_boxes_is_boundary(self):
+        # r is the upper end of the 40th box about sqrt(2): the root is
+        # inside (-r, r), but only a 41st box would show it
+        expr, c = Z ** 2 - 2, _sqfree(Z ** 2 - 2)
         lo, hi, _ = _ref_isolate(expr, Fraction(-4), Fraction(4))[1]
-        lo, hi = _ref_refine(_sqfree(expr), lo, hi, (hi - lo) / 2 ** 79)
-        r = (lo + hi) / 2
+        lo, hi = _ref_refine(c, lo, hi, morselab.VALUE_WIDTH)
+        for _ in range(39):
+            lo, hi = _ref_refine(c, lo, hi, (hi - lo) / 4)
+        r = hi
+        assert _ref_refine(c, lo, hi, (hi - lo) / 4)[1] < r
         with pytest.raises(BoxEscape, match="boundary"):
-            _ref_roots_in_box(expr, r)
+            _ref_boxes(expr, r)
         with pytest.raises(BoxEscape, match="boundary"):
-            morselab._roots_in_box(_singlab_poly(expr), r, "x")
-
+            _first_boxes(expr, r)
 
     def test_each_halving_evaluates_f_once(self, monkeypatch):
-        # the intervals about 1 and 3/2 touch, and 3/2 lies just inside r,
-        # so both loops halve; the sign of f at each low end is known
-        p, r = P("(z - 1)*(z - 3/2)*(z^2 - 2)"), Fraction(1501, 1000)
-        want = morselab._roots_in_box(p, r, "x")
+        # the intervals about 1, sqrt(2) and 3/2 touch, so they are halved
+        # apart; the sign of f at each low end is known
+        p = P("(z - 1)*(z - 3/2)*(z^2 - 2)")
+        window = (Fraction(-4), Fraction(4))
+        want = isolate_real_roots(p, window)
         calls, per_halving = [], []
         value, refine = realroots._value, realroots._refine
 
@@ -302,8 +325,8 @@ class TestIsolation:
             return out
         monkeypatch.setattr(realroots, "_value", counted_value)
         monkeypatch.setattr(realroots, "_refine", counted_refine)
-        got = morselab._roots_in_box(p, r, "x")
-        assert per_halving == [1] * 14
+        got = isolate_real_roots(p, window)
+        assert per_halving == [1] * 6
         assert got == want
 
 
