@@ -7,8 +7,8 @@ results derived from valid polynomials are built by ``Polynomial._of``,
 which checks nothing: its terms are already nonzero Fractions on int
 tuples of the ring's length.  Monomial orders (grevlex and lex) are key
 functions on exponent tuples; lex with the eliminated variables first
-serves as the elimination order.  Products and exact quotients also run
-on bare term maps, which the Bareiss determinant in ``resultant`` shares.
+serves as the elimination order.  Exact quotients run on term maps with
+packed exponents, as does the Bareiss determinant in ``resultant``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, neg, sub
+from operator import add, lshift
 from typing import Iterable, Mapping
 
 from .errors import (DegreeError, InvalidInput, VariableMismatch,
@@ -186,7 +186,10 @@ class Polynomial:
                             {e: c * v for e, v in self.terms.items() if c})
         self._check(other)
         terms: dict[Exponents, Fraction] = {}
-        mul_terms(terms, self.terms, other.terms)
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
         return self._of(self.variables, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
@@ -325,9 +328,12 @@ class Polynomial:
         # a/(b/g) is integral when it exists, b/g being primitive
         (a, b), _ = integer_terms([self.terms, divisor.terms])
         g = gcd(*b.values())
-        q = div_terms(a, {e: c // g for e, c in b.items()})
+        big = max((x for e in (*a, *b) for x in e), default=0)
+        pack, unpack, guard = lex_packing([big] * len(self.variables))
+        q = div_terms({pack(e): c for e, c in a.items()},
+                      {pack(e): c // g for e, c in b.items()}, guard)
         return self._of(self.variables,
-                        {e: Fraction(c, g) for e, c in q.items()})
+                        {unpack(e): Fraction(c, g) for e, c in q.items()})
 
     # -- formatting --------------------------------------------------------
 
@@ -361,14 +367,6 @@ class Polynomial:
 
 # -- term maps ---------------------------------------------------------------
 
-def mul_terms(acc: dict, a: Mapping, b: Mapping) -> None:
-    """acc += a * b on term maps; terms that cancel stay as zeros."""
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            acc[e] = acc.get(e, 0) + c1 * c2
-
-
 def integer_terms(maps: list[Mapping]) -> tuple[list[dict], int]:
     """Fraction term maps on integers over their least common denominator."""
     den = lcm(*(c.denominator for m in maps for c in m.values()))
@@ -376,36 +374,53 @@ def integer_terms(maps: list[Mapping]) -> tuple[list[dict], int]:
              for e, c in m.items()} for m in maps], den
 
 
-def div_terms(rem: dict[Exponents, int],
-              divisor: Mapping[Exponents, int]) -> dict[Exponents, int]:
-    """Exact quotient of integer term maps; rem is consumed as the remainder.
+def lex_packing(bounds: list[int]):
+    """(pack, unpack, guard) for exponents e[i] <= bounds[i]: lex fields as
+    wide as the bounds, the first highest, a guard bit above each, so that a
+    product is a sum and a field that outgrows or borrows sets its guard."""
+    shifts, guard, s = [], 0, 0
+    for b in reversed(bounds):
+        shifts.insert(0, s)
+        s += b.bit_length() + 1
+        guard |= 1 << s - 1
+    fields = [(s, (1 << b.bit_length()) - 1) for s, b in zip(shifts, bounds)]
+    return (lambda e: sum(map(lshift, e, shifts)),
+            lambda m: tuple(m >> s & mask for s, mask in fields), guard)
+
+
+def div_terms(rem: dict[int, int], divisor: Mapping[int, int],
+              guard: int) -> dict[int, int]:
+    """Exact quotient of packed term maps; rem is consumed as the remainder.
 
     Heap division (Monagan & Pearce, "Sparse polynomial division using a
-    heap", JSC 2011) in lex order: the largest pending exponent of rem is
-    popped and gives one quotient term, whose product with the rest of the
-    divisor is subtracted from rem in place.  A term that cancels stays in
-    rem as a zero and is skipped when popped.
+    heap", JSC 2011) on ``lex_packing`` keys and guard mask: the largest
+    pending exponent of rem is popped and gives one quotient term, whose
+    product with the rest of the divisor is subtracted from rem in place.
+    A term that cancels stays in rem as a zero and is skipped when popped.
     """
     de = max(divisor)
     dc = divisor[de]
     tail = [(e, c) for e, c in divisor.items() if e != de]
-    heap = [tuple(map(neg, e)) for e in rem]  # rem's keys, largest first
+    heap = [-e for e in rem]  # rem's keys, largest first
     heapify(heap)
-    q: dict[Exponents, int] = {}
+    q: dict[int, int] = {}
     while heap:
-        e = tuple(map(neg, heappop(heap)))
+        e = -heappop(heap)
         c = rem.pop(e)
         if not c:
             continue
-        qe = tuple(map(sub, e, de))
+        qe = e - de
         qc, r = divmod(c, dc)
-        if r or min(qe, default=0) < 0:
+        if r or qe & guard:
             raise ValueError("inexact polynomial division")
         q[qe] = qc
         for be, bc in tail:
-            te = tuple(map(add, qe, be))
+            te = qe + be
             if te not in rem:
-                heappush(heap, tuple(map(neg, te)))
+                if te & guard:  # past the dividend's degrees: not exact
+                    raise ValueError(
+                        "inexact polynomial division (a field outgrows)")
+                heappush(heap, -te)
             rem[te] = rem.get(te, 0) - qc * bc
     return q
 

@@ -2,9 +2,9 @@
 
 The determinant is computed by fraction-free elimination (Bareiss, Math.
 Comp. 1968) in Z[remaining variables]: the entries are scaled once to
-integer term maps over one common denominator, and each step divides by
-the previous pivot with the heap division ``poly.div_terms``.  Every such
-division is exact, so the result is the exact resultant.
+integer term maps with packed exponents over one common denominator, and
+each step divides by the previous pivot with the heap division
+``poly.div_terms``.  Every such division is exact, so the result is exact.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegreeError, VariableMismatch
-from .poly import Polynomial, div_terms, integer_terms, mul_terms
+from .poly import Polynomial, div_terms, integer_terms, lex_packing
 
 
 def sylvester_matrix(p: Polynomial, q: Polynomial,
@@ -24,17 +24,9 @@ def sylvester_matrix(p: Polynomial, q: Polynomial,
     n = len(qc) - 1
     if m <= 0 or n <= 0:
         raise DegreeError(f"both inputs need positive degree in {var}")
-    rest = pc[0].variables
-    zero = Polynomial.zero(rest)
-    size = m + n
-    rows = []
-    for coeffs, count in ((pc, n), (qc, m)):
-        for i in range(count):
-            row = [zero] * size
-            for j, c in enumerate(reversed(coeffs)):
-                row[i + j] = c
-            rows.append(row)
-    return rows
+    zero = Polynomial.zero(pc[0].variables)
+    return [[zero] * i + coeffs[::-1] + [zero] * (count - 1 - i)
+            for coeffs, count in ((pc, n), (qc, m)) for i in range(count)]
 
 
 def poly_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
@@ -45,10 +37,18 @@ def poly_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
     variables = matrix[0][0].variables
     if any(p.variables != variables for row in matrix for p in row):
         raise VariableMismatch("matrix entries over different rings")
+    if n == 1:
+        return matrix[0][0]
+    # every entry is a minor, of degree in a variable at most the sum of
+    # the rows' largest degrees in it; a product of two, twice that
+    bound = [2 * sum(max((e[v] for p in row for e in p.terms), default=0)
+                     for row in matrix) for v in range(len(variables))]
+    pack, unpack, guard = lex_packing(bound)
     flat, den = integer_terms([p.terms for row in matrix for p in row])
+    flat = [{pack(e): c for e, c in t.items()} for t in flat]
     m = [flat[i * n:(i + 1) * n] for i in range(n)]
     sign = 1
-    prev = {(0,) * len(variables): 1}
+    prev = {0: 1}
     for k in range(n - 1):
         if not m[k][k]:
             for r in range(k + 1, n):
@@ -62,14 +62,16 @@ def poly_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
         for i in range(k + 1, n):
             neg_ik = {e: -c for e, c in m[i][k].items()}
             for j in range(k + 1, n):
-                num: dict = {}
-                mul_terms(num, m[i][j], pivot)
-                if neg_ik and m[k][j]:  # the Sylvester matrix is banded
-                    mul_terms(num, neg_ik, m[k][j])
-                m[i][j] = div_terms(num, prev)
+                num: dict = {}  # m[i][j] * pivot - m[i][k] * m[k][j]
+                for a, b in ((m[i][j], pivot), (neg_ik, m[k][j])):
+                    for e1, c1 in a.items():
+                        for e2, c2 in b.items():
+                            e = e1 + e2
+                            num[e] = num.get(e, 0) + c1 * c2
+                m[i][j] = div_terms(num, prev, guard)
         prev = pivot
     # det(den * matrix) = den^n det(matrix)
-    return Polynomial._of(variables, {e: Fraction(c, sign * den ** n)
+    return Polynomial._of(variables, {unpack(e): Fraction(c, sign * den ** n)
                                       for e, c in m[n - 1][n - 1].items()})
 
 

@@ -10,7 +10,7 @@ from singlab.errors import VariableMismatch
 from singlab.groebner import groebner_basis, normal_form
 from singlab.milnor import unfold_germ
 from singlab.poly import (GREVLEX, LEX, Polynomial, div_terms,
-                          infer_variables, parse_polynomial)
+                          infer_variables, lex_packing, parse_polynomial)
 from singlab.resultant import poly_determinant
 from test_discriminant import germs_1d
 
@@ -233,9 +233,36 @@ class TestExactDivision:
 
     def test_integer_coefficient_must_divide(self):
         # 3x / 2x is exact over Q but not over Z
+        pack, _, guard = lex_packing([2])
+        x0, x1, x2 = map(pack, [(0,), (1,), (2,)])
         with pytest.raises(ValueError, match="inexact"):
-            div_terms({(1,): 3}, {(1,): 2})
-        assert div_terms({(2,): 6, (1,): 3}, {(1,): 2, (0,): 1}) == {(1,): 3}
+            div_terms({x1: 3}, {x1: 2}, guard)
+        assert div_terms({x2: 6, x1: 3}, {x1: 2, x0: 1}, guard) == {x1: 3}
+
+    @pytest.mark.parametrize("names", [("x", "y"), ("y", "x")])
+    def test_exponent_borrow_raises(self, names):
+        # y / x borrows from the top field for x > y, from the low one for
+        # y > x; x^2 / (x*y) borrows from the y field
+        pack, _, guard = lex_packing([2, 2])
+        for a, b in (("y", "x"), ("x^2", "x*y")):
+            a, b = parse_polynomial(a, names), parse_polynomial(b, names)
+            with pytest.raises(ValueError, match="inexact"):
+                a.exact_div(b)
+            with pytest.raises(ValueError, match="inexact"):
+                div_terms({pack(e): 1 for e in a.terms},
+                          {pack(e): 1 for e in b.terms}, guard)
+
+    def test_remainder_outgrowing_its_field_raises(self):
+        # in lex x > y, x^3 = (x^2 - x*y^5 + y^10)(x + y^5) - y^15: the
+        # second quotient term pushes x*y^10, past the width of y^5's field
+        names = ("x", "y")
+        a, b = P("x^3", names), P("x + y^5", names)
+        with pytest.raises(ValueError, match="inexact.*outgrows"):
+            a.exact_div(b)
+        pack, _, guard = lex_packing([5, 5])
+        with pytest.raises(ValueError, match="inexact.*outgrows"):
+            div_terms({pack((3, 0)): 1}, {pack((1, 0)): 1, pack((0, 5)): 1},
+                      guard)
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):

@@ -1,14 +1,16 @@
 """Sylvester resultants and fraction-free determinants vs sympy."""
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, neg, sub
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singlab.errors import DegreeError, VariableMismatch
-from singlab.poly import Polynomial, parse_polynomial
+from singlab.poly import Polynomial, integer_terms, parse_polynomial
 from singlab.resultant import poly_determinant, resultant
 
 
@@ -34,6 +36,101 @@ def _to_sympy(p, symbols):
             term *= s ** k
         expr += term
     return expr
+
+
+def _tuple_mul_terms(acc, a, b):
+    """The reference product acc += a * b on exponent tuples."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def _tuple_div_terms(rem, divisor):
+    """The reference heap division on exponent tuples."""
+    de = max(divisor)
+    dc = divisor[de]
+    tail = [(e, c) for e, c in divisor.items() if e != de]
+    heap = [tuple(map(neg, e)) for e in rem]
+    heapify(heap)
+    q = {}
+    while heap:
+        e = tuple(map(neg, heappop(heap)))
+        c = rem.pop(e)
+        if not c:
+            continue
+        qe = tuple(map(sub, e, de))
+        qc, r = divmod(c, dc)
+        if r or min(qe, default=0) < 0:
+            raise ValueError("inexact polynomial division")
+        q[qe] = qc
+        for be, bc in tail:
+            te = tuple(map(add, qe, be))
+            if te not in rem:
+                heappush(heap, tuple(map(neg, te)))
+            rem[te] = rem.get(te, 0) - qc * bc
+    return q
+
+
+def _tuple_bareiss(matrix):
+    """The reference integer Bareiss determinant on exponent tuples."""
+    n = len(matrix)
+    variables = matrix[0][0].variables
+    flat, den = integer_terms([p.terms for row in matrix for p in row])
+    m = [flat[i * n:(i + 1) * n] for i in range(n)]
+    sign = 1
+    prev = {(0,) * len(variables): 1}
+    for k in range(n - 1):
+        if not m[k][k]:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Polynomial.zero(variables)
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            neg_ik = {e: -c for e, c in m[i][k].items()}
+            for j in range(k + 1, n):
+                num = {}
+                _tuple_mul_terms(num, m[i][j], pivot)
+                if neg_ik and m[k][j]:
+                    _tuple_mul_terms(num, neg_ik, m[k][j])
+                m[i][j] = _tuple_div_terms(num, prev)
+        prev = pivot
+    return Polynomial._of(variables, {e: Fraction(c, sign * den ** n)
+                                      for e, c in m[n - 1][n - 1].items()})
+
+
+@st.composite
+def bareiss_matrices(draw):
+    """Square matrices of sizes 1-6 over 0-4 variables, with rational
+    entries: dense ones with forced zero pivots, singular ones, and
+    diagonal ones whose last two entries are constants, so that the last
+    product reaches twice the degree bound."""
+    n = draw(st.integers(1, 6))
+    names = ("x", "y", "u", "v")[:draw(st.integers(0, 4))]
+    zero = Polynomial.zero(names)
+    entry = rational_polys(names, (2,) * len(names))
+    kind = draw(st.sampled_from(["dense", "singular", "diagonal"]))
+    if kind == "diagonal":
+        diag = [draw(entry) for _ in range(n - 2)] + [
+            Polynomial.constant(draw(st.integers(1, 5)), names)
+            for _ in range(min(n, 2))]
+        return [[diag[i] if i == j else zero for j in range(n)]
+                for i in range(n)]
+    m = [[draw(st.one_of(st.just(zero), entry)) for _ in range(n)]
+         for _ in range(n)]
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        for i in range(k, n):  # a zero pivot, and zeros below it
+            if draw(st.booleans()):
+                m[i][k] = zero
+    if kind == "singular" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        f = draw(entry)
+        m[j] = [p * f for p in m[i]]
+    return m
 
 
 class TestResultant:
@@ -130,6 +227,28 @@ class TestDeterminant:
                                for row in m]).det(method="berkowitz")
         assert sympy.expand(_to_sympy(poly_determinant(m), symbols)
                             - theirs) == 0
+
+    @given(bareiss_matrices())
+    @settings(max_examples=150, deadline=None)
+    @example([[P(t, ("x", "y")) for t in row] for row in
+              [["x + y", "0", "0", "0"], ["0", "x + y", "0", "0"],
+               ["0", "0", "1", "0"], ["0", "0", "0", "1"]]])
+    @example([[P(t, ("x", "y")) for t in row] for row in
+              [["x + y^2", "0", "0"], ["0", "1", "0"], ["0", "0", "2"]]])
+    # the last division pushes a remainder term that no product made, its
+    # x-field past the minor bound (within twice it)
+    @example([[P(t, ("x", "y")) for t in row] for row in
+              [["-2*x*y + x", "-3*x", "-2*x + 3"],
+               ["0", "2*x*y + x + y", "2"], ["x - y", "x*y + 3", "0"]]])
+    def test_matches_tuple_bareiss(self, m):
+        ours, ref = poly_determinant(m), _tuple_bareiss(m)
+        assert ours.variables == ref.variables
+        # the same terms in the same order, so the same bytes downstream
+        assert list(ours.terms.items()) == list(ref.terms.items())
+
+    def test_one_by_one_is_the_entry(self):
+        p = P("1/2*z^2 - 3", ("z",))
+        assert poly_determinant([[p]]) is p
 
     def test_entries_over_one_ring(self):
         m = [[P("z", ("z",)), P("1", ("z",))],
