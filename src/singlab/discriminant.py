@@ -25,7 +25,7 @@ from .morselab import (DEFAULT_BOX_RADIUS, DEFAULT_DELTA, CriticalPoint,
                        morse_report, report_or_reason, sample_parameters)
 from .poly import GREVLEX, Polynomial
 from .realroots import (IsolatingInterval, count_distinct_roots,
-                        isolate_real_roots, squarefree_decomposition)
+                        isolate_real_roots)
 # bench/tracing.py wraps critical_points (not called here) and resultant,
 # which eliminates z and lambda along Cerf paths
 from .resultant import poly_determinant, resultant
@@ -116,13 +116,15 @@ def exact_discriminant_1d(u: Unfolding) -> DiscriminantCurve:
 
 # -- event candidates along a path, exactly (n = 1) -------------------------
 
-def _crossing_factor(E: Polynomial, C: Polynomial) -> Polynomial | None:
-    """X with E = c * C^3 * X^2, c != 0, or None: exact division, then the
-    square root of the primitive quotient, checked by squaring."""
+def _crossing_factor(E: Polynomial, C: Polynomial) -> Polynomial:
+    """X with E = c * C^3 * X^2, c != 0, which holds whenever E != 0
+    (Arnold, Gusein-Zade & Varchenko I; Cerf 1970): exact division, then
+    the square root of the primitive quotient, checked by squaring; a
+    failure raises IdentityViolation."""
     try:
         q = E.exact_div(C ** 3).primitive()
     except ValueError:
-        return None
+        raise IdentityViolation("E is not divisible by C^3") from None
     c = [int(x) for x in reversed(q.univariate_coeffs())]
     q, c = (q, c) if c[0] > 0 else (-q, [-x for x in c])
     root = [math.isqrt(c[0])]
@@ -131,17 +133,19 @@ def _crossing_factor(E: Polynomial, C: Polynomial) -> Polynomial | None:
                     // (2 * root[0]))
     X = Polynomial._of(q.variables, {(k,): Fraction(x) for k, x in
                                      enumerate(reversed(root)) if x})
-    return X if X * X == q else None
+    if X * X != q:
+        raise IdentityViolation("E / C^3 is not a square")
+    return X
 
 
 def _segment_roots(u: Unfolding, path: list[ParameterPoint], i: int,
                    r: Fraction):
     """(isolating intervals, their polynomial p) of the s on segment i of
     k, t = a + (k s - i)(b - a), where the points' count or value order may
-    change: roots of the caustic C = Res_z(F', F''), of E = Res_lambda(D,
-    dD/dlambda) for D the _fiber_determinant (or of C X when E = c C^3 X^2
-    with C X square-free, the generic case), and of F'(+-r), where a point
-    crosses the box boundary.  None when E vanishes."""
+    change: roots of p = C X F'(r) F'(-r), for the caustic C = Res_z(F',
+    F''), the crossing factor X of E = Res_lambda(D, dD/dlambda) = c C^3 X^2
+    (D the _fiber_determinant), and where a point crosses the box boundary.
+    None when E vanishes."""
     z, k = u.z_names[0], len(path) - 1
     ring = (PATH_S, z)
     Fa, Fb = (u.specialize(tuple(p)).project(ring) for p in path[i:i + 2])
@@ -152,17 +156,11 @@ def _segment_roots(u: Unfolding, path: list[ParameterPoint], i: int,
     D = _fiber_determinant(F, z)
     if (E := resultant(D, D.diff(LAMBDA), LAMBDA)).is_zero():
         return None
-    box = E ** 0
+    p = C * _crossing_factor(E, C)
     for x in (r, -r):
         edge = sum((c * x ** e for e, c in enumerate(dF.coeffs_in(z))), E * 0)
-        box *= edge if not edge.is_zero() else 1
-    X = _crossing_factor(E, C)
-    p = (C * X if X is not None else E) * box
-    factors = squarefree_decomposition(p.univariate_coeffs())
-    if X is not None and any(m > 1 for _, m in factors):
-        p, factors = E * box, None
-    return isolate_real_roots(p, (Fraction(i, k), Fraction(i + 1, k)),
-                              factors), p
+        p *= edge if not edge.is_zero() else 1
+    return isolate_real_roots(p, (Fraction(i, k), Fraction(i + 1, k))), p
 
 
 @dataclass
@@ -301,13 +299,13 @@ def nearest_pairs(prev: list, cur: list, dist) -> list[tuple[int, int]]:
     return pairs
 
 
-def _closest_pair_hessian(points: list[CriticalPoint]) -> float:
-    """Upper bound on min |h| over the pair of points closest in space."""
+def _closest_pair_hessian(points: list[CriticalPoint]) -> Fraction | float:
+    """Exact upper bound on min |h| of the two points closest in space."""
     if len(points) < 2:
         return math.inf
     p, q = min(combinations(points, 2), key=lambda pq: sum(
         (x.mid() - y.mid()) ** 2 for x, y in zip(*(p.location for p in pq))))
-    return float(min(p.hessian_det.mag(), q.hessian_det.mag()))
+    return min(p.hessian_det.mag(), q.hessian_det.mag())
 
 
 def _refine_count_change(report, s_lo, s_hi, tol, kind,
@@ -323,7 +321,7 @@ def _refine_count_change(report, s_lo, s_hi, tol, kind,
     rich_count = len(rich_rep.points)
     witness = _closest_pair_hessian(rich_rep.points)
     for _ in range(200):
-        if witness < float(tol):
+        if witness < tol:
             break
         mid = (s_lo + s_hi) / 2
         rep_mid = report(mid)
@@ -339,10 +337,9 @@ def _refine_count_change(report, s_lo, s_hi, tol, kind,
                 s_hi = mid
             else:
                 s_lo = mid
-    resolved = witness < float(tol)
     return CerfEvent(step=0, s=(s_lo + s_hi) / 2,
-                     kind=kind if resolved else "unresolved",
-                     data={"hessian_witness": witness})
+                     kind=kind if witness < tol else "unresolved",
+                     data={"hessian_witness": float(witness)})
 
 
 def _swaps(left: MorseReport, right: MorseReport, nearest: bool):
@@ -551,44 +548,41 @@ def equal_level_search(u: Unfolding, index: int, budget: int = 200,
     r = Fraction(box_radius)
     grid = 2 ** 24
 
-    def level_gap(t: ParameterPoint):
+    @functools.cache
+    def levels(t: ParameterPoint):
+        """The sorted index-i values at t, or None when t is rejected."""
         rep = _report_at(u, t, r)
-        if rep is None:
-            return None, None
-        vals = sorted(float(p.value.mid()) for p in rep.points
-                      if p.index == index)
-        if len(vals) < 2:
-            return vals, 0.0
-        return vals, vals[-1] - vals[0]
+        return None if rep is None else sorted(
+            float(p.value.mid()) for p in rep.points if p.index == index)
 
-    start = None
-    singleton = None
+    def gap(t: ParameterPoint):
+        """The spread of the levels at t, or None with fewer than two."""
+        vals = levels(t)
+        return vals[-1] - vals[0] if vals and len(vals) > 1 else None
+
+    start = singleton = None
     for t in sample_parameters(u, budget, delta, seed):
-        vals, gap = level_gap(t)
-        if vals is None:
-            continue
-        if len(vals) >= 2:
-            if start is None or gap < start[1]:
-                start = (t, gap, vals)
-        elif singleton is None:
-            singleton = EqualLevelWitness(
-                t=t, index=index, values=vals, gap=0.0, flag="singleton")
+        if (g := gap(t)) is not None:
+            if start is None or g < gap(start):
+                start = t
+        elif singleton is None and (vals := levels(t)) is not None:
+            singleton = EqualLevelWitness(t, index, vals, 0.0, "singleton")
     if start is None:
         return singleton
-    t, gap, vals = start
-    coords = list(t.t)
+    coords, best = list(start.t), gap(start)
+
+    def moved(k: int, x: Fraction) -> ParameterPoint:
+        return ParameterPoint((*coords[:k], x, *coords[k + 1:]))
     for _ in range(60):
-        if gap < float(tol):
+        if best < float(tol):
             break
         improved = False
         for k in range(len(coords)):
             lo, hi = -Fraction(delta), Fraction(delta)
             for _ in range(48):
                 third = (hi - lo) / 3
-                x1 = Fraction(round((lo + third) * grid), grid)
-                x2 = Fraction(round((hi - third) * grid), grid)
-                g1 = _gap_at(level_gap, coords, k, x1)
-                g2 = _gap_at(level_gap, coords, k, x2)
+                g1 = gap(moved(k, Fraction(round((lo + third) * grid), grid)))
+                g2 = gap(moved(k, Fraction(round((hi - third) * grid), grid)))
                 if g1 is None and g2 is None:
                     break
                 if g2 is None or (g1 is not None and g1 <= g2):
@@ -598,29 +592,15 @@ def equal_level_search(u: Unfolding, index: int, budget: int = 200,
                 if hi - lo < Fraction(1, grid):
                     break
             best_x = Fraction(round((lo + hi) / 2 * grid), grid)
-            g = _gap_at(level_gap, coords, k, best_x)
-            if g is not None and g < gap:
-                coords[k] = best_x
-                gap = g
-                improved = True
+            if (g := gap(moved(k, best_x))) is not None and g < best:
+                coords[k], best, improved = best_x, g, True
         if not improved:
             break
-    vals, final_gap = level_gap(ParameterPoint(tuple(coords)))
-    if vals is None or len(vals) < 2:
-        return singleton
-    if final_gap < float(tol):
-        return EqualLevelWitness(t=ParameterPoint(tuple(coords)), index=index,
-                                 values=vals, gap=final_gap, flag="witness")
+    t = ParameterPoint(tuple(coords))
+    if best < float(tol):
+        return EqualLevelWitness(t=t, index=index, values=levels(t), gap=best,
+                                 flag="witness")
     return singleton
-
-
-def _gap_at(level_gap, coords, k, x):
-    trial = list(coords)
-    trial[k] = x
-    vals, gap = level_gap(ParameterPoint(tuple(trial)))
-    if vals is None or len(vals) < 2:
-        return None
-    return gap
 
 
 # -- slice sampling ---------------------------------------------------------

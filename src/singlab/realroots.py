@@ -230,18 +230,15 @@ class IsolatingInterval(RatInterval):
                                  self.multiplicity, self._chain)
 
 
-def isolate_real_roots(p: Polynomial, window: tuple[Fraction, Fraction],
-                       factors=None) -> list[IsolatingInterval]:
-    """Disjoint isolating intervals for the distinct real roots in window.
-
-    factors is p's squarefree_decomposition, if the caller has it."""
+def isolate_real_roots(p: Polynomial, window: tuple[Fraction, Fraction]
+                       ) -> list[IsolatingInterval]:
+    """Disjoint isolating intervals for the distinct real roots in window."""
     if p.is_zero():
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     lo, hi = Fraction(window[0]), Fraction(window[1])
     if lo > hi:
         raise InvalidInput("empty window")
-    if factors is None:
-        factors = squarefree_decomposition(p.univariate_coeffs())
+    factors = squarefree_decomposition(p.univariate_coeffs())
     if not factors:
         return []
     chain = _sturm_chain(factors)

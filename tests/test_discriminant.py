@@ -10,15 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlab import discriminant
-from singlab.discriminant import (LAMBDA, PATH_S, cerf_trace,
+from singlab.discriminant import (LAMBDA, PATH_S, VALUE_TOL,
+                                  EqualLevelWitness, _report_at, cerf_trace,
                                   equal_level_search, exact_discriminant_1d,
                                   maxwell_refine, maxwell_scan, slice_sample)
-from singlab.errors import (IdentityViolation, PathOutsideBox,
+from singlab.errors import (IdentityViolation, InvalidInput, PathOutsideBox,
                             UnsupportedDimension)
-from singlab.milnor import unfold_germ
-from singlab.morselab import ParameterPoint, morse_report
+from singlab.intervals import RatInterval
+from singlab.milnor import Unfolding, unfold_germ
+from singlab.morselab import (DEFAULT_BOX_RADIUS, DEFAULT_DELTA,
+                              CriticalPoint, MorseReport, ParameterPoint,
+                              morse_report, sample_parameters)
 from singlab.poly import GREVLEX, Polynomial, parse_polynomial
-from singlab.realroots import count_distinct_roots
+from singlab.realroots import (count_distinct_roots, isolate_real_roots,
+                               squarefree_decomposition)
 from singlab.resultant import resultant
 
 
@@ -154,10 +159,10 @@ class TestCerfTrace:
             cerf_trace(U("z^3", ("z",)), [T(0), T(5)], steps=10)
 
 
-def segment_polynomials(u, a, b):
-    """(E, C, X, p) as the one segment a -> b computes them: the arguments
-    and result of its _crossing_factor call, and the polynomial whose roots
-    it isolates."""
+def segment_polynomials(u, a, b, r=Fraction(4)):
+    """(E, C, X, p) as the one segment a -> b computes them, box radius r:
+    the arguments and result of its _crossing_factor call, and the
+    polynomial whose roots it isolates."""
     seen = []
     real = discriminant._crossing_factor
 
@@ -166,11 +171,16 @@ def segment_polynomials(u, a, b):
         return seen[-1][2]
     discriminant._crossing_factor = spy
     try:
-        _, p = discriminant._segment_roots(u, [a, b], 0, Fraction(4))
+        _, p = discriminant._segment_roots(u, [a, b], 0, r)
     finally:
         discriminant._crossing_factor = real
     (E, C, X), = seen
     return E, C, X, p
+
+
+def spans(p, window):
+    """The ends of p's isolating intervals in window."""
+    return [(iv.lo, iv.hi) for iv in isolate_real_roots(p, window)]
 
 
 def proportional(ours, theirs):
@@ -216,8 +226,9 @@ class TestExactEvents:
         u = U("z^4", ("z",))
         a, b = T(Fraction(-1, 2), -1), T(Fraction(1, 2), 1)
         E, C, X, p = segment_polynomials(u, a, b)
-        assert X is not None and X.degree_in(PATH_S) == 1
-        p.exact_div(E)  # the roots isolated are those of E (times the box)
+        assert X.degree_in(PATH_S) == 1
+        # the roots isolated are those of E (times the box)
+        assert spans(p, (0, 1)) == spans(p * E, (0, 1))
         # the side reports pass the cusp (one point on both sides) and
         # keep the death at the caustic root 5/64; sample 8 is the cusp,
         # rejected, and adds no marker as it is a root of p
@@ -248,6 +259,76 @@ class TestExactEvents:
         assert [(e.kind, e.s) for e in trace.events] == \
             [("death", Fraction(1, 2))]
         assert trace.events[0].data["hessian_witness"] < 1e-6
+
+    def test_birth_through_the_origin(self):
+        # test_death_through_the_origin run backwards: the pair is born at
+        # s = 1/2 and the rich side is the right one
+        a = T(Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 3))
+        trace = cerf_trace(U("z^5", ("z",)), [T(*(-x for x in a.t)), a],
+                           steps=31)
+        assert [(e.kind, e.s) for e in trace.events] == \
+            [("birth", Fraction(1, 2))]
+        assert trace.events[0].data["hessian_witness"] < 1e-6
+
+    def test_root_at_an_inner_breakpoint_is_kept_once(self):
+        # the minima of z^4 - 2 z^2 + t1 z swap at t1 = 0, the breakpoint
+        # s = 1/2, which both segments isolate
+        trace = cerf_trace(U("z^4", ("z",)), [T(-1, -2), T(0, -2), T(1, -2)],
+                           steps=4, delta=2)
+        assert [(e.kind, e.s) for e in trace.events] == \
+            [("maxwell", Fraction(1, 2))]
+
+    def test_hessian_witness_is_compared_exactly(self):
+        # |h| = 10^-6 - 10^-40 < tol = 10^-6, though both are the float
+        # 1e-6: with every midpoint rejected, a float comparison would
+        # bisect 200 times and end unresolved
+        h = Fraction(1, 10 ** 6) - Fraction(1, 10 ** 40)
+        assert float(h) == 1e-6
+
+        def point(z):
+            return CriticalPoint((RatInterval(z, z),), RatInterval(0, 0), 0,
+                                 1, RatInterval(h, h))
+        rich = MorseReport(T(0), [point(0), point(1)], (2,), 0, 0, True)
+        probes = []
+        ev = discriminant._refine_count_change(
+            probes.append, Fraction(0), Fraction(1), Fraction(1, 10 ** 6),
+            "death", rich)
+        assert (ev.kind, ev.s, ev.data, probes) == \
+            ("death", Fraction(1, 2), {"hessian_witness": 1e-6}, [])
+
+    def test_crossing_factor_checks_the_identity(self):
+        s = Polynomial.variable(PATH_S, (PATH_S,))
+        C = s - 1
+        assert discriminant._crossing_factor(C ** 3 * (s - 2) ** 2 * 5,
+                                             C) == s - 2
+        with pytest.raises(IdentityViolation):  # not divisible by C^3
+            discriminant._crossing_factor(C ** 2 * (s - 2) ** 2, C)
+        for q in (s - 2, s * s + 1):  # E / C^3 is not a square
+            with pytest.raises(IdentityViolation):
+                discriminant._crossing_factor(C ** 3 * q, C)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_segment_roots_are_the_roots_of_E(self, k):
+        """On seeded segments of A_(k-1) with random, sparse and symmetric
+        ends, p = C X F'(r) F'(-r) isolates the intervals of p E: E's
+        roots with the box factors', square-free or not."""
+        rng = random.Random(20 + k)
+        u = U(f"z^{k}", ("z",))
+        m, repeated = len(u.parameter_names), 0
+        for j in range(9):
+            a = [Fraction(rng.randint(-12, 12), 8) for _ in range(m)]
+            b = [Fraction(rng.randint(-12, 12), 8) for _ in range(m)]
+            if j % 3 == 1:  # sparse: one nonzero coordinate at each end
+                a = [x if i == j % m else 0 for i, x in enumerate(a)]
+                b = [x if i == (j + 1) % m else 0 for i, x in enumerate(b)]
+            elif j % 3 == 2:  # symmetric about t = 0
+                b = [-x for x in a]
+            r = (Fraction(4), Fraction(1), Fraction(1, 2))[j // 3]
+            E, C, X, p = segment_polynomials(u, T(*a), T(*b), r)
+            assert spans(p, (0, 1)) == spans(p * E, (0, 1))
+            repeated += any(mult > 1 for _, mult in squarefree_decomposition(
+                p.univariate_coeffs()))
+        assert repeated  # some p has a repeated factor
 
     def test_crossing_of_minima_above_the_lowest(self):
         # two of the three minima of z^6 swap at s ~ 0.1935 while a third
@@ -318,11 +399,109 @@ class TestMaxwell:
     def test_a2_never_two_minima(self):
         assert maxwell_scan(U("z^3", ("z",)), samples=30, seed=3) == []
 
+    def test_two_variable_basin_bisection(self):
+        # n = 2: the global minimizer switches basins along the segment,
+        # and the bisection stops where the two lowest minima agree
+        pts = maxwell_scan(U("z^3 + w^4", ("z", "w")), samples=2, seed=0)
+        assert len(pts) == 1
+        assert pts[0].gap < 1e-8
+        assert pts[0].minima[0] == pytest.approx(pts[0].minima[1], abs=1e-8)
+
     def test_refine_needs_basin_switch(self):
         # both endpoints in the same basin: no crossing to find
         u = U("z^4", ("z",))
         assert maxwell_refine(u, T(Fraction(1, 2), -2),
                               T(Fraction(3, 4), -2)) is None
+
+
+# The search as it was when level_gap and _gap_at evaluated each probe,
+# with no cache; kept verbatim as the reference for equal_level_search.
+
+def reference_equal_level_search(u: Unfolding, index: int, budget: int = 200,
+                       tol: Fraction = VALUE_TOL,
+                       delta: Fraction = DEFAULT_DELTA, seed: int = 0,
+                       box_radius: Fraction = DEFAULT_BOX_RADIUS
+                       ) -> EqualLevelWitness | None:
+    """Heuristic coordinate descent toward equal index-i critical values.
+
+    Absence of a witness proves nothing; a parameter with at most one
+    index-i point qualifies vacuously and is flagged 'singleton'.
+    """
+    if not 0 <= index <= u.n:
+        raise InvalidInput(f"index: {index} is not between 0 and {u.n}")
+    r = Fraction(box_radius)
+    grid = 2 ** 24
+
+    def level_gap(t: ParameterPoint):
+        rep = _report_at(u, t, r)
+        if rep is None:
+            return None, None
+        vals = sorted(float(p.value.mid()) for p in rep.points
+                      if p.index == index)
+        if len(vals) < 2:
+            return vals, 0.0
+        return vals, vals[-1] - vals[0]
+
+    start = None
+    singleton = None
+    for t in sample_parameters(u, budget, delta, seed):
+        vals, gap = level_gap(t)
+        if vals is None:
+            continue
+        if len(vals) >= 2:
+            if start is None or gap < start[1]:
+                start = (t, gap, vals)
+        elif singleton is None:
+            singleton = EqualLevelWitness(
+                t=t, index=index, values=vals, gap=0.0, flag="singleton")
+    if start is None:
+        return singleton
+    t, gap, vals = start
+    coords = list(t.t)
+    for _ in range(60):
+        if gap < float(tol):
+            break
+        improved = False
+        for k in range(len(coords)):
+            lo, hi = -Fraction(delta), Fraction(delta)
+            for _ in range(48):
+                third = (hi - lo) / 3
+                x1 = Fraction(round((lo + third) * grid), grid)
+                x2 = Fraction(round((hi - third) * grid), grid)
+                g1 = _gap_at(level_gap, coords, k, x1)
+                g2 = _gap_at(level_gap, coords, k, x2)
+                if g1 is None and g2 is None:
+                    break
+                if g2 is None or (g1 is not None and g1 <= g2):
+                    hi = hi - third
+                else:
+                    lo = lo + third
+                if hi - lo < Fraction(1, grid):
+                    break
+            best_x = Fraction(round((lo + hi) / 2 * grid), grid)
+            g = _gap_at(level_gap, coords, k, best_x)
+            if g is not None and g < gap:
+                coords[k] = best_x
+                gap = g
+                improved = True
+        if not improved:
+            break
+    vals, final_gap = level_gap(ParameterPoint(tuple(coords)))
+    if vals is None or len(vals) < 2:
+        return singleton
+    if final_gap < float(tol):
+        return EqualLevelWitness(t=ParameterPoint(tuple(coords)), index=index,
+                                 values=vals, gap=final_gap, flag="witness")
+    return singleton
+
+
+def _gap_at(level_gap, coords, k, x):
+    trial = list(coords)
+    trial[k] = x
+    vals, gap = level_gap(ParameterPoint(tuple(trial)))
+    if vals is None or len(vals) < 2:
+        return None
+    return gap
 
 
 class TestEqualLevel:
@@ -335,6 +514,19 @@ class TestEqualLevel:
     def test_a2_singleton(self):
         w = equal_level_search(U("z^3", ("z",)), index=0, budget=40, seed=2)
         assert w is not None and w.flag == "singleton"
+
+    @pytest.mark.parametrize("text", ["z^2", "z^2 + w^2", "z^3", "z^4", "z^5",
+                                      "z^6", "z^3 + w^3"])
+    def test_same_witness_as_the_reference(self, text):
+        # z^2 has no parameters: its singleton is at t = ()
+        u = U(text, tuple("zw"[:text.count("^")]))
+        for index in range(u.n + 1):
+            for seed in range(3):
+                for budget in (5, 20):
+                    assert repr(equal_level_search(u, index, budget,
+                                                   seed=seed)) == \
+                        repr(reference_equal_level_search(u, index, budget,
+                                                          seed=seed))
 
 
 class TestSliceSample:

@@ -424,6 +424,13 @@ class TestDegreeScan:
         b = degree_invariance_scan(u, samples=8, seed=11)
         assert a.samples == b.samples and a.rejected == b.rejected
 
+    def test_rejections_are_tallied_by_reason(self):
+        # with |t| <= 2 and box radius 1, seven of the 32 draws have a
+        # critical point outside the box
+        rep = degree_invariance_scan(U("z^5", ("z",)), 25, 2, 0, 1)
+        assert rep.accepted == 25
+        assert rep.rejected == {"box-escape": 7}
+
 
 class TestEulerFiber:
     def test_a3_symmetric_point(self):
