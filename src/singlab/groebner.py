@@ -10,15 +10,20 @@ A product that outgrows it sets a guard bit, yet packs exactly and in
 order; once such a term leads, the computation restarts at twice the
 width with a fresh step count, so nothing depends on the width.
 
-Critical pairs wait in a heap keyed by (lcm of the leading terms, i, j),
-so the pair with the smallest lcm comes first.  Each new element prunes
-the pairs by the Gebauer-Moeller update (Gebauer & Moeller, JSC 1988):
-among its own pairs, criteria M and F keep one pair per minimal lcm and
-Buchberger's criterion drops coprime ones; criterion B drops an old pair
-whose lcm the new leading term divides unless it equals the lcm of the
-new term with either member; and elements whose leading term the new one
-divides stop forming pairs and reducing.  The reduced basis is canonical,
-so none of these choices shows in the result.
+Critical pairs wait in a heap keyed by (degree of the lcm of the leading
+terms, lcm, i, j).  Least lcm degree first (Buchberger 1985; Giovini
+et al., ISSAC 1991), as grevlex int order already is, saves lex most
+steps, yet it can swell lex coefficients past any budget; binomials stay
+binomials and are safe from that, so other lex inputs key by lcm alone.
+Each new element prunes the pairs by the Gebauer-Moeller update (Gebauer
+& Moeller, JSC 1988): among its own pairs, criteria M and F keep one
+pair per minimal lcm and Buchberger's criterion drops coprime ones;
+criterion B drops an old pair whose lcm the new leading term divides
+unless it equals the lcm of the new term with either member; and
+elements whose leading term the new one divides stop forming pairs and
+reducing.  The reduced basis is canonical, so none of these choices
+shows in the result.  Coefficients are ints while integral, Fractions
+only where a leading coefficient leaves one.
 
 One step counter bounds a whole computation: every pair popped and every
 division step, in the pair loop and in the final inter-reduction, counts
@@ -83,11 +88,12 @@ class _Packing:
         fields = ((m >> s) & self.cap for s in self.shifts)
         return tuple(fields if self.lex else (self.cap - f for f in fields))
 
+    def degree(self, m: int) -> int:
+        return sum(self.unpack(m)) if self.lex else m >> self.top
+
     def monic(self, terms: dict) -> tuple[int, dict]:
         """The leading monomial and the packed monic form of a term map."""
-        packed = {self.pack(e): c for e, c in terms.items()}
-        lead = max(packed)
-        return lead, {m: c / packed[lead] for m, c in packed.items()}
+        return _monic({self.pack(e): c for e, c in terms.items()})
 
     def divides(self, a: int, b: int) -> bool:
         return not (self.sign * (b - a)) & self.guard
@@ -97,6 +103,13 @@ class _Packing:
         pick = (a ^ b) & (ge - (ge >> self.width))
         # lex: max exponents; grevlex: min complements, degree recomputed
         return b ^ pick if self.lex else self.pack(self.unpack(a ^ pick))
+
+
+def _monic(terms: dict) -> tuple[int, dict]:
+    """Lead and monic form of a packed term map, ints where integral."""
+    lead = max(terms)
+    qs = ((m, Fraction(c, terms[lead])) for m, c in terms.items())
+    return lead, {m: q.numerator if q.denominator == 1 else q for m, q in qs}
 
 
 def _packed_run(run, maps: list[dict], order: MonomialOrder, n: int,
@@ -165,7 +178,7 @@ def normal_form(p: Polynomial, basis: list[Polynomial],
     pk, rem = _packed_run(run, [p.terms] + [g.terms for g in basis if g.terms],
                           order, len(p.variables), "normal_form")
     return Polynomial._of(p.variables,
-                          {pk.unpack(m): c for m, c in rem.items()})
+                          {pk.unpack(m): Fraction(c) for m, c in rem.items()})
 
 
 def groebner_basis(generators: list[Polynomial],
@@ -180,16 +193,17 @@ def groebner_basis(generators: list[Polynomial],
         return [Polynomial.zero(variables)]
     pk, basis = _packed_run(_buchberger, maps, order, len(variables),
                             "groebner_basis")
-    return [Polynomial._of(variables, {pk.unpack(m): c for m, c in g.items()})
-            for g in basis]
+    return [Polynomial._of(variables, {pk.unpack(m): Fraction(c) for m, c in
+                                       g.items()}) for g in basis]
 
 
 def _buchberger(maps: list[dict], pk: _Packing, steps: Budget) -> list[dict]:
     """The reduced basis of the term maps, as packed monic term maps."""
-    one, divides, lcm = pk.one, pk.divides, pk.lcm
+    one, divides, lcm, degree = pk.one, pk.divides, pk.lcm, pk.degree
     leads, basis = map(list, zip(*map(pk.monic, maps)))
+    binomial = all(len(t) <= 2 for t in maps)
     live: list[int] = []    # elements that still form pairs and reduce
-    pairs: list = []        # heap of (lcm, i, j), i > j
+    pairs: list = []        # heap of (lcm degree or 0, lcm, i, j), i > j
 
     def update(h: int) -> None:
         nonlocal live, pairs
@@ -204,10 +218,11 @@ def _buchberger(maps: list[dict], pk: _Packing, steps: Budget) -> list[dict]:
                                   for o in new[k + 1:] + kept):
                 kept.append((l, g, coprime))
         pairs = [p for p in pairs
-                 if not divides(mh, p[0])
-                 or lcm(leads[p[1]], mh) == p[0]
-                 or lcm(leads[p[2]], mh) == p[0]]
-        pairs += [(l, h, g) for l, g, coprime in kept if not coprime]
+                 if not divides(mh, p[1])
+                 or lcm(leads[p[2]], mh) == p[1]
+                 or lcm(leads[p[3]], mh) == p[1]]
+        pairs += [(degree(l) if binomial else 0, l, h, g)
+                  for l, g, coprime in kept if not coprime]
         heapq.heapify(pairs)
         live = [g for g in live if not divides(mh, leads[g])] + [h]
 
@@ -215,7 +230,7 @@ def _buchberger(maps: list[dict], pk: _Packing, steps: Budget) -> list[dict]:
         update(h)
     while pairs:
         steps.step()
-        l, i, j = heapq.heappop(pairs)
+        _, l, i, j = heapq.heappop(pairs)
         # the first division step of (l / lead i) * basis[i], by basis[j],
         # leaves the S-polynomial
         shift = l - leads[i]
@@ -223,8 +238,8 @@ def _buchberger(maps: list[dict], pk: _Packing, steps: Budget) -> list[dict]:
         r = _reduce(work, [(leads[j], basis[j])]
                     + [(leads[g], basis[g]) for g in live], pk, steps)
         if r:
-            lead = max(r)
-            basis.append({e: c / r[lead] for e, c in r.items()})
+            lead, g = _monic(r)
+            basis.append(g)
             leads.append(lead)
             update(len(basis) - 1)
     # Minimalize (the update leaves no two equal leading terms), then
@@ -238,7 +253,7 @@ def _buchberger(maps: list[dict], pk: _Packing, steps: Budget) -> list[dict]:
         tail = {e: c for e, c in basis[g].items() if e != leads[g]}
         r = _reduce(tail, [(leads[o], basis[o]) for o in keep if o != g],
                     pk, steps)
-        out.append({leads[g]: Fraction(1), **r})
+        out.append({leads[g]: 1, **r})
     return out
 
 

@@ -149,10 +149,10 @@ def toric_ideal(gamma: NumericalSemigroup) -> ToricIdeal:
     if len(gens) < 2:
         raise InvalidInput("toric ideal needs at least two generators (g >= 1)")
     unames = tuple(f"U{i}" for i in range(len(gens)))
-    ring = ("T",) + unames
-    T = Polynomial.variable("T", ring)
-    ideal = [Polynomial.variable(u, ring) - T ** g
-             for u, g in zip(unames, gens)]
+    ring, zeros = ("T",) + unames, (0,) * len(gens)
+    ideal = [Polynomial._of(ring, {(0,) + zeros[:i] + (1,) + zeros[i + 1:]:
+                                   Fraction(1), (g,) + zeros: Fraction(-1)})
+             for i, g in enumerate(gens)]
     kernel = eliminate(ideal, ["T"])
     for p in kernel:
         if len(p.terms) != 2:

@@ -1,11 +1,12 @@
-"""Buchberger bases checked against sympy as an independent oracle, and the
-steps the budget counts pinned."""
+"""Buchberger bases checked against sympy as an independent oracle and
+against the lcm-keyed pair loop, and the steps the budget counts pinned."""
 
+import heapq
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singlab import groebner
@@ -147,21 +148,31 @@ def widths(monkeypatch):
     return made
 
 
-# The steps counted by the tuple-exponent kernel that the packed one
-# replaced: each toric-curves triple's elimination (lex), and CASES in
-# (grevlex, lex).
-TORIC_STEPS = {(5, 7, 9): 1016, (3, 4, 5): 282, (3, 5, 7): 320,
-               (3, 8, 10): 265, (4, 5, 7): 289, (4, 6, 7): 84,
-               (4, 6, 9): 110, (6, 8, 9): 172, (6, 9, 10): 92,
-               (6, 9, 11): 129, (6, 10, 11): 108, (4, 10, 11): 98}
+# The steps of each toric-curves triple's elimination (lex) with pairs
+# taken by lcm degree first, and the steps of the lcm-keyed loop (also those
+# of the tuple-exponent kernel before it), which bound them.  CASES in
+# (grevlex, lex) take the same steps either way.
+TORIC_STEPS = {(5, 7, 9): 170, (3, 4, 5): 105, (3, 5, 7): 123,
+               (3, 8, 10): 114, (4, 5, 7): 150, (4, 6, 7): 84,
+               (4, 6, 9): 74, (6, 8, 9): 139, (6, 9, 10): 92,
+               (6, 9, 11): 110, (6, 10, 11): 108, (4, 10, 11): 98}
+LCM_KEYED_TORIC_STEPS = {(5, 7, 9): 1016, (3, 4, 5): 282, (3, 5, 7): 320,
+                         (3, 8, 10): 265, (4, 5, 7): 289, (4, 6, 7): 84,
+                         (4, 6, 9): 110, (6, 8, 9): 172, (6, 9, 10): 92,
+                         (6, 9, 11): 129, (6, 10, 11): 108, (4, 10, 11): 98}
 CASE_STEPS = [(7, 7), (16, 18), (2, 18), (2, 7)]
+# A lex input that is not all binomials: with pairs by lcm degree its
+# numerators pass 148,000 bits by step 650; by least lcm it takes 804 steps
+# and 0.03 s.
+SWOLLEN = [P(t, ("x", "y", "z")) for t in
+           ["2*x^3 - 2*x^2*y - x", "2*x^2*y - 3*x*y^2", "2*x^3 - x*z + 2"]]
 
 
 class TestStepCounts:
-    @pytest.mark.parametrize("gens,steps", TORIC_STEPS.items())
-    def test_toric_elimination(self, budgets, gens, steps):
+    @pytest.mark.parametrize("gens,bound", LCM_KEYED_TORIC_STEPS.items())
+    def test_toric_elimination(self, budgets, gens, bound):
         toric_ideal(semigroup_from_generators(list(gens)))
-        assert budgets[-1].used == steps
+        assert budgets[-1].used == TORIC_STEPS[gens] <= bound
 
     @pytest.mark.parametrize("case,steps", zip(CASES, CASE_STEPS))
     def test_cases(self, budgets, case, steps):
@@ -170,6 +181,14 @@ class TestStepCounts:
         for order, want in zip((GREVLEX, LEX), steps):
             groebner_basis(gens, order)
             assert budgets[-1].used == want
+
+    def test_lex_beyond_binomials_takes_pairs_by_lcm(self, budgets):
+        # pairs by lcm degree would take 307 steps
+        gens = [P(t, ("x", "y", "z")) for t in ["-x^2*y + 3*x^2*z - 3*y",
+                "x^2*y + 2*y^3", "x^2*y - 3*y*z^2 - 3*z"]]
+        assert _term_for_term(groebner_basis(gens, LEX),
+                              _lcm_keyed_basis(gens, LEX))
+        assert [b.used for b in budgets] == [185, 185]
 
 
 class TestFieldOverflow:
@@ -198,6 +217,138 @@ class TestFieldOverflow:
         assert widths == [16, 32]
         assert budgets[-1].used == 2
         assert rem == P("y^65700", self.XY)
+
+
+def _lcm_keyed_monic(pk, terms):
+    packed = {pk.pack(e): c for e, c in terms.items()}
+    lead = max(packed)
+    return lead, {m: c / packed[lead] for m, c in packed.items()}
+
+
+def _lcm_keyed_buchberger(maps, pk, steps):
+    """The reference pair loop: pairs by least lcm, Fraction coefficients."""
+    one, divides, lcm = pk.one, pk.divides, pk.lcm
+    leads, basis = map(list, zip(*(_lcm_keyed_monic(pk, t) for t in maps)))
+    live = []    # elements that still form pairs and reduce
+    pairs = []   # heap of (lcm, i, j), i > j
+
+    def update(h):
+        nonlocal live, pairs
+        mh = leads[h]
+        new = [(lcm(mh, leads[g]), g) for g in live]
+        kept = []
+        for k, (l, g) in enumerate(new):
+            coprime = l == mh + leads[g] - one
+            # criteria M and F: a later new pair's lcm, or a kept one's,
+            # divides this lcm; coprime pairs stay as witnesses
+            if coprime or not any(divides(o[0], l)
+                                  for o in new[k + 1:] + kept):
+                kept.append((l, g, coprime))
+        pairs = [p for p in pairs
+                 if not divides(mh, p[0])
+                 or lcm(leads[p[1]], mh) == p[0]
+                 or lcm(leads[p[2]], mh) == p[0]]
+        pairs += [(l, h, g) for l, g, coprime in kept if not coprime]
+        heapq.heapify(pairs)
+        live = [g for g in live if not divides(mh, leads[g])] + [h]
+
+    for h in range(len(basis)):
+        update(h)
+    while pairs:
+        steps.step()
+        l, i, j = heapq.heappop(pairs)
+        # the first division step of (l / lead i) * basis[i], by basis[j],
+        # leaves the S-polynomial
+        shift = l - leads[i]
+        work = {e + shift: c for e, c in basis[i].items()}
+        r = groebner._reduce(work, [(leads[j], basis[j])]
+                             + [(leads[g], basis[g]) for g in live], pk, steps)
+        if r:
+            lead = max(r)
+            basis.append({e: c / r[lead] for e, c in r.items()})
+            leads.append(lead)
+            update(len(basis) - 1)
+    # Minimalize (the update leaves no two equal leading terms), then
+    # tail-reduce each element against the others.
+    keep = sorted((g for g in live
+                   if not any(divides(leads[o], leads[g])
+                              for o in live if o != g)),
+                  key=leads.__getitem__)
+    out = []
+    for g in keep:
+        tail = {e: c for e, c in basis[g].items() if e != leads[g]}
+        r = groebner._reduce(tail, [(leads[o], basis[o])
+                                    for o in keep if o != g], pk, steps)
+        out.append({leads[g]: Fraction(1), **r})
+    return out
+
+
+def _lcm_keyed_basis(gens, order):
+    variables = gens[0].variables
+    pk, basis = groebner._packed_run(_lcm_keyed_buchberger,
+                                     [g.terms for g in gens], order,
+                                     len(variables), "reference")
+    return [Polynomial._of(variables, {pk.unpack(m): c for m, c in g.items()})
+            for g in basis]
+
+
+def _toric(gens):
+    """{U_i - T^{g_i}}, T first."""
+    names = ("T",) + tuple(f"U{i}" for i in range(len(gens)))
+    return [P(f"U{i} - T^{g}", names) for i, g in enumerate(gens)], names
+
+
+@st.composite
+def _pure_difference_ideal(draw):
+    """Two to four binomials x^a - x^b in T and one to three more variables."""
+    names = ("T", "x", "y", "z")[:draw(st.integers(2, 4))]
+    exps = st.tuples(*[st.integers(0, 4)] * len(names))
+    binomial = st.tuples(exps, exps).filter(lambda ab: ab[0] != ab[1]).map(
+        lambda ab: Polynomial(names, {ab[0]: 1, ab[1]: -1}))
+    return draw(st.lists(binomial, min_size=2, max_size=4)), names
+
+
+def _term_for_term(ours, ref):
+    return [list(p.terms.items()) for p in ours] == \
+        [list(p.terms.items()) for p in ref]
+
+
+class TestAgainstTheLcmKeyedLoop:
+    """Pairs by lcm degree and integer coefficients give the same reduced
+    basis, term for term and in the same order, as the loop they replaced."""
+
+    @given(_pure_difference_ideal())
+    @example(_toric((7, 8, 9)))
+    @example(_toric((5, 6, 7, 8)))
+    @example(_toric((7, 8, 9, 10, 11)))
+    @example(_toric((16, 24, 52, 106, 213)))
+    @settings(max_examples=60, deadline=None)
+    def test_binomial_ideals_lex(self, ideal):
+        gens, _ = ideal
+        assert _term_for_term(groebner_basis(gens, LEX),
+                              _lcm_keyed_basis(gens, LEX))
+
+    @given(_random_ideal(), st.sampled_from([GREVLEX, LEX]))
+    @example((SWOLLEN, ("x", "y", "z")), LEX)
+    @settings(max_examples=60, deadline=None)
+    def test_random_ideals(self, ideal, order):
+        gens, _ = ideal
+        assert _term_for_term(groebner_basis(gens, order),
+                              _lcm_keyed_basis(gens, order))
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX])
+    @pytest.mark.parametrize("texts,names", CASES + [
+        (["x^2 - y", "x*y - 1"], ("x", "y")),     # integral throughout
+        (["2*x^2 - 3*y", "x*y - 1"], ("x", "y")),  # 3/2 after the first step
+    ])
+    def test_every_coefficient_is_a_fraction(self, order, texts, names):
+        gens = [P(t, names) for t in texts]
+        basis = groebner_basis(gens, order)
+        cubes = P(" + ".join(f"{v}^3" for v in names) + " + 1", names)
+        rem = normal_form(cubes, basis, order)
+        assert not rem.is_zero()
+        for p in basis + [rem]:
+            assert all(type(c) is Fraction for c in p.terms.values())
 
 
 class TestNormalForm:
