@@ -5,9 +5,9 @@ The resolution pipeline is purely combinatorial: stellar subdivision of
 the positive orthant at the generator vector, then repeated subdivision
 at a minimal lattice point of each non-unimodular cone's fundamental
 parallelepiped until every cone is unimodular, each in the new ray's star
-only.  The cone linear algebra is integer: a new cone's |det| is a
-coefficient of its new ray, and one fraction-free Gauss-Jordan (Bareiss)
-pass, `_det_adj`, gives det and adjugate only where coefficients are asked.
+only.  The cone linear algebra is integer: a new cone's det and adjugate
+are carried from its parent's in O(d^2), so the fraction-free Gauss-Jordan
+(Bareiss) pass, `_det_adj`, runs only for cones built outside `_stellar`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from operator import mul
 
 from .errors import (GcdNotOne, IdentityViolation, InvalidInput,
                      NonBinomialElement, NotABranch, OrderMismatch,
@@ -26,6 +27,7 @@ from .groebner import Budget, eliminate
 from .poly import Polynomial, integer_terms
 
 Vector = tuple[int, ...]
+IntSeries = tuple[dict[int, int], int, int]  # numerators, prec, denominator
 MAX_SUBDIVISIONS = 500  # stellar subdivisions before RegularizationBudget
 
 
@@ -192,8 +194,8 @@ class Cone:
         if adj is None:
             return None
         sign = 1 if det > 0 else -1
-        c = [sign * sum(a * x for a, x in zip(row, v)) for row in adj]
-        return None if any(x < 0 for x in c) else c
+        c = [sign * sum(map(mul, row, v)) for row in adj]
+        return None if min(c) < 0 else c
 
     def coefficients(self, v) -> tuple[Fraction, ...] | None:
         """Barycentric coefficients of rational v, or None if v is outside."""
@@ -246,8 +248,7 @@ def _stellar(star: dict[Vector, set[Cone]], cone: Cone, v: Vector
              ) -> list[tuple[Cone, int]]:
     """Subdivide, in `star` (each ray's cones), the cones that contain v,
     a primitive point of `cone`: those with the face tau of `cone` that v's
-    positive coefficients span.  Returns each new cone with its |det|: v
-    put for ray i gives c_i, the i-th scaled coefficient (Cramer's rule)."""
+    positive coefficients span.  Returns each new cone with its |det|."""
     tau = [r for r, c in zip(cone.rays, cone._scaled_coefficients(v)
                              or cone.rays) if c]  # v outside: raises below
     new = []
@@ -257,11 +258,26 @@ def _stellar(star: dict[Vector, set[Cone]], cone: Cone, v: Vector
             raise IdentityViolation(f"{v} is outside {old.rays}, in its star")
         for r in old.rays:
             star[r].remove(old)
-        new += [(Cone(rays=old.rays[:i] + (v,) + old.rays[i + 1:]), c)
+        new += [(_replaced(old, i, v, coeffs), c)
                 for i, c in enumerate(coeffs) if c]
     for c, _ in new:
         for r in c.rays:
             star.setdefault(r, set()).add(c)
+    return new
+
+
+def _replaced(old: Cone, i: int, v: Vector, c: list[int]) -> Cone:
+    """old with ray i put to v, c_i > 0 its scaled coefficient: det sign c_i
+    (Cramer), adj row i kept, row j (c_i A_j - c_j A_i) / |det old| exactly."""
+    det, adj = old.det_adj
+    n, ci, top = abs(det), c[i], adj[i]
+    rows = [[ci * x - cj * y for x, y in zip(row, top)]
+            for row, cj in zip(adj, c)]  # row i is 0 here
+    if any([x % n for row in rows for x in row]):
+        raise IdentityViolation(f"inexact adjugate update of {old.rays}")
+    rows = [top if j == i else [x // n for x in r] for j, r in enumerate(rows)]
+    new = Cone(rays=old.rays[:i] + (v,) + old.rays[i + 1:])
+    new.__dict__["det_adj"] = (ci if det > 0 else -ci, rows)  # its cache
     return new
 
 
@@ -271,28 +287,27 @@ def _parallelepiped_point(cone: Cone) -> Vector:
     Minimality is (sum of barycentric coordinates, lexicographic), the
     deterministic pivot rule for regularization.  The lattice points are
     sum(c_j rays_j) / |det| for the c in the subgroup of (Z/|det|)^d that
-    the columns of adj = +-|det| V^-1 generate (|det| elements); a column
-    joins by a walk from each element so far until it is back in the group.
+    the columns of adj = +-|det| V^-1 generate; a column joins by a walk
+    from each element so far until it is back in the group.  As c -> point
+    is linear mod |det|, |det| elements and columns that map to lattice
+    points certify the group; only its elements of least sum are mapped.
     """
     det, adj = cone.det_adj
-    n, d = abs(det), cone.dim
-    group = {(0,) * d}
-    for step in zip(*adj):
+    n, cols = abs(det), list(zip(*adj))
+    group = {(0,) * cone.dim}
+    for step in cols:
         for c in list(group):
-            while (c := tuple((a + b) % n for a, b in zip(c, step))) \
+            while (c := tuple([(a + b) % n for a, b in zip(c, step)])) \
                     not in group:
                 group.add(c)
-    points = []
-    for c in group:
-        raw = [sum(c[j] * cone.rays[j][i] for j in range(d))
-               for i in range(d)]
-        if any(c) and not any(x % n for x in raw):
-            points.append((sum(c), tuple(x // n for x in raw)))
-    if n < 2 or len(points) != n - 1:
-        raise IdentityViolation(
-            f"cone {cone.rays} with |det| = {n} has {len(points)} nonzero "
-            "lattice points in its fundamental parallelepiped")
-    return min(points)[1]
+    low = min((s for s in map(sum, group) if s), default=0)  # 0 only at 0
+    # n times the points of the generators, then of the candidates
+    raw = [[sum(map(mul, c, row)) for row in zip(*cone.rays)]
+           for c in cols + [c for c in group if sum(c) == low]]
+    if n < 2 or len(group) != n or any(x % n for p in raw for x in p):
+        raise IdentityViolation(f"cone {cone.rays}, |det| = {n}: a group of "
+                                f"{len(group)}, or a column off the lattice")
+    return min(tuple(x // n for x in p) for p in raw[len(cols):])
 
 
 @dataclass(frozen=True)
@@ -351,9 +366,9 @@ class Series:
     Exponents below `prec` are exact; everything >= prec is unknown.
     """
 
-    def __init__(self, terms: dict[int, Fraction], prec: int):
-        self.terms = {int(e): Fraction(c) for e, c in terms.items()
-                      if c != 0 and e < prec}
+    def __init__(self, terms: dict[int, Fraction], prec: int, den: int = 1):
+        self.terms = {int(e): Fraction(c, den) if den != 1 else Fraction(c)
+                      for e, c in terms.items() if c != 0 and e < prec}
         self.prec = prec
 
     def order(self) -> int | None:
@@ -366,19 +381,8 @@ class Series:
         return self.terms.get(e, Fraction(0))
 
     def mul(self, other: "Series") -> "Series":
-        if not (self.terms and other.terms):
-            return Series({}, min(self.prec, other.prec))
-        prec = min(self.prec + other.order(), other.prec + self.order())
-        (a,), da = integer_terms([self.terms])
-        (b,), db = integer_terms([other.terms])
-        b = sorted(b.items())
-        out: dict[int, int] = {}
-        for e1, c1 in sorted(a.items()):
-            for e2, c2 in b:
-                if e1 + e2 >= prec:
-                    break
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return Series({e: Fraction(c, da * db) for e, c in out.items()}, prec)
+        (a, b), den = integer_terms([self.terms, other.terms])
+        return Series(*_int_mul((a, self.prec, den), (b, other.prec, den)))
 
     def add(self, other: "Series") -> "Series":
         prec = min(self.prec, other.prec)
@@ -399,13 +403,16 @@ class Series:
         below min(prec + |k m| + 1, self.prec - m), for k < 0 also below
         prec + |k| max(m, 0) + 1; u^0 = 1 is exact below prec + 1.
         """
+        return Series(*self._int_power(k, prec))
+
+    def _int_power(self, k: int, prec: int) -> IntSeries:
         ordr = self.order()
         if ordr is None:
             if k <= 0:
                 raise ValueError("cannot take nonpositive power of zero")
-            return Series({}, prec)
+            return {}, prec, 1
         if k == 0:
-            return Series({0: Fraction(1)}, prec + 1)
+            return {0: 1} if prec >= 0 else {}, prec + 1, 1
         p = min(prec + abs(k * ordr) + 1, self.prec - ordr)
         if k < 0:
             p = min(p, prec - k * max(ordr, 0) + 1)
@@ -419,10 +426,25 @@ class Series:
         for n in range(1, p):
             g.append(sum(((k + 1) * i - n) * u * g[n - i]
                          for i, u in w if i <= n) // n)
-        a0k = Fraction(c0, den) ** k
-        return Series({n + k * ordr: Fraction(x * a0k.numerator,
-                                              a0k.denominator * c0 ** n)
-                       for n, x in enumerate(g) if x}, p + k * ordr)
+        a0k = Fraction(c0, den) ** k  # one denominator: a0k's times c0^(p-1)
+        return ({n + k * ordr: x * a0k.numerator * c0 ** (p - 1 - n)
+                 for n, x in enumerate(g[:p]) if x}, p + k * ordr,
+                a0k.denominator * c0 ** max(p - 1, 0))
+
+
+def _int_mul(a: IntSeries, b: IntSeries) -> IntSeries:
+    """Product of integer series; zero numerators are dropped (ord: min)."""
+    (x, px, dx), (y, py, dy) = a, b
+    if not (x and y):
+        return {}, min(px, py), 1
+    prec = min(px + min(y), py + min(x))
+    out, ys = {}, sorted(y.items())
+    for e1, c1 in sorted(x.items()):
+        for e2, c2 in ys:
+            if e1 + e2 >= prec:
+                break
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}, prec, dx * dy
 
 
 @dataclass
@@ -456,12 +478,12 @@ def _represent(value: int, gens, caps) -> tuple[int, ...] | None:
 
 
 def _product(xi: list[Series], exps, prec: int) -> Series:
-    """prod xi_i^exps_i, each power taken to precision prec."""
-    out = Series({0: Fraction(1)}, prec)
+    """prod xi_i^exps_i, each power to precision prec, on integers."""
+    out = {0: 1} if prec > 0 else {}, prec, 1
     for s, k in zip(xi, exps):
         if k:
-            out = out.mul(s.power(k, prec))
-    return out
+            out = _int_mul(out, s._int_power(k, prec))
+    return Series(*out)
 
 
 def branch_embedding(b: PlaneBranch
@@ -531,15 +553,13 @@ def verify_strict_transform(xi: list[Series], gamma: NumericalSemigroup,
     if abs(det) != 1:
         raise IdentityViolation(f"chart cone {cone.rays} has determinant "
                                 f"{det}, not +-1")
-    inv = [[det * a for a in row] for row in cone.det_adj[1]]
     orders, units = [], []
-    for j in range(d):
-        prod = _product(xi, inv[j], need)
-        o = prod.order()
-        if o is None:
+    for j, row in enumerate(cone.det_adj[1]):  # V^-1 = det adj
+        prod = _product(xi, [det * a for a in row], need)
+        if not prod.terms:
             raise TruncationInsufficient(
                 f"chart coordinate {j} vanishes to precision {need}")
-        orders.append(o)
+        orders.append(prod.order())
         units.append(prod.leading())
     expected = cert.exponents
     ok = tuple(orders) == expected and all(c != 0 for c in units)

@@ -391,6 +391,15 @@ class TestParallelepipedPoint:
         with pytest.raises(IdentityViolation):
             semitoric._parallelepiped_point(Cone(rays=((1, 0), (1, 1))))
 
+    def test_generator_off_the_lattice_raises(self, monkeypatch):
+        # the group {0, (1, 0)} has |det| = 2 elements, but the column
+        # (1, 0) maps to ray 0 = (1, 0), which is not in 2 Z^2
+        cone = Cone(rays=((1, 0), (1, 2)))
+        monkeypatch.setattr(semitoric, "_det_adj",
+                            lambda m: (2, [[1, 0], [0, 0]]))
+        with pytest.raises(IdentityViolation, match="column off the lattice"):
+            semitoric._parallelepiped_point(cone)
+
 
 def _ref_stellar(fan, v):
     """Stellar subdivision by a scan of every cone: the reference."""
@@ -452,6 +461,9 @@ class TestStarIndexedStellar:
             assert live == set(fan)
             # a new cone's |det| is its scaled coefficient, with no Bareiss
             assert all(abs(c.determinant()) == det for c, det in new)
+            # and its det and adj, carried from the parent's, are Bareiss's
+            assert all(c.det_adj == semitoric._det_adj(
+                [list(row) for row in zip(*c.rays)]) for c, _ in new)
             assert {r: cones for r, cones in star.items() if cones} == {
                 r: {c for c in live if r in c.rays}
                 for c in live for r in c.rays}
@@ -460,6 +472,15 @@ class TestStarIndexedStellar:
         cone = Cone(rays=((1, 0), (1, 2)))
         with pytest.raises(IdentityViolation):
             semitoric._stellar({r: {cone} for r in cone.rays}, cone, (0, 1))
+
+    def test_corrupted_parent_adjugate_raises(self, monkeypatch):
+        # adj of ((1, 0), (1, 2)) is [[2, -1], [0, 1]]; with [1, 1] for its
+        # last row, row 1 of the cone with (1, 1) for ray 0 is (-3, 3) / 2
+        monkeypatch.setattr(semitoric, "_det_adj",
+                            lambda m: (2, [[2, -1], [1, 1]]))
+        cone = Cone(rays=((1, 0), (1, 2)))
+        with pytest.raises(IdentityViolation, match="inexact adjugate"):
+            semitoric._stellar({r: {cone} for r in cone.rays}, cone, (1, 1))
 
     def test_five_generator_branch_hits_the_budget_in_few_steps(
             self, monkeypatch):
@@ -633,6 +654,17 @@ def _reference_power(s, k, prec):
                   acc.prec + k * ordr)
 
 
+def _reference_product(xi, exps, prec):
+    """The Fraction chain that _product replaced: each power by repeated
+    products, multiplied in by the double loop."""
+    acc = Series({0: Fraction(1)}, prec)
+    for s, k in zip(xi, exps):
+        if k:
+            acc = _reference_mul(acc, _reference_power(s, k, prec)
+                                 if s.terms else Series({}, prec))
+    return acc
+
+
 _rational = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
 
@@ -663,6 +695,45 @@ class TestSeries:
     def test_mul_matches_double_loop(self, a, b):
         got, want = a.mul(b), _reference_mul(a, b)
         assert got.terms == want.terms and got.prec == want.prec
+
+    @given(st.lists(st.tuples(_series(allow_zero=True), st.integers(-3, 3)),
+                    min_size=1, max_size=3), st.integers(-4, 24))
+    @settings(max_examples=100, deadline=None)
+    def test_product_matches_fraction_chain(self, factors, prec):
+        assume(all(s.terms or k >= 0 for s, k in factors))  # 0^-k raises
+        xi, exps = [s for s, _ in factors], [k for _, k in factors]
+        got = semitoric._product(xi, exps, prec)
+        want = _reference_product(xi, exps, prec)
+        assert got.terms == want.terms and got.prec == want.prec
+
+    def test_product_with_an_empty_series(self):
+        xi = [Series({2: Fraction(1, 3), 3: Fraction(2)}, 9), Series({}, 7)]
+        got = semitoric._product(xi, [-2, 1], 6)
+        want = _reference_product(xi, [-2, 1], 6)
+        # (t^2 + ...)^-2 is exact below 3, the product below min(6 - 4, 3)
+        assert not got.terms and got.prec == want.prec == 2
+        with pytest.raises(ValueError):
+            semitoric._product(xi, [1, -1], 6)
+
+    def test_product_whose_coefficients_cancel(self):
+        # (1 + t)^2 (1 - t)^2 (1 - t^2)^-2 = 1: every coefficient after the
+        # first cancels, so the order and precision come from the one term
+        # left after the zeros are dropped
+        xi = [Series({0: Fraction(1), 1: Fraction(1)}, 12),
+              Series({0: Fraction(1), 1: Fraction(-1)}, 12),
+              Series({0: Fraction(1), 2: Fraction(-1)}, 12)]
+        got = semitoric._product(xi, [2, 2, -2], 10)
+        want = _reference_product(xi, [2, 2, -2], 10)
+        assert got.terms == want.terms == {0: 1}
+        assert got.order() == 0 and got.prec == want.prec
+        # t (1 + t) (t - t^2)^-1 = (1 + t) / (1 - t) = 1 + 2t + 2t^2 + ...,
+        # through a product whose t^1 term cancels on the way
+        xi = [Series({1: Fraction(1), 2: Fraction(1)}, 12),
+              Series({1: Fraction(1), 2: Fraction(-1)}, 12)]
+        got = semitoric._product(xi, [1, -1], 8)
+        want = _reference_product(xi, [1, -1], 8)
+        assert got.terms == want.terms and got.prec == want.prec
+        assert got.terms[0] == 1 and got.terms[1] == 2
 
     def test_power_of_zero(self):
         zero = Series({}, 5)
