@@ -111,7 +111,8 @@ def _pair(key, sep, default=None):
 
 
 def _point(raw) -> ParameterPoint:
-    return ParameterPoint(_seq(_rational)(raw))
+    # empty for a germ with mu = 1, whose unfolding has no parameter
+    return ParameterPoint(_seq(_rational, least=0)(raw))
 
 
 @dataclass(frozen=True)

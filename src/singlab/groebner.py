@@ -71,7 +71,7 @@ class _Packing:
                  widen: int = 0):
         big = max((e for t in maps for exps in t for e in exps), default=0)
         self.width = width = max(16, big.bit_length()) << widen
-        self.lex, self.cap = order.kind == "lex", (1 << width) - 1
+        self.lex, self.cap = order is LEX, (1 << width) - 1
         self.sign = 1 if self.lex else -1
         self.shifts = [(n - 1 - i if self.lex else i) * (width + 1)
                        for i in range(n)]
@@ -282,17 +282,13 @@ def staircase_monomials(gb: list[Polynomial],
     Finite exactly when every variable has a pure power among the leading
     terms (zero-dimensional ideal).
     """
-    maps = [g.terms for g in gb if g.terms]
-    if not maps:
+    leads = [g.leading(order)[0] for g in gb if g.terms]
+    if not leads:
         return None
-    n = len(gb[0].variables)
-    pk = _Packing(order, n, maps)
-    leads = [max(map(pk.pack, terms)) for terms in maps]
-    exps = [pk.unpack(m) for m in leads]
     # the least pure power of each variable (all 0 for the whole ring)
-    caps = [min((e[i] for e in exps if sum(e) == e[i]), default=None)
-            for i in range(n)]
+    caps = [min((e[i] for e in leads if sum(e) == e[i]), default=None)
+            for i in range(len(leads[0]))]
     if None in caps:
         return None
     return [e for e in itertools.product(*map(range, caps))
-            if not any(pk.divides(m, pk.pack(e)) for m in leads)]
+            if not any(all(a <= b for a, b in zip(m, e)) for m in leads)]

@@ -14,6 +14,7 @@ packed exponents, as does the Bareiss determinant in ``resultant``.
 from __future__ import annotations
 
 import re
+from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -26,35 +27,23 @@ from .errors import (DegreeError, InvalidInput, VariableMismatch,
 Exponents = tuple[int, ...]
 
 
-class MonomialOrder:
+class MonomialOrder(Enum):
     """Total order on monomials, exposed as a sort key on exponent tuples.
 
-    kind is 'grevlex' or 'lex'; the variable list carries the precedence
-    (for elimination, put the eliminated variables first and use 'lex').
+    The variable list carries the precedence (for elimination, put the
+    eliminated variables first and use LEX).
     """
 
-    def __init__(self, kind: str):
-        if kind not in ("grevlex", "lex"):
-            raise ValueError(f"unknown monomial order {kind!r}")
-        self.kind = kind
+    GREVLEX = "grevlex"
+    LEX = "lex"
 
     def key(self, exps: Exponents):
-        if self.kind == "grevlex":
+        if self is GREVLEX:
             return (sum(exps), tuple(-e for e in reversed(exps)))
         return exps
 
-    def __repr__(self):
-        return f"MonomialOrder({self.kind!r})"
 
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.kind == other.kind
-
-    def __hash__(self):
-        return hash(("MonomialOrder", self.kind))
-
-
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
+GREVLEX, LEX = MonomialOrder.GREVLEX, MonomialOrder.LEX
 
 
 def _as_fraction(c) -> Fraction:
@@ -337,15 +326,12 @@ class Polynomial:
 
     # -- formatting --------------------------------------------------------
 
-    def sorted_terms(self, order: MonomialOrder = GREVLEX):
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]),
-                      reverse=True)
-
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
-        for e, c in self.sorted_terms():
+        for e, c in sorted(self.terms.items(),
+                           key=lambda t: GREVLEX.key(t[0]), reverse=True):
             mono = "*".join(
                 v if k == 1 else f"{v}^{k}"
                 for v, k in zip(self.variables, e) if k)

@@ -2,7 +2,9 @@
 
 Sturm counts isolate, so every returned interval (a RatInterval) provably
 contains exactly one distinct real root, and intervals that touch are
-halved apart; multiplicities come from Yun's square-free factorization.
+halved apart.  Each call builds one Sturm chain, that of the square-free
+part; a root's multiplicity is that of the one factor of Yun's square-free
+factorization whose sign changes on its interval.
 Where a root lies against any other point is the caller's to decide, by
 refining its interval.  Every decision is an integer sign: polynomials
 are scaled once to primitive integer coefficients and evaluated at p/q
@@ -36,15 +38,6 @@ def _strip(c: list) -> list:
 
 def _diff(c):
     return [a * k for k, a in enumerate(c)][1:]
-
-
-def _mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _strip(out)
 
 
 def _integer(c) -> Coeffs:
@@ -93,13 +86,6 @@ def _gcd(a, b) -> tuple[Coeffs, tuple[Coeffs, ...]]:
     return _positive(_integer(seq[-1])), tuple(seq)
 
 
-class Factors(list):
-    """Yun's factors, with the Sturm chain of a square-free input, which
-    Yun's gcd(c, c') found (empty for any other input)."""
-
-    chain: tuple[Coeffs, ...] = ()
-
-
 def squarefree_decomposition(c) -> list[tuple[Coeffs, int]]:
     """Yun's algorithm on ascending rational coefficients c, computed over
     the integers: [(square-free factor, multiplicity), ...], each factor
@@ -108,10 +94,8 @@ def squarefree_decomposition(c) -> list[tuple[Coeffs, int]]:
         return []
     c = _positive(_integer(c))
     d = _diff(c)
-    g, chain = _gcd(c, _integer(d))
-    out = Factors()
-    if len(g) == 1:  # square-free
-        out.chain = chain
+    g = _gcd(c, _integer(d))[0]
+    out = []
     # w and z keep one common scale, which Yun's step z - w' needs
     w, z = _exquo(c, g), _exquo(d, g)
     k = 1
@@ -127,6 +111,19 @@ def squarefree_decomposition(c) -> list[tuple[Coeffs, int]]:
     return out
 
 
+def _chain(c) -> tuple[tuple[Coeffs, ...], bool]:
+    """The Sturm chain of the square-free part of c (ascending rational
+    coefficients, not constant), primitive: the remainder sequence of the
+    primitive c and c', or of c / gcd(c, c') when that gcd is not
+    constant; and whether c is square-free."""
+    c = _positive(_integer(c))
+    g, chain = _gcd(c, _integer(_diff(c)))
+    if len(g) > 1:
+        f = _exquo(c, g)
+        chain = _gcd(f, _integer(_diff(f)))[1]
+    return chain, len(g) == 1
+
+
 def _value(c: Coeffs, p: int, q: int) -> int:
     """q^d c(p/q), the sum of c_i p^i q^(d - i): c's sign for q > 0."""
     acc, qk = c[-1], 1
@@ -134,17 +131,6 @@ def _value(c: Coeffs, p: int, q: int) -> int:
         qk *= q
         acc = acc * p + a * qk
     return acc
-
-
-def _sturm_chain(factors) -> tuple[Coeffs, ...]:
-    """Sturm sequence of the square-free part, the product of Yun's factors,
-    as primitive integer coefficients; Yun kept it for a square-free input."""
-    if chain := getattr(factors, "chain", ()):
-        return chain
-    f = (1,)
-    for g, _ in factors:
-        f = _mul(f, g)
-    return _gcd(tuple(f), _integer(_diff(f)))[1]
 
 
 def _variations(chain, p: int, q: int) -> int:
@@ -238,19 +224,22 @@ def isolate_real_roots(p: Polynomial, window: tuple[Fraction, Fraction]
     lo, hi = Fraction(window[0]), Fraction(window[1])
     if lo > hi:
         raise InvalidInput("empty window")
-    factors = squarefree_decomposition(p.univariate_coeffs())
-    if not factors:
+    c = p.univariate_coeffs()
+    if len(c) < 2:
         return []
-    chain = _sturm_chain(factors)
+    chain, squarefree = _chain(c)
     f = chain[0]
-    # the one root in an emitted (a, b] is a root of exactly one factor
-    owners = [(_sturm_chain([fm]), fm[1]) for fm in factors[:-1]]
+    # f is nonzero at the ends of an emitted (a, b], whose one root is a
+    # simple root of exactly one of Yun's coprime factors: the one whose
+    # sign changes there
+    *owners, (_, last) = ([(f, 1)] if squarefree
+                          else squarefree_decomposition(c))
     out: list[list[int]] = []  # [a, b, d, va as in _refine, multiplicity]
 
     def emit(a: int, b: int, d: int, va: int):
-        out.append([a, b, d, va, next((m for ch, m in owners
-                                       if _count(ch, a, b, d)),
-                                      factors[-1][1])])
+        out.append([a, b, d, va, next((m for g, m in owners if
+                                       _value(g, a, d) * _value(g, b, d) < 0),
+                                      last)])
 
     def exact_root(r: int, s: int, e: int) -> tuple[int, int]:
         # (r - w, r + w] / ce for w = s / 4 (or 1/4) halved to isolate r
@@ -300,9 +289,9 @@ def count_distinct_roots(p: Polynomial, lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots of p in the closed interval [lo, hi]."""
     if p.is_zero():
         raise ZeroPolynomial("zero polynomial")
-    factors = squarefree_decomposition(p.univariate_coeffs())
-    if not factors:
+    c = p.univariate_coeffs()
+    if len(c) < 2:
         return 0
     a, b, d = integer_interval(Fraction(lo), Fraction(hi))
-    chain = _sturm_chain(factors)
+    chain = _chain(c)[0]
     return _count(chain, a, b, d) + (_value(chain[0], a, d) == 0)

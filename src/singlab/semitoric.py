@@ -5,9 +5,11 @@ The resolution pipeline is purely combinatorial: stellar subdivision of
 the positive orthant at the generator vector, then repeated subdivision
 at a minimal lattice point of each non-unimodular cone's fundamental
 parallelepiped until every cone is unimodular, each in the new ray's star
-only.  The cone linear algebra is integer: a new cone's det and adjugate
-are carried from its parent's in O(d^2), so the fraction-free Gauss-Jordan
-(Bareiss) pass, `_det_adj`, runs only for cones built outside `_stellar`.
+only.  The cone linear algebra is integer: a new cone that is not
+unimodular has its det and adjugate carried from its parent's in O(d^2),
+so the fraction-free Gauss-Jordan (Bareiss) pass, `_det_adj`, runs only
+for the orthant, for cones built outside `_stellar` and for the unimodular
+cones that are read: the chart.
 """
 
 from __future__ import annotations
@@ -258,7 +260,10 @@ def _stellar(star: dict[Vector, set[Cone]], cone: Cone, v: Vector
             raise IdentityViolation(f"{v} is outside {old.rays}, in its star")
         for r in old.rays:
             star[r].remove(old)
-        new += [(_replaced(old, i, v, coeffs), c)
+        # resolution never subdivides a unimodular cone (it holds no
+        # parallelepiped point), so its adjugate is computed only if read
+        new += [(_replaced(old, i, v, coeffs) if c > 1 else
+                 Cone(old.rays[:i] + (v,) + old.rays[i + 1:]), c)
                 for i, c in enumerate(coeffs) if c]
     for c, _ in new:
         for r in c.rays:

@@ -544,6 +544,28 @@ class TestOpTable:
         task = {"op": "morse", "t": ["-3"], "margin": 0}
         assert _one_task(GERM, task) == (out, True)
 
+    @pytest.mark.parametrize("germ, index", [
+        ("z^2", 0), ("z^2 + w^2", 0), ("z*w", 1)])
+    def test_morse_germ_at_the_empty_point(self, capsys, germ, index):
+        # mu = 1: the unfolding has no parameter, so t is the empty point
+        code, out = run_cli(capsys, "morse", germ, "--t=")
+        assert code == 0
+        assert [p["index"] for p in out["points"]] == [index]
+        task = {"op": "morse", "t": []}
+        assert _one_task({"kind": "unfolding", "germ": germ}, task) == (
+            out, True)
+
+    def test_empty_point_of_the_wrong_length(self, capsys):
+        code, out = run_cli(capsys, "morse", "z^3", "--t=")
+        assert code == 2
+        assert out["error"] == {
+            "type": "InvalidInput",
+            "message": "parameter point has 0 coordinates, expected 1"}
+
+    def test_euler_check_at_the_empty_point(self, capsys):
+        code, out = run_cli(capsys, "euler-check", "z^2", "--t=")
+        assert code == 0 and out["ok"] is True
+
     def test_readme_commands_run(self, capsys, tmp_path, monkeypatch):
         """Every README command line runs: exit 0, or 3 for a negative
         verdict; `run experiment.json` runs the README's manifest."""

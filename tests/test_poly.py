@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from singlab.errors import VariableMismatch
 from singlab.groebner import groebner_basis, normal_form
 from singlab.milnor import unfold_germ
-from singlab.poly import (GREVLEX, LEX, Polynomial, div_terms,
+from singlab.poly import (GREVLEX, LEX, MonomialOrder, Polynomial, div_terms,
                           infer_variables, lex_packing, parse_polynomial)
 from singlab.resultant import poly_determinant
 from test_discriminant import germs_1d
@@ -284,3 +284,9 @@ class TestMonomialOrders:
         p = P("z^2*w + z*w^2 + z^4")
         assert p.leading(GREVLEX)[0] == (4, 0)
         assert p.leading(LEX)[0] == (4, 0)
+
+    def test_orders_are_named_singletons(self):
+        assert MonomialOrder("lex") is LEX
+        assert MonomialOrder("grevlex") is GREVLEX
+        with pytest.raises(ValueError):
+            MonomialOrder("deglex")

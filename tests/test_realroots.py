@@ -432,19 +432,58 @@ class TestSquarefree:
     @example(([-2, 0, 1], []))  # z^2 - 2
     @settings(max_examples=80, deadline=None)
     def test_chain_is_the_sturm_chain_built_from_scratch(self, poly):
-        # Yun keeps the chain of a square-free input; isolation receives
-        # the Fraction Sturm chain of the square-free part, made primitive
+        # one remainder sequence, of c and c' for a square-free c, else of
+        # c / gcd(c, c'); isolation receives the Fraction Sturm chain of the
+        # square-free part, made primitive
         expr = _sympy_poly(*poly)
         if sympy.degree(expr, Z) < 1:
             return
-        factors = squarefree_decomposition(_ascending(expr))
         f = _sqfree(expr)
         f = f if f[-1] > 0 else [-x for x in f]
         want = tuple(realroots._integer(m) for m in _ref_chain(f))
-        assert bool(factors.chain) == (len(factors) == 1
-                                       and factors[0][1] == 1)
-        assert realroots._sturm_chain(factors) == want
-        assert realroots._sturm_chain(list(factors)) == want
+        squarefree = sympy.Poly(expr, Z).is_sqf
+        assert realroots._chain(_ascending(expr)) == (want, squarefree)
         for iv in isolate_real_roots(_singlab_poly(expr),
                                      (Fraction(-16), Fraction(16))):
             assert iv._chain == want
+
+
+def _sturm_owner(factors, a, b, d):
+    """The multiplicity of the one Yun factor with a root in (a/d, b/d], by
+    a Sturm count on each factor's own chain."""
+    return next(m for g, m in factors if realroots._count(
+        realroots._gcd(g, realroots._integer(realroots._diff(g)))[1],
+        a, b, d))
+
+
+# (scale, k, e): the factor (scale z - k)^e, whose root k / scale is on the
+# grid of quarters, or close to another root
+FACTORS = st.lists(st.tuples(st.sampled_from([4, 4, 64, 1024]),
+                             st.integers(-16, 16), st.integers(1, 3)),
+                   min_size=2, max_size=4)
+
+
+class TestOwningFactor:
+    @given(FACTORS, st.integers(-24, 8), st.integers(0, 32))
+    # a double root on the first bisection midpoint, 0
+    @example([(4, 0, 2), (4, 4, 1)], -16, 32)
+    # a double root at the low end of the window, a triple one at its high end
+    @example([(4, -4, 2), (4, 8, 3)], -4, 12)
+    # close roots 1/4 and 17/64, each repeated
+    @example([(4, 1, 2), (64, 17, 3), (4, -8, 1)], -16, 32)
+    @settings(max_examples=80, deadline=None)
+    def test_sign_change_names_the_sturm_count_owner(self, factors, lo,
+                                                     length):
+        # a product of two to four factors, repeated and close roots: the
+        # intervals are the reference's, and so is each multiplicity, that
+        # of the one Yun factor whose own Sturm chain counts a root there
+        expr = sympy.expand(sympy.prod([(a * Z - k) ** e
+                                        for a, k, e in factors]))
+        window = (Fraction(lo, 4), Fraction(lo + length, 4))
+        got = isolate_real_roots(_singlab_poly(expr), window)
+        assert [[iv.lo, iv.hi, iv.multiplicity] for iv in got] == \
+            _ref_isolate(expr, *window)
+        yun = squarefree_decomposition(_ascending(expr))
+        for iv in got:
+            a, b, d = realroots.integer_interval(iv.lo, iv.hi)
+            assert iv.multiplicity == _sturm_owner(yun, a, b, d)

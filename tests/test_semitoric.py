@@ -482,6 +482,27 @@ class TestStarIndexedStellar:
         with pytest.raises(IdentityViolation, match="inexact adjugate"):
             semitoric._stellar({r: {cone} for r in cone.rays}, cone, (1, 1))
 
+    def test_adjugates_carried_only_into_non_unimodular_cones(
+            self, monkeypatch):
+        # a unimodular cone holds no parallelepiped point, so it is never
+        # subdivided: one adjugate update per new cone with |det| > 1
+        updates, made = [], []
+        replaced, stellar = semitoric._replaced, semitoric._stellar
+
+        def counted_replaced(*args):
+            updates.append(replaced(*args))
+            return updates[-1]
+
+        def counted_stellar(*args):
+            new = stellar(*args)
+            made.extend(c for c, det in new if det > 1)
+            return new
+        monkeypatch.setattr(semitoric, "_replaced", counted_replaced)
+        monkeypatch.setattr(semitoric, "_stellar", counted_stellar)
+        for g in RESOLUTION_TRIPLES:
+            resolve_monomial_curve(semigroup_from_generators(list(g)))
+        assert made and updates == made
+
     def test_five_generator_branch_hits_the_budget_in_few_steps(
             self, monkeypatch):
         # semigroup <16, 24, 52, 106, 213>: 666 subdivisions, over the cap;
