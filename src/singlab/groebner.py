@@ -1,14 +1,11 @@
 """Buchberger's algorithm with reduced bases and one step budget.
 
-Monomials are packed into one int each (Bachmann & Schoenemann, ISSAC
-1998), a field of width + 1 bits per variable with a guard on top: for
-lex the first variable highest; for grevlex the degree above the fields,
-which hold 2^width - 1 - e in reversed variable order.  So int order is
-the monomial order, a product a * b is a + b - one, and a valid monomial
-sets no guard bit.  The width is read off the inputs (at least 16 bits).
-A product that outgrows it sets a guard bit, yet packs exactly and in
-order; once such a term leads, the computation restarts at twice the
-width with a fresh step count, so nothing depends on the width.
+Monomials are packed into one int each by ``poly.Packing``, so int
+order is the monomial order and a product is one addition.  The field
+width is read off the inputs (at least 16 bits).  A product that
+outgrows it sets a guard bit, yet packs exactly and in order; once such
+a term leads, the computation restarts at twice the width with a fresh
+step count, so nothing depends on the width.
 
 Critical pairs wait in a heap keyed by (degree of the lcm of the leading
 terms, lcm, i, j).  Least lcm degree first (Buchberger 1985; Giovini
@@ -34,11 +31,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import os
 from fractions import Fraction
 
 from .errors import BudgetExceeded, InvalidInput, VariableMismatch
-from .poly import GREVLEX, LEX, Exponents, MonomialOrder, Polynomial
+from .poly import GREVLEX, LEX, Exponents, MonomialOrder, Packing, Polynomial
 
 DEFAULT_BUDGET = 200_000
 
@@ -62,49 +60,6 @@ class Budget:
             raise BudgetExceeded(f"{self.what} exceeded {self.cap} steps")
 
 
-class _Packing:
-    """Packed monomials of one order in n variables, the fields as wide as
-    the exponents of maps need, doubled widen times.  a | b iff
-    sign * (b - a) borrows into no guard bit."""
-
-    def __init__(self, order: MonomialOrder, n: int, maps: list[dict],
-                 widen: int = 0):
-        big = max((e for t in maps for exps in t for e in exps), default=0)
-        self.width = width = max(16, big.bit_length()) << widen
-        self.lex, self.cap = order is LEX, (1 << width) - 1
-        self.sign = 1 if self.lex else -1
-        self.shifts = [(n - 1 - i if self.lex else i) * (width + 1)
-                       for i in range(n)]
-        self.guard = sum(1 << (s + width) for s in self.shifts)
-        self.top = n * (width + 1)  # the grevlex degree field
-        self.weights = [1 << s if self.lex else (1 << self.top) - (1 << s)
-                        for s in self.shifts]  # pack(e) - one, per e_i
-        self.one = 0 if self.lex else sum(self.cap << s for s in self.shifts)
-
-    def pack(self, exps: Exponents) -> int:
-        return self.one + sum(e * w for e, w in zip(exps, self.weights))
-
-    def unpack(self, m: int) -> Exponents:
-        fields = ((m >> s) & self.cap for s in self.shifts)
-        return tuple(fields if self.lex else (self.cap - f for f in fields))
-
-    def degree(self, m: int) -> int:
-        return sum(self.unpack(m)) if self.lex else m >> self.top
-
-    def monic(self, terms: dict) -> tuple[int, dict]:
-        """The leading monomial and the packed monic form of a term map."""
-        return _monic({self.pack(e): c for e, c in terms.items()})
-
-    def divides(self, a: int, b: int) -> bool:
-        return not (self.sign * (b - a)) & self.guard
-
-    def lcm(self, a: int, b: int) -> int:
-        ge = ((a | self.guard) - b) & self.guard  # guards of fields a >= b
-        pick = (a ^ b) & (ge - (ge >> self.width))
-        # lex: max exponents; grevlex: min complements, degree recomputed
-        return b ^ pick if self.lex else self.pack(self.unpack(a ^ pick))
-
-
 def _monic(terms: dict) -> tuple[int, dict]:
     """Lead and monic form of a packed term map, ints where integral."""
     lead = max(terms)
@@ -116,8 +71,9 @@ def _packed_run(run, maps: list[dict], order: MonomialOrder, n: int,
                 what: str):
     """(packing, run(maps, packing, step counter)), rerun at twice the
     field width with a fresh counter while a product overflows."""
+    big = max((e for t in maps for exps in t for e in exps), default=0)
     for widen in itertools.count():
-        pk = _Packing(order, n, maps, widen)
+        pk = Packing(order, n, max(16, big.bit_length()) << widen)
         try:
             return pk, run(maps, pk, Budget(what))
         except OverflowError:
@@ -130,7 +86,7 @@ def _check_variables(polys: list[Polynomial], variables) -> None:
             raise VariableMismatch(f"{g.variables} vs {variables}")
 
 
-def _reduce(work: dict, divisors: list[tuple[int, dict]], pk: _Packing,
+def _reduce(work: dict, divisors: list[tuple[int, dict]], pk: Packing,
             budget: Budget) -> dict:
     """Remainder of the packed term map work (consumed) under full division
     by divisors, (leading monomial, terms) of monic packed polynomials tried
@@ -170,9 +126,9 @@ def normal_form(p: Polynomial, basis: list[Polynomial],
     _check_variables(basis, p.variables)
 
     def run(maps, pk, steps):  # maps: p, then the basis
-        work = {pk.pack(e): c for e, c in maps[0].items()}
-        divisors = sorted(map(pk.monic, maps[1:]), key=lambda d: d[0],
-                          reverse=True)
+        work = pk.pack_terms(maps[0])
+        divisors = sorted((_monic(pk.pack_terms(t)) for t in maps[1:]),
+                          key=lambda d: d[0], reverse=True)
         return _reduce(work, divisors, pk, steps)
 
     pk, rem = _packed_run(run, [p.terms] + [g.terms for g in basis if g.terms],
@@ -197,10 +153,10 @@ def groebner_basis(generators: list[Polynomial],
                                        g.items()}) for g in basis]
 
 
-def _buchberger(maps: list[dict], pk: _Packing, steps: Budget) -> list[dict]:
+def _buchberger(maps: list[dict], pk: Packing, steps: Budget) -> list[dict]:
     """The reduced basis of the term maps, as packed monic term maps."""
     one, divides, lcm, degree = pk.one, pk.divides, pk.lcm, pk.degree
-    leads, basis = map(list, zip(*map(pk.monic, maps)))
+    leads, basis = map(list, zip(*(_monic(pk.pack_terms(t)) for t in maps)))
     binomial = all(len(t) <= 2 for t in maps)
     live: list[int] = []    # elements that still form pairs and reduce
     pairs: list = []        # heap of (lcm degree or 0, lcm, i, j), i > j
@@ -280,7 +236,8 @@ def staircase_monomials(gb: list[Polynomial],
     """All monomials not divisible by any leading term; None if infinite.
 
     Finite exactly when every variable has a pure power among the leading
-    terms (zero-dimensional ideal).
+    terms (zero-dimensional ideal).  The box of those powers is charged to
+    a step budget before it is walked.
     """
     leads = [g.leading(order)[0] for g in gb if g.terms]
     if not leads:
@@ -290,5 +247,6 @@ def staircase_monomials(gb: list[Polynomial],
             for i in range(len(leads[0]))]
     if None in caps:
         return None
+    Budget("staircase_monomials").step(math.prod(caps))
     return [e for e in itertools.product(*map(range, caps))
             if not any(all(a <= b for a, b in zip(m, e)) for m in leads)]

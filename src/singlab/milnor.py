@@ -14,6 +14,7 @@ from .errors import (IdentityViolation, NotCritical, NotIsolated,
                      OrderTooLow, VariableMismatch)
 from .groebner import groebner_basis, normal_form, staircase_monomials
 from .poly import GREVLEX, Polynomial
+from .realroots import sign_changes
 from .resultant import poly_determinant
 
 
@@ -84,11 +85,6 @@ class Unfolding:
         return Polynomial._of(self.z_names, terms)
 
 
-def _sign_changes(coeffs) -> int:
-    signs = [c > 0 for c in coeffs if c]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
 def _quadratic_signature(f: Polynomial) -> tuple[int, int]:
     """Signature (q+, q-) of the degree-2 part, by Descartes' rule of signs.
 
@@ -101,8 +97,8 @@ def _quadratic_signature(f: Polynomial) -> tuple[int, int]:
         [[x * int(a == b) - f.diff(a).diff(b).constant_term() for b in names]
          for a in names])
     coeffs = char.univariate_coeffs()
-    return (_sign_changes(coeffs),
-            _sign_changes([c * (-1) ** k for k, c in enumerate(coeffs)]))
+    return (sign_changes(coeffs),
+            sign_changes([c * (-1) ** k for k, c in enumerate(coeffs)]))
 
 
 def _cobasis_key(exps):

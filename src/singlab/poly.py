@@ -7,8 +7,8 @@ results derived from valid polynomials are built by ``Polynomial._of``,
 which checks nothing: its terms are already nonzero Fractions on int
 tuples of the ring's length.  Monomial orders (grevlex and lex) are key
 functions on exponent tuples; lex with the eliminated variables first
-serves as the elimination order.  Exact quotients run on term maps with
-packed exponents, as does the Bareiss determinant in ``resultant``.
+serves as the elimination order.  Exact quotients run on term maps whose
+exponents ``Packing`` packs, as do ``resultant`` and ``groebner``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, lshift
+from operator import add, mul
 from typing import Iterable, Mapping
 
 from .errors import (DegreeError, InvalidInput, VariableMismatch,
@@ -44,6 +44,52 @@ class MonomialOrder(Enum):
 
 
 GREVLEX, LEX = MonomialOrder.GREVLEX, MonomialOrder.LEX
+
+
+class Packing:
+    """Monomials of one order in n variables, packed into one int each
+    (Bachmann & Schoenemann, ISSAC 1998): a field of width + 1 bits per
+    variable with a guard bit on top; for lex the first variable highest;
+    for grevlex the degree above the fields, which hold 2^width - 1 - e in
+    reversed variable order.  So int order is the monomial order, a
+    product a * b is a + b - one, and a valid monomial sets no guard bit.
+    A product that outgrows its field sets a guard bit, yet packs exactly
+    and in order; a | b iff sign * (b - a) borrows into no guard bit."""
+
+    def __init__(self, order: MonomialOrder, n: int, width: int):
+        self.width, self.lex, self.cap = width, order is LEX, (1 << width) - 1
+        self.sign = 1 if self.lex else -1
+        self.shifts = [(n - 1 - i if self.lex else i) * (width + 1)
+                       for i in range(n)]
+        self.guard = sum(1 << (s + width) for s in self.shifts)
+        self.top = n * (width + 1)  # the grevlex degree field
+        self.weights = [1 << s if self.lex else (1 << self.top) - (1 << s)
+                        for s in self.shifts]  # pack(e) - one, per e_i
+        self.one = 0 if self.lex else sum(self.cap << s for s in self.shifts)
+
+    def pack(self, exps: Exponents) -> int:
+        return self.one + sum(map(mul, exps, self.weights))
+
+    def pack_terms(self, terms: Mapping) -> dict:
+        one, weights = self.one, self.weights  # pack, inlined: hot in Bareiss
+        return {one + sum(map(mul, e, weights)): c for e, c in terms.items()}
+
+    def unpack(self, m: int) -> Exponents:
+        cap = self.cap
+        fields = ((m >> s) & cap for s in self.shifts)
+        return tuple(fields if self.lex else (cap - f for f in fields))
+
+    def degree(self, m: int) -> int:
+        return sum(self.unpack(m)) if self.lex else m >> self.top
+
+    def divides(self, a: int, b: int) -> bool:
+        return not (self.sign * (b - a)) & self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        ge = ((a | self.guard) - b) & self.guard  # guards of fields a >= b
+        pick = (a ^ b) & (ge - (ge >> self.width))
+        # lex: max exponents; grevlex: min complements, degree recomputed
+        return b ^ pick if self.lex else self.pack(self.unpack(a ^ pick))
 
 
 def _as_fraction(c) -> Fraction:
@@ -318,11 +364,12 @@ class Polynomial:
         (a, b), _ = integer_terms([self.terms, divisor.terms])
         g = gcd(*b.values())
         big = max((x for e in (*a, *b) for x in e), default=0)
-        pack, unpack, guard = lex_packing([big] * len(self.variables))
-        q = div_terms({pack(e): c for e, c in a.items()},
-                      {pack(e): c // g for e, c in b.items()}, guard)
+        pk = Packing(LEX, len(self.variables), big.bit_length())
+        q = div_terms(pk.pack_terms(a),
+                      pk.pack_terms({e: c // g for e, c in b.items()}),
+                      pk.guard)
         return self._of(self.variables,
-                        {unpack(e): Fraction(c, g) for e, c in q.items()})
+                        {pk.unpack(e): Fraction(c, g) for e, c in q.items()})
 
     # -- formatting --------------------------------------------------------
 
@@ -360,26 +407,12 @@ def integer_terms(maps: list[Mapping]) -> tuple[list[dict], int]:
              for e, c in m.items()} for m in maps], den
 
 
-def lex_packing(bounds: list[int]):
-    """(pack, unpack, guard) for exponents e[i] <= bounds[i]: lex fields as
-    wide as the bounds, the first highest, a guard bit above each, so that a
-    product is a sum and a field that outgrows or borrows sets its guard."""
-    shifts, guard, s = [], 0, 0
-    for b in reversed(bounds):
-        shifts.insert(0, s)
-        s += b.bit_length() + 1
-        guard |= 1 << s - 1
-    fields = [(s, (1 << b.bit_length()) - 1) for s, b in zip(shifts, bounds)]
-    return (lambda e: sum(map(lshift, e, shifts)),
-            lambda m: tuple(m >> s & mask for s, mask in fields), guard)
-
-
 def div_terms(rem: dict[int, int], divisor: Mapping[int, int],
               guard: int) -> dict[int, int]:
     """Exact quotient of packed term maps; rem is consumed as the remainder.
 
     Heap division (Monagan & Pearce, "Sparse polynomial division using a
-    heap", JSC 2011) on ``lex_packing`` keys and guard mask: the largest
+    heap", JSC 2011) on lex ``Packing`` keys and guard mask: the largest
     pending exponent of rem is popped and gives one quotient term, whose
     product with the rest of the divisor is subtracted from rem in place.
     A term that cancels stays in rem as a zero and is skipped when popped.
@@ -414,6 +447,7 @@ def div_terms(rem: dict[int, int], divisor: Mapping[int, int],
 # -- parsing ---------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|/|\+|-|\(|\))")
+MAX_NESTING = 200  # "(" and "-" levels; 4 frames each stays under 1000
 
 
 class _Parser:
@@ -427,7 +461,7 @@ class _Parser:
                 raise InvalidInput(f"bad character at {text[pos:pos + 10]!r}")
             self.tokens.append(m.group(1))
             pos = m.end()
-        self.i = 0
+        self.i = self.depth = 0
         self.variables = variables
 
     def peek(self):
@@ -482,13 +516,16 @@ class _Parser:
         tok = self.next()
         if tok is None:
             raise InvalidInput("unexpected end of expression")
-        if tok == "(":
-            p = self.expr()
-            if self.next() != ")":
+        if tok in ("(", "-"):
+            if self.depth == MAX_NESTING:
+                raise InvalidInput("expression nested deeper than "
+                                   f"{MAX_NESTING} levels")
+            self.depth += 1
+            p = self.expr() if tok == "(" else -self.factor()
+            self.depth -= 1
+            if tok == "(" and self.next() != ")":
                 raise InvalidInput("unbalanced parentheses")
             return p
-        if tok == "-":
-            return -self.factor()
         if tok.isdigit():
             return Polynomial.constant(int(tok), self.variables)
         if tok in self.variables:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
+from operator import ne
 
 from .errors import InvalidInput, ZeroPolynomial
 from .intervals import RatInterval, integer_interval
@@ -133,9 +134,14 @@ def _value(c: Coeffs, p: int, q: int) -> int:
     return acc
 
 
+def sign_changes(values) -> int:
+    """Sign changes in a sequence of numbers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(map(ne, signs, signs[1:]))
+
+
 def _variations(chain, p: int, q: int) -> int:
-    signs = [v > 0 for s in chain if (v := _value(s, p, q))]
-    return sum(x != y for x, y in zip(signs, signs[1:]))
+    return sign_changes([_value(s, p, q) for s in chain])
 
 
 def _count(chain, a: int, b: int, d: int) -> int:

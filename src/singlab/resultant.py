@@ -2,9 +2,10 @@
 
 The determinant is computed by fraction-free elimination (Bareiss, Math.
 Comp. 1968) in Z[remaining variables]: the entries are scaled once to
-integer term maps with packed exponents over one common denominator, and
-each step divides by the previous pivot with the heap division
-``poly.div_terms``.  Every such division is exact, so the result is exact.
+integer term maps over one common denominator, exponents packed once by
+a lex ``poly.Packing``, and each step divides by the previous pivot with
+the heap division ``poly.div_terms``.  Every such division is exact, so
+the result is exact.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegreeError, VariableMismatch
-from .poly import Polynomial, div_terms, integer_terms, lex_packing
+from .poly import LEX, Packing, Polynomial, div_terms, integer_terms
 
 
 def sylvester_matrix(p: Polynomial, q: Polynomial,
@@ -43,9 +44,9 @@ def poly_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
     # the rows' largest degrees in it; a product of two, twice that
     bound = [2 * sum(max((e[v] for p in row for e in p.terms), default=0)
                      for row in matrix) for v in range(len(variables))]
-    pack, unpack, guard = lex_packing(bound)
+    pk = Packing(LEX, len(variables), max(bound, default=0).bit_length())
     flat, den = integer_terms([p.terms for row in matrix for p in row])
-    flat = [{pack(e): c for e, c in t.items()} for t in flat]
+    flat = list(map(pk.pack_terms, flat))
     m = [flat[i * n:(i + 1) * n] for i in range(n)]
     sign = 1
     prev = {0: 1}
@@ -68,10 +69,10 @@ def poly_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
                         for e2, c2 in b.items():
                             e = e1 + e2
                             num[e] = num.get(e, 0) + c1 * c2
-                m[i][j] = div_terms(num, prev, guard)
+                m[i][j] = div_terms(num, prev, pk.guard)
         prev = pivot
-    # det(den * matrix) = den^n det(matrix)
-    return Polynomial._of(variables, {unpack(e): Fraction(c, sign * den ** n)
+    scale = sign * den ** n  # det(den * matrix) = den^n det(matrix)
+    return Polynomial._of(variables, {pk.unpack(e): Fraction(c, scale)
                                       for e, c in m[n - 1][n - 1].items()})
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import singlab
-from singlab import figures, serialize
+from singlab import discriminant, figures, serialize
 from singlab.cli import OPS, main, run_manifest
 from singlab.discriminant import cerf_trace, equal_level_search, slice_sample
 from singlab.errors import InvalidInput, ManifestError
@@ -114,6 +114,36 @@ class TestCommands:
                             "40000,40001")
         assert code == 1
         assert out["error"]["type"] == "BudgetExceeded"
+
+    def test_staircase_exceeds_the_budget(self, capsys, monkeypatch):
+        # the staircase of z^3 + w^1000 holds 2 * 999 monomials
+        monkeypatch.setenv("SINGLAB_BUDGET", "1000")
+        code, out = run_cli(capsys, "analyze", "z^3 + w^1000")
+        assert code == 1
+        assert out["error"] == {
+            "type": "BudgetExceeded",
+            "message": "staircase_monomials exceeded 1000 steps"}
+        task = _one_task({"kind": "unfolding", "germ": "z^3 + w^1000"},
+                         {"op": "analyze"})
+        assert task == (out, False)
+
+    def test_deeply_nested_germ_exits_two(self, capsys):
+        # 250 levels recursed past Python's limit: exit 1, a traceback
+        code, out = run_cli(capsys, "analyze", "(" * 200 + "z^3" + ")" * 200)
+        assert code == 0 and out["mu"] == 2
+        code, out = run_cli(capsys, "analyze", "(" * 250 + "z^3" + ")" * 250)
+        assert code == 2
+        assert out["error"] == {
+            "type": "InvalidInput",
+            "message": "germ: expression nested deeper than 200 levels"}
+
+    def test_unrefined_crossing_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(discriminant, "_agree", lambda *args: False)
+        code, out = run_cli(capsys, "cerf", "z^4", "--path=-1/2,-3/2;1/2,-3/2",
+                            "--steps", "8", "--delta", "2")
+        assert code == 3
+        assert [(e["kind"], e["s"], e["data"]) for e in out["events"]] == \
+            [("unresolved", "1/2", {"reason": "crossing-unrefined"})]
 
     @pytest.mark.parametrize("argv", [
         ("semigroup", "--generators", "a,3"),
@@ -457,9 +487,11 @@ class TestManifest:
         ({"kind": "unfolding", "germ": "z^3",
           "tasks": [{"op": "morse", "t": ["-3"], "margin": "-1/2"}]},
          "jobs[0].tasks[0].margin"),
+        ({"kind": "unfolding", "germ": "(" * 250 + "z^3" + ")" * 250,
+          "tasks": [{"op": "analyze"}]}, "jobs[0].germ"),
     ], ids=["germ-syntax", "t-not-rational", "y-exponent-not-integral",
             "x-exponent-bool", "unknown-task-key", "unknown-job-key",
-            "margin-negative"])
+            "margin-negative", "germ-nested-too-deep"])
     def test_bad_field_rejected_at_validation(self, job, field):
         with pytest.raises(ManifestError) as err:
             run_manifest({"schema": "singlab-manifest/1", "jobs": [job]})

@@ -201,6 +201,21 @@ class TestExactEvents:
         assert trace.events[0].data == {"values": [-1.0, -1.0],
                                         "indices": [0, 0]}
 
+    def test_crossing_that_does_not_refine_is_unresolved(self, monkeypatch):
+        # t1 = 0 at s = 1/2, where the two minima swap; when no refinement
+        # of the root makes their values agree, the swap stays as a marker
+        path = [T(Fraction(-1, 2), Fraction(-3, 2)),
+                T(Fraction(1, 2), Fraction(-3, 2))]
+        u = U("z^4", ("z",))
+        trace = cerf_trace(u, path, steps=8, delta=2)
+        assert [(e.kind, e.s, e.step) for e in trace.events] == \
+            [("maxwell", Fraction(1, 2), 4)]
+        monkeypatch.setattr(discriminant, "_agree", lambda *args: False)
+        trace = cerf_trace(u, path, steps=8, delta=2)
+        assert [(e.kind, e.s, e.step, e.data) for e in trace.events] == \
+            [("unresolved", Fraction(1, 2), 4,
+              {"reason": "crossing-unrefined"})]
+
     def test_two_crossings_between_adjacent_samples(self):
         # t1 runs 1/8 -> -1/8 -> 1/8 twice: the samples s = 0, 1/2, 1 are
         # all at t = (1/8, -2), and the minima swap at s = k/8, k odd

@@ -144,12 +144,12 @@ def widths(monkeypatch):
     """The field width of every packing made, in order."""
     made = []
 
-    class Recording(groebner._Packing):
+    class Recording(groebner.Packing):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self.width)
 
-    monkeypatch.setattr(groebner, "_Packing", Recording)
+    monkeypatch.setattr(groebner, "Packing", Recording)
     return made
 
 
@@ -407,6 +407,17 @@ class TestStaircase:
         names = ("z", "w")
         gb = groebner_basis([P("z^2", names)], GREVLEX)
         assert staircase_monomials(gb, GREVLEX) is None
+
+    def test_box_is_charged_to_the_budget(self, monkeypatch):
+        # the walk covers 2 * 999 monomials, charged before it starts
+        names = ("z", "w")
+        gb = [P("z^2", names), P("w^999", names)]
+        monkeypatch.setenv("SINGLAB_BUDGET", "1997")
+        with pytest.raises(BudgetExceeded,
+                           match="staircase_monomials exceeded 1997 steps"):
+            staircase_monomials(gb, GREVLEX)
+        monkeypatch.setenv("SINGLAB_BUDGET", "1998")
+        assert len(staircase_monomials(gb, GREVLEX)) == 1998
 
 
 def test_budget_is_enforced(monkeypatch):

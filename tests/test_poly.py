@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlab.errors import VariableMismatch
+from singlab.errors import InvalidInput, VariableMismatch
 from singlab.groebner import groebner_basis, normal_form
 from singlab.milnor import unfold_germ
-from singlab.poly import (GREVLEX, LEX, MonomialOrder, Polynomial, div_terms,
-                          infer_variables, lex_packing, parse_polynomial)
+from singlab.poly import (GREVLEX, LEX, MAX_NESTING, MonomialOrder, Packing,
+                          Polynomial, div_terms, infer_variables,
+                          parse_polynomial)
 from singlab.resultant import poly_determinant
 from test_discriminant import germs_1d
 
@@ -182,6 +183,21 @@ class TestParsing:
     def test_str_parse_roundtrip(self, p):
         assert parse_polynomial(str(p), VARS) == p
 
+    @pytest.mark.parametrize("wrap,value", [
+        (lambda k: "(" * k + "w" + ")" * k, "w"),
+        (lambda k: "z*" + "-" * k + "w", "z*w"),
+        # each "(z*-" nests a parenthesis and a sign
+        (lambda k: "(z*-" * (k // 2) + "w" + ")" * (k // 2), "z^100*w"),
+    ], ids=["parentheses", "signs", "both"])
+    def test_nesting_past_the_limit_is_invalid_input(self, wrap, value):
+        # a parse that recursed past Python's limit raised RecursionError
+        assert MAX_NESTING == 200
+        assert P(wrap(200)) == P(value)
+        for k in (202, 250, 5000):
+            with pytest.raises(InvalidInput,
+                               match="nested deeper than 200 levels"):
+                P(wrap(k))
+
 
 def _rebuild_per_term_div(p, divisor):
     """The earlier exact_div: one Polynomial rebuilt per quotient term."""
@@ -233,8 +249,9 @@ class TestExactDivision:
 
     def test_integer_coefficient_must_divide(self):
         # 3x / 2x is exact over Q but not over Z
-        pack, _, guard = lex_packing([2])
-        x0, x1, x2 = map(pack, [(0,), (1,), (2,)])
+        pk = Packing(LEX, 1, 2)
+        guard = pk.guard
+        x0, x1, x2 = map(pk.pack, [(0,), (1,), (2,)])
         with pytest.raises(ValueError, match="inexact"):
             div_terms({x1: 3}, {x1: 2}, guard)
         assert div_terms({x2: 6, x1: 3}, {x1: 2, x0: 1}, guard) == {x1: 3}
@@ -243,14 +260,14 @@ class TestExactDivision:
     def test_exponent_borrow_raises(self, names):
         # y / x borrows from the top field for x > y, from the low one for
         # y > x; x^2 / (x*y) borrows from the y field
-        pack, _, guard = lex_packing([2, 2])
+        pk = Packing(LEX, 2, 2)
         for a, b in (("y", "x"), ("x^2", "x*y")):
             a, b = parse_polynomial(a, names), parse_polynomial(b, names)
             with pytest.raises(ValueError, match="inexact"):
                 a.exact_div(b)
             with pytest.raises(ValueError, match="inexact"):
-                div_terms({pack(e): 1 for e in a.terms},
-                          {pack(e): 1 for e in b.terms}, guard)
+                div_terms({pk.pack(e): 1 for e in a.terms},
+                          {pk.pack(e): 1 for e in b.terms}, pk.guard)
 
     def test_remainder_outgrowing_its_field_raises(self):
         # in lex x > y, x^3 = (x^2 - x*y^5 + y^10)(x + y^5) - y^15: the
@@ -259,10 +276,11 @@ class TestExactDivision:
         a, b = P("x^3", names), P("x + y^5", names)
         with pytest.raises(ValueError, match="inexact.*outgrows"):
             a.exact_div(b)
-        pack, _, guard = lex_packing([5, 5])
+        pk = Packing(LEX, 2, 3)  # fields as wide as 5
+        pack = pk.pack
         with pytest.raises(ValueError, match="inexact.*outgrows"):
             div_terms({pack((3, 0)): 1}, {pack((1, 0)): 1, pack((0, 5)): 1},
-                      guard)
+                      pk.guard)
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
@@ -284,6 +302,27 @@ class TestMonomialOrders:
         p = P("z^2*w + z*w^2 + z^4")
         assert p.leading(GREVLEX)[0] == (4, 0)
         assert p.leading(LEX)[0] == (4, 0)
+
+    @given(order=st.sampled_from([GREVLEX, LEX]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_packing_agrees_with_exponent_tuples(self, order, data):
+        n, width = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 5))
+        exps = data.draw(st.lists(
+            st.tuples(*[st.integers(0, (1 << width) - 1)] * n),
+            min_size=1, max_size=6))
+        pk = Packing(order, n, width)
+        packed = pk.pack_terms({e: k for k, e in enumerate(exps)})
+        assert {pk.unpack(m): k for m, k in packed.items()} == \
+            {e: k for k, e in enumerate(exps)}
+        assert [pk.unpack(m) for m in sorted(packed)] == \
+            sorted(set(exps), key=order.key)
+        for a in exps:
+            assert pk.degree(pk.pack(a)) == sum(a)
+            for b in exps:
+                pa, pb = pk.pack(a), pk.pack(b)
+                assert pk.divides(pa, pb) == all(map(int.__le__, a, b))
+                assert pk.unpack(pk.lcm(pa, pb)) == tuple(map(max, a, b))
+                assert pk.lcm(pa, pb) == pk.pack(tuple(map(max, a, b)))
 
     def test_orders_are_named_singletons(self):
         assert MonomialOrder("lex") is LEX
