@@ -28,7 +28,7 @@ from .realroots import (IsolatingInterval, count_distinct_roots,
                         isolate_real_roots)
 # bench/tracing.py wraps critical_points (not called here) and resultant,
 # which eliminates z and lambda along Cerf paths
-from .resultant import poly_determinant, resultant
+from .resultant import poly_determinant, resultant, subresultant
 
 LAMBDA = "lambda"
 PATH_S = "~s"  # the path parameter; no parsed germ variable has this name
@@ -145,7 +145,8 @@ def _segment_roots(u: Unfolding, path: list[ParameterPoint], i: int,
     change: roots of p = C X F'(r) F'(-r), for the caustic C = Res_z(F',
     F''), the crossing factor X of E = Res_lambda(D, dD/dlambda) = c C^3 X^2
     (D the _fiber_determinant), and where a point crosses the box boundary.
-    None when E vanishes."""
+    If E = 0, X is the first principal subresultant coefficient of D and
+    dD/dlambda that is not 0, and vanishes where more values meet."""
     z, k = u.z_names[0], len(path) - 1
     ring = (PATH_S, z)
     Fa, Fb = (u.specialize(tuple(p)).project(ring) for p in path[i:i + 2])
@@ -153,13 +154,14 @@ def _segment_roots(u: Unfolding, path: list[ParameterPoint], i: int,
     F = Fa + (s * k - i) * (Fb - Fa)  # F is affine in t
     dF = F.diff(z)
     C = resultant(dF, dF.diff(z), z)
-    D = _fiber_determinant(F, z)
-    if (E := resultant(D, D.diff(LAMBDA), LAMBDA)).is_zero():
-        return None
-    p = C * _crossing_factor(E, C)
-    for x in (r, -r):
-        edge = sum((c * x ** e for e, c in enumerate(dF.coeffs_in(z))), E * 0)
-        p *= edge if not edge.is_zero() else 1
+    D, j = _fiber_determinant(F, z), 0
+    E = resultant(D, D.diff(LAMBDA), LAMBDA)
+    while E.is_zero():  # S_(deg D - 1) = dD/dlambda has a constant top
+        E = subresultant(D, D.diff(LAMBDA), LAMBDA, j := j + 1)[0]
+    p = E if j else _crossing_factor(E, C)
+    for f in (C, *(sum((c * x ** e for e, c in enumerate(dF.coeffs_in(z))),
+                       C * 0) for x in (r, -r))):
+        p *= f if not f.is_zero() else 1  # leave out C = 0, F'(r) = 0
     return isolate_real_roots(p, (Fraction(i, k), Fraction(i + 1, k))), p
 
 
@@ -194,20 +196,19 @@ class _Root:
 
 
 def _path_roots(u: Unfolding, path: list[ParameterPoint], r: Fraction):
-    """The _segment_roots of each segment in path order, or None.  A root
-    at an inner breakpoint, found by both its segments, is kept once; one
-    at an end of the path is left out, as no side lies beyond it."""
+    """The _segment_roots of each segment in path order.  A root at an
+    inner breakpoint, found by both its segments, is kept once; one at an
+    end of the path is left out, as no side lies beyond it."""
     out, k = [], len(path) - 1
     # below degree 3 in z there is one Morse point and no event
     for i in range(k if u.F.degree_in(u.z_names[0]) > 2 else 0):
-        if (found := _segment_roots(u, path, i, r)) is None:
-            return None
-        for iv in found[0]:
+        ivs, p = _segment_roots(u, path, i, r)
+        for iv in ivs:
             if iv.lo < Fraction(i, k):  # a root at the segment's start
                 if out and out[-1].hi > Fraction(i, k):
                     out[-1].hi = min(out[-1].hi, iv.hi)
             elif iv.hi <= 1:
-                out.append(_Root(iv, found[1], iv.hi))
+                out.append(_Root(iv, p, iv.hi))
     return out
 
 
@@ -425,12 +426,9 @@ def cerf_trace(u: Unfolding, path: list[ParameterPoint], steps: int,
     s_values = [Fraction(j, steps) for j in range(steps + 1)]
     report = _reports(u, path, r)
     samples = [report(s) for s in s_values]
-    events, roots = [], []
+    roots = []
     if u.n == 1:
-        if (roots := _path_roots(u, path, r)) is None:
-            events.append(CerfEvent(0, Fraction(0), "unresolved",
-                                    {"reason": "values-coincide-on-path"}))
-            roots = []
+        roots = _path_roots(u, path, r)
         brackets = _brackets(roots, report, s_values)
     else:
         good = [(s, rep) for s, rep in zip(s_values, samples) if rep]
@@ -439,7 +437,7 @@ def cerf_trace(u: Unfolding, path: list[ParameterPoint], steps: int,
     spans = [span for _, _, span in found if span]
     # a rejected sample inside a birth or death, or on a root (n = 1), is
     # decided by that event or by the root's side reports
-    events += [ev for ev, _, _ in found] + [
+    events = [ev for ev, _, _ in found] + [
         CerfEvent(0, s, "unresolved", {"reason": "degenerate-step"})
         for s, rep in zip(s_values, samples)
         if rep is None and not any(s0 < s < s1 for s0, s1 in spans)
@@ -489,7 +487,7 @@ def maxwell_refine(u: Unfolding, a: ParameterPoint, b: ParameterPoint,
     ends = (Fraction(0), Fraction(1))
     loc_a, loc_b = (_global_min_location(report(s)) for s in ends)
     if u.n == 1:
-        brackets = _brackets(_path_roots(u, path, r) or [], report, ends)
+        brackets = _brackets(_path_roots(u, path, r), report, ends)
         return next((_maxwell_point(path, ev.s, rep) for ev, rep, _ in
                      _events(brackets, report, None, tol)
                      if ev.kind == "maxwell"), None)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import (IdentityViolation, NotCritical, NotIsolated,
                      OrderTooLow, VariableMismatch)
-from .groebner import groebner_basis, normal_form, staircase_monomials
+from .groebner import Budget, groebner_basis, normal_form, staircase_monomials
 from .poly import GREVLEX, Polynomial
 from .realroots import sign_changes
 from .resultant import poly_determinant
@@ -160,6 +160,8 @@ def miniversal_unfolding(a: GermAnalysis) -> Unfolding:
     for t in t_names:
         if t in names:
             raise VariableMismatch(f"germ variable {t!r} collides with parameters")
+    # mu terms of n + mu exponents each, a step per 1,000 entries
+    Budget("miniversal_unfolding").step(a.mu * (a.n + a.mu) // 1000)
     zeros = (0,) * len(t_names)  # one term map: f's terms, then t_k g_k
     terms = {e + zeros: c for e, c in a.f.terms.items()}
     terms.update((e + zeros[:k] + (1,) + zeros[k + 1:], c)

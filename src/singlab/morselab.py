@@ -37,7 +37,7 @@ from .poly import Polynomial
 from .realroots import (IsolatingInterval, _gcd, _integer,
                         count_distinct_roots, isolate_real_roots,
                         squarefree_decomposition)
-from .resultant import poly_determinant, resultant, sylvester_matrix
+from .resultant import resultant, subresultant
 
 DEFAULT_BOX_RADIUS = Fraction(4)
 DEFAULT_DELTA = Fraction(1)
@@ -143,20 +143,6 @@ def _sheared(F: Polynomial, k: int, z) -> Polynomial:
     return out
 
 
-def _first_subresultant(p: Polynomial, q: Polynomial, w: str):
-    """[s11, s10], S1 = s11*w + s10 the first subresultant of p and q in w:
-    q's coefficients if m = n = 1, else the determinants of the Sylvester
-    rows of w^(n-2)p, ..., p and w^(m-2)q, ..., q over the columns of
-    w^(m+n-2), ..., w^2 and of w or of 1."""
-    m, n = p.degree_in(w), q.degree_in(w)
-    if m == n == 1:
-        return q.coeffs_in(w)[::-1]
-    s, k = sylvester_matrix(p, q, w), m + n - 2
-    rows = s[:n - 1] + s[n:n + m - 1]
-    return [poly_determinant([row[:k - 1] + [row[c]] for row in rows])
-            for c in (k - 1, k)]
-
-
 def _separates(res: Polynomial, s11: Polynomial, r: Fraction) -> bool:
     """Whether s11 vanishes at no real root of res, decided exactly: by
     the real roots of gcd(res, s11), which are the common ones."""
@@ -244,7 +230,7 @@ def _boxes(Ft: Polynomial, grad, z, r: Fraction):
                     "elimination collapsed; system not finite")
             if res.is_constant() or not (roots := _real_roots(res, r)):
                 return []
-            s11, s10 = _first_subresultant(p, q, z[1])
+            s11, s10 = subresultant(p, q, z[1], 1)
             if _separates(res, s11, r):
                 break
         else:

@@ -1,4 +1,4 @@
-"""Classical resultants via the Sylvester matrix.
+"""Resultants and subresultants (``subresultant``) via the Sylvester matrix.
 
 The determinant is computed by fraction-free elimination (Bareiss, Math.
 Comp. 1968) in Z[remaining variables]: the entries are scaled once to
@@ -79,3 +79,19 @@ def poly_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
 def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
     """Resultant of p and q with respect to var, exactly."""
     return poly_determinant(sylvester_matrix(p, q, var))
+
+
+def subresultant(p: Polynomial, q: Polynomial, var: str,
+                 j: int) -> list[Polynomial]:
+    """Coefficients of S_j, the j-th subresultant of p and q in var, from
+    var^j down, 0 <= j <= min(m, n) for m, n their degrees: q's if m = n =
+    j, else the determinants of the Sylvester rows of var^(n-j-1) p, ..., p,
+    var^(m-j-1) q, ..., q over their first m + n - 2j - 1 columns and that
+    of var^i; S_0 is the resultant (Basu, Pollack & Roy, ch. 8)."""
+    m, n = p.degree_in(var), q.degree_in(var)
+    if m == n == j:
+        return q.coeffs_in(var)[::-1]
+    s, k = sylvester_matrix(p, q, var), m + n - 2 * j - 1
+    rows = s[:n - j] + s[n:n + m - j]
+    return [poly_determinant([row[:k] + [row[c]] for row in rows])
+            for c in range(k, k + j + 1)]

@@ -127,6 +127,19 @@ class TestCommands:
                          {"op": "analyze"})
         assert task == (out, False)
 
+    def test_unfolding_exceeds_the_budget(self, capsys, monkeypatch):
+        # the staircase (1998 steps) fits under 3000; the unfolding's 1998
+        # terms of 2000 exponents each are 3996 steps
+        monkeypatch.setenv("SINGLAB_BUDGET", "3000")
+        code, out = run_cli(capsys, "analyze", "z^3 + w^1000")
+        assert code == 1
+        assert out["error"] == {
+            "type": "BudgetExceeded",
+            "message": "miniversal_unfolding exceeded 3000 steps"}
+        task = _one_task({"kind": "unfolding", "germ": "z^3 + w^1000"},
+                         {"op": "analyze"})
+        assert task == (out, False)
+
     def test_deeply_nested_germ_exits_two(self, capsys):
         # 250 levels recursed past Python's limit: exit 1, a traceback
         code, out = run_cli(capsys, "analyze", "(" * 200 + "z^3" + ")" * 200)

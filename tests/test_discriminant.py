@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlab import discriminant
+from singlab import cli, discriminant
 from singlab.discriminant import (LAMBDA, PATH_S, VALUE_TOL,
                                   EqualLevelWitness, _report_at, cerf_trace,
                                   equal_level_search, exact_discriminant_1d,
@@ -370,12 +370,98 @@ class TestExactEvents:
             (Fraction(2, 5), "degenerate-step"),
             (Fraction(1, 2), "degenerate-side")]
 
-    def test_path_in_the_maxwell_stratum_is_unresolved(self):
-        # t1 = 0 all along: the two minima have equal values, so E = 0
+    def test_path_in_the_maxwell_stratum_has_no_event(self, capsys):
+        # t1 = 0 all along: the two minima have equal values, so E = 0;
+        # they never meet the value of the maximum, so nothing happens
         trace = cerf_trace(U("z^4", ("z",)), [T(0, -2), T(0, -1)], steps=4,
                            delta=2)
-        assert [(e.kind, e.data) for e in trace.events] == \
-            [("unresolved", {"reason": "values-coincide-on-path"})]
+        assert trace.events == []
+        assert cli.main(["cerf", "z^4", "--path=0,-2;0,-1", "--steps", "4",
+                         "--delta", "2"]) == 0
+
+    @pytest.mark.parametrize("germ,path,steps,j,death", [
+        ("z^4", [T(0, -2), T(0, 1)], 6, 1, (Fraction(2, 3), 4)),
+        ("z^6", [T(0, Fraction(1, 4), 0, -1), T(0, Fraction(-3, 4), 0, 1)],
+         8, 2, (Fraction(1, 4), 2))], ids=["z4", "z6"])
+    def test_values_that_agree_all_along(self, monkeypatch, germ, path,
+                                         steps, j, death):
+        # F is even in z, so the values at z and -z agree and E = 0: S_1,
+        # ..., S_j are taken until a top coefficient is not 0, and the
+        # death where the pairs merge into z = 0 is found
+        seen, real = [], discriminant.subresultant
+        monkeypatch.setattr(discriminant, "subresultant", lambda *args: (
+            seen.append(args[3]), real(*args))[1])
+        trace = cerf_trace(U(germ, ("z",)), path, steps=steps, delta=2)
+        assert seen == list(range(1, j + 1))
+        assert [(e.kind, e.s, e.step) for e in trace.events] == \
+            [("death", *death)]
+        assert trace.events[0].data["hessian_witness"] < 1e-6
+
+    def test_path_inside_the_caustic(self):
+        # F' = z^2 (5z^2 + 3 t3) has a double root all along, so C = 0 and
+        # is left out; every report is rejected, at z = 0 if not before
+        trace = cerf_trace(U("z^5", ("z",)), [T(0, 0, -1), T(0, 0, 1)],
+                           steps=4)
+        assert [(e.s, e.data["reason"]) for e in trace.events] == [
+            (0, "degenerate-step"), (Fraction(1, 4), "degenerate-step"),
+            (Fraction(1, 2), "degenerate-side"),
+            (Fraction(3, 4), "degenerate-step"), (1, "degenerate-step")]
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_even_paths_match_sympy(self, k):
+        """On seeded paths with F even in z (so E = 0), every event is a
+        real root in (0, 1) of C E_red F'(r) F'(-r), E_red the
+        discriminant of D / gcd(D, dD/dlambda), and every such root is
+        reported where sympy's critical points in the box differ on its
+        two sides: a birth or death where their count changes, a crossing
+        or Maxwell point where the order of their values does."""
+        rng = random.Random(k)
+        u = U(f"z^{k}", ("z",))
+        even = [g.degree_in("z") % 2 == 0 for g in u.deformation_monomials]
+        z, lam, s = sympy.symbols(("z", LAMBDA, PATH_S))
+        r = DEFAULT_BOX_RADIUS
+
+        def value_ranks(F, at):
+            """For each real critical point in the box, left to right, the
+            number of points with a lower value."""
+            Fs = sympy.Poly(F.subs(s, Fraction(at)), z)
+            values = [float(Fs.eval(x)) for x in
+                      Fs.diff(z).sqf_part().real_roots() if -r < x < r]
+            return [sum(w < v - 1e-9 for w in values) for v in values]
+        kinds = []
+        for _ in range(4):
+            a, b = (T(*(Fraction(rng.randint(-16, 16), 8) if e else 0
+                        for e in even)) for _ in range(2))
+            trace = cerf_trace(u, [a, b], steps=8, delta=2)
+            F = to_sympy(u.F).subs({
+                sympy.Symbol(name): x + s * (y - x)
+                for name, x, y in zip(u.parameter_names, a, b)})
+            dF = sympy.diff(F, z)
+            D = sympy.Poly(sympy.resultant(F - lam, dF, z), lam, s)
+            D_red = sympy.div(D, sympy.gcd(D, D.diff(lam)))[0]
+            factors = (sympy.resultant(dF, sympy.diff(dF, z), z),
+                       sympy.discriminant(D_red.as_expr(), lam),
+                       dF.subs(z, r), dF.subs(z, -r))
+            Q = sympy.Poly(sympy.Mul(*(f for f in factors if f != 0)), s)
+            roots = sorted({float(x) for x in Q.real_roots() if 0 < x < 1})
+            for e in trace.events:
+                if e.kind != "unresolved":
+                    assert min((abs(x - e.s) for x in roots),
+                               default=1) < 1e-9, e
+            ends = [0, *roots, 1]
+            sides = [value_ranks(F, (x + y) / 2)
+                     for x, y in zip(ends, ends[1:])]
+            for x, left, right in zip(roots, sides, sides[1:]):
+                if len(left) != len(right):
+                    want = {"birth" if len(right) > len(left) else "death"}
+                elif left != right:
+                    want = {"crossing", "maxwell"}
+                else:
+                    continue
+                assert [e for e in trace.events if e.kind in want
+                        and abs(e.s - x) < 1e-9], (a, b, x, want)
+                kinds.append(min(want))
+        assert {"death", "crossing"} <= set(kinds) if k == 6 else kinds
 
     def test_two_variable_trace_is_sampled(self):
         trace = cerf_trace(U("z^3 + w^3", ("z", "w")),
@@ -421,6 +507,50 @@ class TestMaxwell:
         assert len(pts) == 1
         assert pts[0].gap < 1e-8
         assert pts[0].minima[0] == pytest.approx(pts[0].minima[1], abs=1e-8)
+
+    @pytest.mark.parametrize("rejected,empty,found", [
+        ([Fraction(1, 2)], [], Fraction(29671899, 67108864)),
+        ([Fraction(1, 2), Fraction(127, 256)], [], None),
+        ([], [Fraction(1, 2)], None)],
+        ids=["midpoint", "midpoint-and-nudge", "no-minimum"])
+    def test_two_variable_rejected_midpoint(self, monkeypatch, rejected,
+                                            empty, found):
+        # the seed-0 segment of test_two_variable_basin_bisection, whose
+        # bisection ends at s = 927247/2097152: a rejected midpoint is
+        # nudged to s = 127/256, and a rejected nudge, or a midpoint with
+        # no critical point, ends the search
+        u = U("z^3 + w^4", ("z", "w"))
+        a, b = list(sample_parameters(u, 4, DEFAULT_DELTA, 0))[2:]
+
+        def s_of(t):
+            return (t.t[0] - a.t[0]) / (b.t[0] - a.t[0])
+        assert s_of(maxwell_refine(u, a, b).t) == Fraction(927247, 2097152)
+        probes, real = [], discriminant._report_at
+
+        def report_at(u, t, r):
+            probes.append(s := s_of(t))
+            if s in rejected:
+                return None
+            rep = real(u, t, r)
+            return dataclasses.replace(rep, points=[]) if s in empty else rep
+        monkeypatch.setattr(discriminant, "_report_at", report_at)
+        point = maxwell_refine(u, a, b)
+        assert (Fraction(127, 256) in probes) == bool(rejected)
+        assert (point and s_of(point.t)) == found
+        if point:
+            assert point.minima[1] - point.minima[0] < 1e-8
+
+    def test_two_variable_bisection_that_never_agrees(self, monkeypatch):
+        # with the two lowest minima never agreeing, the bisection stops
+        # after 80 midpoints
+        u = U("z^3 + w^4", ("z", "w"))
+        a, b = list(sample_parameters(u, 4, DEFAULT_DELTA, 0))[2:]
+        monkeypatch.setattr(discriminant, "_agree", lambda *args: False)
+        probes, real = [], discriminant._report_at
+        monkeypatch.setattr(discriminant, "_report_at", lambda *args: (
+            probes.append(args[1]), real(*args))[1])
+        assert maxwell_refine(u, a, b) is None
+        assert len(probes) == 2 + 80
 
     def test_refine_needs_basin_switch(self):
         # both endpoints in the same basin: no crossing to find

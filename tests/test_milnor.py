@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlab import milnor
-from singlab.errors import IdentityViolation, NotCritical, NotIsolated
+from singlab.errors import (BudgetExceeded, IdentityViolation, NotCritical,
+                            NotIsolated)
 from singlab.milnor import analyze_germ, miniversal_unfolding, unfold_germ
 from singlab.poly import Polynomial, parse_polynomial
 
@@ -235,3 +236,14 @@ class TestUnfolding:
                             lambda gb, order: real(gb, order) + [(0,)])
         with pytest.raises(IdentityViolation):
             unfold_germ(P("z^3", ("z",)))
+
+    def test_term_map_is_charged_to_the_budget(self, monkeypatch):
+        # mu = 1998 terms of n + mu = 2000 exponents: 3996 steps, charged
+        # before the map is built
+        a = analyze_germ(P("z^3 + w^1000", ("z", "w")))
+        monkeypatch.setenv("SINGLAB_BUDGET", "3995")
+        with pytest.raises(BudgetExceeded,
+                           match="miniversal_unfolding exceeded 3995 steps"):
+            miniversal_unfolding(a)
+        monkeypatch.setenv("SINGLAB_BUDGET", "3996")
+        assert len(miniversal_unfolding(a).parameter_names) == 1997

@@ -228,23 +228,6 @@ class TestSubresultantRoute:
     root z0 is (z0, -s10/s11(z0)), in coordinates sheared until that
     holds."""
 
-    @pytest.mark.parametrize("p,q,kind", [
-        ("3*z^2 + 5*w^2 + 2*w - 1", "4*w^3 + 2*z*w + z - 2*w + 3", "prem"),
-        ("z^2 - 2*z*w + 1/3", "3*w^2 + z^3 - 5", "p"),
-        ("w^3 - z", "w - z^2 + 7", "q"),
-        ("z^2*w + z - 1", "-2*w + 3*z", "q")],
-        ids=["prem", "p", "q", "both-linear"])
-    def test_first_subresultant(self, p, q, kind):
-        # deg_w q = deg_w p + 1 gives S1 = prem(q, p), p linear in w gives
-        # S1 = p, q linear in w gives S1 = q, also when p is linear too
-        p, q = (parse_polynomial(x, ZW) for x in (p, q))
-        s11, s10 = morselab._first_subresultant(p, q, "w")
-        w = sympy.Symbol("w")
-        sp, sq = to_sympy(p), to_sympy(q)
-        want = {"prem": sympy.prem(sq, sp, w), "p": sp, "q": sq}[kind]
-        got = to_sympy(s11.project(ZW)) * w + to_sympy(s10.project(ZW))
-        assert sympy.expand(got - want) == 0
-
     def test_shear_when_fz_has_no_w(self):
         # F_z = 3z^2 - 1/2: each of its roots carries two of the points
         u = U("z^3 + w^3", ZW)

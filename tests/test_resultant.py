@@ -1,5 +1,6 @@
 """Sylvester resultants and fraction-free determinants vs sympy."""
 
+import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, neg, sub
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from singlab.errors import DegreeError, VariableMismatch
 from singlab.poly import Polynomial, integer_terms, parse_polynomial
-from singlab.resultant import poly_determinant, resultant
+from singlab.resultant import poly_determinant, resultant, subresultant
 
 
 @st.composite
@@ -209,6 +210,70 @@ class TestResultant:
                                  symbols[0])
         ours_expr = _to_sympy(ours, sympy.symbols(ours.variables))
         assert sympy.expand(ours_expr - theirs) == 0
+
+
+class TestSubresultant:
+    """S_j from Sylvester submatrices: S_0 is the resultant, and the first
+    S_j with a top coefficient that is not 0 is a gcd."""
+
+    @pytest.mark.parametrize("p,q,kind", [
+        ("3*z^2 + 5*w^2 + 2*w - 1", "4*w^3 + 2*z*w + z - 2*w + 3", "prem"),
+        ("z^2 - 2*z*w + 1/3", "3*w^2 + z^3 - 5", "p"),
+        ("w^3 - z", "w - z^2 + 7", "q"),
+        ("z^2*w + z - 1", "-2*w + 3*z", "q")],
+        ids=["prem", "p", "q", "both-linear"])
+    def test_first_subresultant(self, p, q, kind):
+        # deg_w q = deg_w p + 1 gives S1 = prem(q, p), p linear in w gives
+        # S1 = p, q linear in w gives S1 = q, also when p is linear too
+        names = ("z", "w")
+        symbols = sympy.symbols(names)
+        p, q = (P(x, names) for x in (p, q))
+        s11, s10 = subresultant(p, q, "w", 1)
+        sp, sq = (_to_sympy(x, symbols) for x in (p, q))
+        want = {"prem": sympy.prem(sq, sp, symbols[1]), "p": sp, "q": sq}[kind]
+        got = _to_sympy(s11.project(names), symbols) * symbols[1] + \
+            _to_sympy(s10.project(names), symbols)
+        assert sympy.expand(got - want) == 0
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_zeroth_is_the_resultant(self, data):
+        names = ("z", "a")
+        f = data.draw(rational_polys(names, (3, 2)))
+        g = data.draw(rational_polys(names, (3, 2)))
+        if f.degree_in("z") < 1 or g.degree_in("z") < 1:
+            return
+        assert subresultant(f, g, "z", 0) == [resultant(f, g, "z")]
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_common_factor_of_degree_j(self, j):
+        # p = g a, q = g b with deg_z g = j and a, b coprime: S_j is a
+        # multiple of g by a nonzero polynomial in c, and S_i = 0 for i < j
+        rng = random.Random(j)
+        names = ("z", "c")
+        z, c = symbols = sympy.symbols(names)
+
+        def draw(degree):
+            return sum(sympy.Integer(rng.randint(-3, 3)) * c ** rng.randint(
+                0, 1) * z ** k for k in range(degree)) + \
+                rng.choice([1, -2, 3]) * z ** degree
+        checked = 0
+        for _ in range(3):
+            g, a, b = draw(j), draw(rng.randint(1, 3)), draw(rng.randint(1, 3))
+            if sympy.degree(sympy.gcd(a, b), z) > 0:
+                continue
+            checked += 1
+            p, q = (P(str(sympy.expand(g * x)).replace("**", "^"), names)
+                    for x in (a, b))
+            for i in range(j):
+                assert all(x.is_zero() for x in subresultant(p, q, "z", i))
+            s = subresultant(p, q, "z", j)
+            assert not s[0].is_zero()
+            got = sum(_to_sympy(x.project(names), symbols) * z ** (j - k)
+                      for k, x in enumerate(s))
+            ratio = sympy.cancel(got / g)
+            assert ratio != 0 and z not in ratio.free_symbols
+        assert checked >= 2
 
 
 class TestDeterminant:
