@@ -511,6 +511,8 @@ def _validate_manifest(doc) -> list:
     outputs = doc.get("outputs", {})
     _require(isinstance(outputs, dict), "outputs must be an object", "outputs")
     _only(outputs, ("report", "csv"), "outputs")
+    for key, raw in outputs.items():
+        _at("outputs", Field(key).value, raw)
     plan = []
     for j, job in enumerate(doc["jobs"]):
         where = f"jobs[{j}]"

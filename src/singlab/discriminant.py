@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import (IdentityViolation, InvalidInput, PathOutsideBox,
-                     UnsupportedDimension)
+                     UnsupportedDimension, VariableMismatch)
 from .milnor import Unfolding
 from .morselab import (DEFAULT_BOX_RADIUS, DEFAULT_DELTA, CriticalPoint,
                        MorseReport, ParameterPoint, critical_points,
@@ -85,6 +85,9 @@ def _fiber_determinant(F: Polynomial, z: str) -> Polynomial:
     F's other variables.  dF/dz has a constant top coefficient, so this is
     c * Res_z(F - lambda, dF/dz), c != 0 (Stickelberger; Cox, Little &
     O'Shea, UAG 2.4)."""
+    if LAMBDA in F.variables:
+        raise VariableMismatch(f"germ variable {LAMBDA!r} collides with the "
+                               "fiber coordinate")
     ring = (LAMBDA,) + F.variables
     F, lam = F.project(ring), Polynomial.variable(LAMBDA, ring)
     g = F.diff(z).coeffs_in(z)
@@ -309,38 +312,29 @@ def _closest_pair_hessian(points: list[CriticalPoint]) -> Fraction | float:
     return min(p.hessian_det.mag(), q.hessian_det.mag())
 
 
-def _refine_count_change(report, s_lo, s_hi, tol, kind,
-                         rich_rep: MorseReport) -> CerfEvent:
+def _refine_count_change(report, rich, poor, tol, rich_rep: MorseReport):
     """Bisect a birth/death, at most 200 times, until the merging pair's |h|
-    drops below tol.
+    drops below tol; returns (s, witness), s the bracket's midpoint and
+    witness the least |h| bound seen.
 
-    The side with more critical points (left for a death, right for a
-    birth), whose report is rich_rep, carries the merging pair; bisection
-    drives that endpoint toward the event.  report maps s to the report
-    there, or None.
+    rich is the end with more critical points, whose report is rich_rep and
+    which carries the merging pair, and poor the other end; each midpoint
+    with rich_rep's count moves rich, any other moves poor.  report maps s
+    to the report there, or None.
     """
     rich_count = len(rich_rep.points)
     witness = _closest_pair_hessian(rich_rep.points)
     for _ in range(200):
         if witness < tol:
             break
-        mid = (s_lo + s_hi) / 2
+        mid = (rich + poor) / 2
         rep_mid = report(mid)
-        cnt = len(rep_mid.points) if rep_mid is not None else None
-        if cnt == rich_count:
-            if kind == "death":
-                s_lo = mid
-            else:
-                s_hi = mid
+        if rep_mid is not None and len(rep_mid.points) == rich_count:
+            rich = mid
             witness = min(witness, _closest_pair_hessian(rep_mid.points))
         else:
-            if kind == "death":
-                s_hi = mid
-            else:
-                s_lo = mid
-    return CerfEvent(step=0, s=(s_lo + s_hi) / 2,
-                     kind=kind if witness < tol else "unresolved",
-                     data={"hessian_witness": float(witness)})
+            poor = mid
+    return (rich + poor) / 2, witness
 
 
 def _swaps(left: MorseReport, right: MorseReport, nearest: bool):
@@ -380,19 +374,21 @@ def _events(brackets, report, hessian_tol: Fraction | None, tol: Fraction):
             yield CerfEvent(0, root.point(), "unresolved",
                             {"reason": "degenerate-side"}), None, None
         elif len(left.points) != len(right.points) and hessian_tol:
-            kind, rich = ("death", left) if len(right.points) < \
-                len(left.points) else ("birth", right)
-            lo, hi, width = s0, s1, hessian_tol ** 2 / 16
+            kind, rich, turn = ("death", left, 1) if len(right.points) < \
+                len(left.points) else ("birth", right, -1)
+            ends, width = (s0, s1)[::turn], hessian_tol ** 2 / 16  # rich first
             while root and width < 1:  # until its rich end is accepted
                 iv = root.iv.refine(width)
-                lo, hi, width = iv.lo, iv.hi, width * 2 ** 16
-                if (edge := report(lo if kind == "death" else hi)):
+                ends, width = (iv.lo, iv.hi)[::turn], width * 2 ** 16
+                if (edge := report(ends[0])):
                     rich = edge
                     break
-            ev = _refine_count_change(report, lo, hi, hessian_tol, kind, rich)
+            s, witness = _refine_count_change(report, *ends, hessian_tol, rich)
             if root and (x := root.exact()) is not None:
-                ev.s = x
-            yield ev, None, (s0, s1)
+                s = x
+            kind = kind if witness < hessian_tol else "unresolved"
+            yield CerfEvent(0, s, kind, {"hessian_witness": float(witness)}), \
+                None, (s0, s1)
         elif len(left.points) == len(right.points):
             for kind, j1, j2 in _swaps(left, right, root is None):
                 s, rep = _crossing_point(root, j1, j2, len(left.points),

@@ -29,7 +29,6 @@ from .groebner import Budget, eliminate
 from .poly import Polynomial, integer_terms
 
 Vector = tuple[int, ...]
-IntSeries = tuple[dict[int, int], int, int]  # numerators, prec, denominator
 MAX_SUBDIVISIONS = 500  # stellar subdivisions before RegularizationBudget
 
 
@@ -74,15 +73,11 @@ def semigroup_from_generators(gens: list[int]) -> NumericalSemigroup:
     # Apery set: smallest member in each residue class mod m
     apery = [next(x for x in range(r, bound + 1, m) if table[x])
              for r in range(m)]
-    # minimal generators: members not a sum of two nonzero members
-    members = [x for x in range(1, conductor + m + 1) if table[x]]
-    member_set = set(members)
-    minimal = []
-    for x in members:
-        if x > max(apery) and x > m:
-            break
-        if not any((x - y) in member_set for y in members if 0 < y < x):
-            minimal.append(x)
+    # minimal generators: m and each nonzero Apery element w with no smaller
+    # one v that w - v is a member of (Rosales & Garcia-Sanchez, 2009)
+    tops = sorted(apery[1:])
+    minimal = [m] + [w for i, w in enumerate(tops)
+                     if not any(table[w - v] for v in tops[:i])]
     return NumericalSemigroup(
         minimal_generators=tuple(minimal),
         conductor=conductor,
@@ -366,38 +361,50 @@ def resolve_monomial_curve(gamma: NumericalSemigroup
 # -- truncated series and strict transforms ---------------------------------
 
 class Series:
-    """Truncated power series in t with exact rational coefficients.
+    """Truncated power series in t with exact rational coefficients: integer
+    numerators `num` over one denominator `den`, in lowest terms.
 
     Exponents below `prec` are exact; everything >= prec is unknown.
     """
 
-    def __init__(self, terms: dict[int, Fraction], prec: int, den: int = 1):
-        self.terms = {int(e): Fraction(c, den) if den != 1 else Fraction(c)
-                      for e, c in terms.items() if c != 0 and e < prec}
-        self.prec = prec
+    def __init__(self, terms: dict, prec: int, den: int = 1):
+        """The series sum terms[e] t^e / den; int or Fraction terms."""
+        num = {e: c for e, c in terms.items() if c and e < prec}
+        if any(type(c) is not int for c in num.values()):
+            (num,), d = integer_terms([num])
+            den *= d
+        g = math.gcd(den, *num.values()) * (1 if den > 0 else -1)
+        self.num = num if g == 1 else {e: c // g for e, c in num.items()}
+        self.den, self.prec = den // g, prec
+
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        """The coefficients as Fractions; a copy."""
+        return {e: Fraction(c, self.den) for e, c in self.num.items()}
 
     def order(self) -> int | None:
-        return min(self.terms) if self.terms else None
+        return min(self.num) if self.num else None
 
     def leading(self) -> Fraction:
-        return self.terms[self.order()]
+        return self.coefficient(self.order())
 
     def coefficient(self, e: int) -> Fraction:
-        return self.terms.get(e, Fraction(0))
+        return Fraction(self.num.get(e, 0), self.den)
 
     def mul(self, other: "Series") -> "Series":
-        (a, b), den = integer_terms([self.terms, other.terms])
-        return Series(*_int_mul((a, self.prec, den), (b, other.prec, den)))
-
-    def add(self, other: "Series") -> "Series":
-        prec = min(self.prec, other.prec)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Series(out, prec)
-
-    def scale(self, c: Fraction) -> "Series":
-        return Series({e: c * v for e, v in self.terms.items()}, self.prec)
+        """Product; zero numerators are dropped, so the precision is each
+        factor's shifted by the other's order."""
+        x, y = self.num, other.num
+        if not (x and y):
+            return Series({}, min(self.prec, other.prec))
+        prec = min(self.prec + min(y), other.prec + min(x))
+        out, ys = {}, sorted(y.items())
+        for e1, c1 in sorted(x.items()):
+            for e2, c2 in ys:
+                if e1 + e2 >= prec:
+                    break
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return Series(out, prec, self.den * other.den)
 
     def power(self, k: int, prec: int) -> "Series":
         """self**k for integer k: t^(k m) u^k for self = t^m u, u(0) != 0.
@@ -408,48 +415,29 @@ class Series:
         below min(prec + |k m| + 1, self.prec - m), for k < 0 also below
         prec + |k| max(m, 0) + 1; u^0 = 1 is exact below prec + 1.
         """
-        return Series(*self._int_power(k, prec))
-
-    def _int_power(self, k: int, prec: int) -> IntSeries:
         ordr = self.order()
         if ordr is None:
             if k <= 0:
                 raise ValueError("cannot take nonpositive power of zero")
-            return {}, prec, 1
+            return Series({}, prec)
         if k == 0:
-            return {0: 1} if prec >= 0 else {}, prec + 1, 1
+            return Series({0: 1}, prec + 1)
         p = min(prec + abs(k * ordr) + 1, self.prec - ordr)
         if k < 0:
             p = min(p, prec - k * max(ordr, 0) + 1)
         # on integers: u = U / den, c0 = U_0, g_n = a_0^k G_n / c0^n, and
         # n G_n = sum ((k+1) i - n) U_i c0^(i-1) G_{n-i} divides exactly
-        (unit,), den = integer_terms([self.terms])
-        unit = sorted((e - ordr, c) for e, c in unit.items())
+        unit = sorted((e - ordr, c) for e, c in self.num.items())
         c0 = unit[0][1]
         w = [(i, u * c0 ** (i - 1)) for i, u in unit[1:] if i < p]
         g = [1]
         for n in range(1, p):
             g.append(sum(((k + 1) * i - n) * u * g[n - i]
                          for i, u in w if i <= n) // n)
-        a0k = Fraction(c0, den) ** k  # one denominator: a0k's times c0^(p-1)
-        return ({n + k * ordr: x * a0k.numerator * c0 ** (p - 1 - n)
-                 for n, x in enumerate(g[:p]) if x}, p + k * ordr,
-                a0k.denominator * c0 ** max(p - 1, 0))
-
-
-def _int_mul(a: IntSeries, b: IntSeries) -> IntSeries:
-    """Product of integer series; zero numerators are dropped (ord: min)."""
-    (x, px, dx), (y, py, dy) = a, b
-    if not (x and y):
-        return {}, min(px, py), 1
-    prec = min(px + min(y), py + min(x))
-    out, ys = {}, sorted(y.items())
-    for e1, c1 in sorted(x.items()):
-        for e2, c2 in ys:
-            if e1 + e2 >= prec:
-                break
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}, prec, dx * dy
+        a0k = Fraction(c0, self.den) ** k  # its denominator times c0^(p-1)
+        return Series({n + k * ordr: x * a0k.numerator * c0 ** (p - 1 - n)
+                       for n, x in enumerate(g[:p]) if x}, p + k * ordr,
+                      a0k.denominator * c0 ** max(p - 1, 0))
 
 
 @dataclass
@@ -483,12 +471,12 @@ def _represent(value: int, gens, caps) -> tuple[int, ...] | None:
 
 
 def _product(xi: list[Series], exps, prec: int) -> Series:
-    """prod xi_i^exps_i, each power to precision prec, on integers."""
-    out = {0: 1} if prec > 0 else {}, prec, 1
+    """prod xi_i^exps_i, each power to precision prec."""
+    out = Series({0: 1}, prec)
     for s, k in zip(xi, exps):
         if k:
-            out = _int_mul(out, s._int_power(k, prec))
-    return Series(*out)
+            out = out.mul(s.power(k, prec))
+    return out
 
 
 def branch_embedding(b: PlaneBranch
@@ -525,9 +513,12 @@ def branch_embedding(b: PlaneBranch
             if rep is None:
                 raise NotABranch(
                     f"semiroot {k} has order {o} outside the expected chain")
+            # cancel the leading term; u and v are the leading numerators
             mono = _product(xi, rep, prec)
-            c = cur.leading() / mono.leading()
-            cur = cur.add(mono.scale(-c))
+            u, v = cur.num[o], mono.num[mono.order()]
+            cur = Series({j: v * cur.num.get(j, 0) - u * mono.num.get(j, 0)
+                          for j in cur.num.keys() | mono.num.keys()},
+                         min(cur.prec, mono.prec), cur.den * v)
         xi.append(cur)
     return gamma, xi
 
@@ -561,7 +552,7 @@ def verify_strict_transform(xi: list[Series], gamma: NumericalSemigroup,
     orders, units = [], []
     for j, row in enumerate(cone.det_adj[1]):  # V^-1 = det adj
         prod = _product(xi, [det * a for a in row], need)
-        if not prod.terms:
+        if not prod.num:
             raise TruncationInsufficient(
                 f"chart coordinate {j} vanishes to precision {need}")
         orders.append(prod.order())

@@ -24,6 +24,7 @@ from singlab.semitoric import OverweightDeformation, overweight_check
 
 README = Path(__file__).parents[1] / "README.md"
 GOLDEN_SVGS = Path(__file__).parent / "golden" / "cerf_svgs.json"
+CLI_DIGESTS = Path(__file__).parent / "golden" / "cli_digests.txt"
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +158,33 @@ class TestCommands:
         assert code == 3
         assert [(e["kind"], e["s"], e["data"]) for e in out["events"]] == \
             [("unresolved", "1/2", {"reason": "crossing-unrefined"})]
+
+    @pytest.mark.parametrize("argv", [
+        ("discriminant", "lambda^3"),
+        ("cerf", "lambda^4", "--path=-1/2,-1;1/2,-1", "--steps", "4"),
+        ("maxwell", "lambda^4"),
+        ("slice", "lambda^4", "--t-axis", "t1", "--lambda-range=-2,2",
+         "--t-range=-1,1", "--fixed", "t2=-1/2", "--grid", "3"),
+    ], ids=["discriminant", "cerf", "maxwell", "slice"])
+    def test_germ_variable_lambda_collides(self, capsys, argv):
+        # the fiber determinant's ring would hold "lambda" twice
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert out["error"] == {
+            "type": "VariableMismatch",
+            "message": "germ variable 'lambda' collides with the fiber "
+                       "coordinate"}
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "lambda^4"),
+        ("morse", "lambda^4", "--t=-1/2,-1"),
+        ("euler-check", "lambda^3", "--t=-3"),
+        ("slice", "lambda^3", "--t-axis", "t1", "--lambda-range=-2,2",
+         "--t-range=-1,1", "--grid", "1"),
+    ], ids=["analyze", "morse", "euler-check", "slice-one-cell"])
+    def test_germ_variable_lambda_elsewhere(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and "error" not in out
 
     @pytest.mark.parametrize("argv", [
         ("semigroup", "--generators", "a,3"),
@@ -457,6 +485,24 @@ class TestManifest:
         assert out["error"]["type"] == "ManifestError"
         assert out["error"]["field"] == f"outputs.{key}"
 
+    @pytest.mark.parametrize("key", ["report", "csv"])
+    @pytest.mark.parametrize("value", [5, ["a"]], ids=["int", "list"])
+    def test_output_path_not_a_string(self, capsys, tmp_path, key, value):
+        # refused at validation: the task's csv is never written
+        task_csv = tmp_path / "scan.csv"
+        doc = {"schema": "singlab-manifest/1", "outputs": {key: value},
+               "jobs": [{"kind": "unfolding", "germ": "z^3",
+                         "tasks": [{"op": "degree-scan", "samples": 3,
+                                    "csv": str(task_csv)}]}]}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "run", str(path))
+        assert code == 2
+        assert out["error"] == {"type": "ManifestError", "field":
+                                f"outputs.{key}", "message":
+                                f"{value!r} is not a string"}
+        assert not task_csv.exists()
+
     def test_unwritable_task_output_recorded_as_task_error(self, tmp_path):
         doc = {"schema": "singlab-manifest/1",
                "jobs": [{"kind": "unfolding", "germ": "z^3",
@@ -653,6 +699,26 @@ class TestLibraryInputErrors:
         u = unfold_germ(parse_polynomial("z^3", ("z",)))
         with pytest.raises(InvalidInput):
             call(u)
+
+
+def _digest_lines():
+    return [line for line in CLI_DIGESTS.read_text().splitlines()
+            if line and not line.startswith("#")]
+
+
+class TestDigests:
+    def test_table_holds_every_command(self):
+        assert len(_digest_lines()) >= 28  # none lost
+
+    @pytest.mark.parametrize("line", _digest_lines(),
+                             ids=lambda line: line.split(" ", 2)[2])
+    def test_command_keeps_its_digest(self, capsys, monkeypatch, line):
+        # the table that CI runs through the console script, in-process
+        monkeypatch.delenv("SINGLAB_BUDGET", raising=False)
+        want_code, want, *argv = shlex.split(line)
+        code = main(argv)
+        got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert (code, got) == (int(want_code), want)
 
 
 class TestFigures:

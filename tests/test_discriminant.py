@@ -304,12 +304,36 @@ class TestExactEvents:
             return CriticalPoint((RatInterval(z, z),), RatInterval(0, 0), 0,
                                  1, RatInterval(h, h))
         rich = MorseReport(T(0), [point(0), point(1)], (2,), 0, 0, True)
-        probes = []
-        ev = discriminant._refine_count_change(
-            probes.append, Fraction(0), Fraction(1), Fraction(1, 10 ** 6),
-            "death", rich)
-        assert (ev.kind, ev.s, ev.data, probes) == \
-            ("death", Fraction(1, 2), {"hessian_witness": 1e-6}, [])
+        tol = Fraction(1, 10 ** 6)
+        for ends in ((0, 1), (1, 0)):  # a death's rich end is 0, a birth's 1
+            probes = []
+            s, witness = discriminant._refine_count_change(
+                probes.append, *map(Fraction, ends), tol, rich)
+            assert type(witness) is Fraction and witness == h < tol
+            assert (s, probes) == (Fraction(1, 2), [])
+
+    @pytest.mark.parametrize("rich, poor, event", [
+        (Fraction(0), Fraction(1), Fraction(2, 3)),
+        (Fraction(1), Fraction(0), Fraction(1, 3)),
+    ], ids=["death", "birth"])
+    def test_bisection_moves_the_rich_end(self, rich, poor, event):
+        # two points on the rich side of the event, |h| = |s - event| there,
+        # none on the other: the bracket closes on the event from either side
+        def point(z, h):
+            return CriticalPoint((RatInterval(z, z),), RatInterval(0, 0), 0,
+                                 1, RatInterval(h, h))
+
+        def report(s):
+            if (s - event) * (rich - event) <= 0:
+                return MorseReport(T(0), [], (0,), 0, 0, True)
+            h = abs(s - event)
+            return MorseReport(T(0), [point(0, h), point(1, h)], (2,), 0, 0,
+                               True)
+        tol = Fraction(1, 1000)
+        s, witness = discriminant._refine_count_change(
+            report, rich, poor, tol, report(rich))
+        assert type(witness) is Fraction and witness < tol
+        assert abs(s - event) < tol
 
     def test_crossing_factor_checks_the_identity(self):
         s = Polynomial.variable(PATH_S, (PATH_S,))

@@ -11,7 +11,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from pathlib import Path
 
 import pytest
@@ -155,6 +155,23 @@ class TestNumericalSemigroup:
         members = oracle_members(sorted(set(gens)), 3 * max(s.conductor, 1))
         for x in range(3 * max(s.conductor, 1) + 1):
             assert s.contains(x) == (x in members)
+
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_minimal_generators_and_apery_match_brute_force(self, gens):
+        assume(math.gcd(*gens) == 1)
+        s = semigroup_from_generators(gens)
+        m = min(gens)
+        bound = max(m * max(gens), m + 1)
+        members = oracle_members(sorted(set(gens)), bound)
+        nonzero = sorted(members - {0})
+        # members that are not a sum of two nonzero members
+        assert s.minimal_generators == tuple(
+            x for x in nonzero if not any(x - y in members
+                                          for y in nonzero if y < x))
+        # the least member of each residue class mod m
+        assert s.apery == tuple(min(x for x in members if x % m == r)
+                                for r in range(m))
 
 
 class TestPlaneBranches:
@@ -686,6 +703,27 @@ def _reference_product(xi, exps, prec):
     return acc
 
 
+def _reference_embedding(b):
+    """The Fraction semiroot loop that the integer cancellation in
+    branch_embedding replaced."""
+    gamma = branch_semigroup(b)
+    gens, prec = gamma.minimal_generators, gamma.conductor + 60
+    xi = list(branch_series(b, prec))
+    e = list(accumulate(gens, math.gcd))
+    for k in range(2, len(gens)):
+        cur = _reference_power(xi[k - 1], e[k - 2] // e[k - 1], prec)
+        caps = [0] + [e[j - 1] // e[j] for j in range(1, k)]
+        while cur.order() != gens[k]:
+            rep = semitoric._represent(cur.order(), list(gens[:k]), caps)
+            mono = _reference_product(xi, rep, prec)
+            c = cur.leading() / mono.leading()
+            cur = Series({j: cur.coefficient(j) - c * mono.coefficient(j)
+                          for j in cur.terms.keys() | mono.terms.keys()},
+                         min(cur.prec, mono.prec))
+        xi.append(cur)
+    return xi
+
+
 _rational = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
 
@@ -699,6 +737,14 @@ def _series(draw, allow_zero=False):
     return Series(terms, draw(st.integers(order + 1, order + 24)))
 
 
+def _lowest(s):
+    """s, checked to be integer numerators over a positive denominator in
+    lowest terms."""
+    assert s.den > 0 and math.gcd(s.den, *s.num.values()) == 1
+    assert all(type(c) is int and c for c in s.num.values())
+    return s
+
+
 class TestSeries:
     def test_inverse_of_unit(self):
         s = Series({0: Fraction(1), 1: Fraction(1)}, 8)
@@ -708,13 +754,13 @@ class TestSeries:
     @given(_series(), st.integers(-12, 12), st.integers(-4, 24))
     @settings(max_examples=150, deadline=None)
     def test_power_matches_repeated_products(self, s, k, prec):
-        got, want = s.power(k, prec), _reference_power(s, k, prec)
+        got, want = _lowest(s.power(k, prec)), _reference_power(s, k, prec)
         assert got.terms == want.terms and got.prec == want.prec
 
     @given(_series(allow_zero=True), _series(allow_zero=True))
     @settings(max_examples=150, deadline=None)
     def test_mul_matches_double_loop(self, a, b):
-        got, want = a.mul(b), _reference_mul(a, b)
+        got, want = _lowest(a.mul(b)), _reference_mul(a, b)
         assert got.terms == want.terms and got.prec == want.prec
 
     @given(st.lists(st.tuples(_series(allow_zero=True), st.integers(-3, 3)),
@@ -723,7 +769,7 @@ class TestSeries:
     def test_product_matches_fraction_chain(self, factors, prec):
         assume(all(s.terms or k >= 0 for s, k in factors))  # 0^-k raises
         xi, exps = [s for s, _ in factors], [k for _, k in factors]
-        got = semitoric._product(xi, exps, prec)
+        got = _lowest(semitoric._product(xi, exps, prec))
         want = _reference_product(xi, exps, prec)
         assert got.terms == want.terms and got.prec == want.prec
 
@@ -756,6 +802,20 @@ class TestSeries:
         assert got.terms == want.terms and got.prec == want.prec
         assert got.terms[0] == 1 and got.terms[1] == 2
 
+    @given(st.sampled_from([(4, (6, 7)), (8, (12, 14, 15)), (6, (9, 10))]),
+           st.lists(_rational.filter(bool), min_size=3, max_size=3))
+    @settings(max_examples=20, deadline=None)
+    def test_embedding_matches_fraction_semiroots(self, shape, coeffs):
+        # non-unit leading coefficients: the semiroot of (8; 12, 14, 15)
+        # cancels x^5 y, whose leading numerator is y's
+        n, exps = shape
+        b = PlaneBranch(n, tuple(zip(exps, coeffs)))
+        _, xi = branch_embedding(b)
+        want = _reference_embedding(b)
+        assert [(s.terms, s.prec) for s in xi] == \
+            [(s.terms, s.prec) for s in want]
+        assert all(_lowest(s) for s in xi)
+
     def test_power_of_zero(self):
         zero = Series({}, 5)
         assert not zero.power(3, 7).terms and zero.power(3, 7).prec == 7
@@ -769,6 +829,17 @@ class TestSeries:
         p = s.power(-1, 6)
         assert p.order() == -2
         assert p.leading() == 1
+
+    def test_one_denominator_in_lowest_terms(self):
+        # 2/3 t + 4/3 t^2 over -2, with t^5 past the precision
+        s = _lowest(Series({1: Fraction(2, 3), 2: Fraction(4, 3),
+                            5: Fraction(1)}, 5, -2))
+        assert (s.num, s.den, s.prec) == ({1: -1, 2: -2}, 3, 5)
+        view = s.terms
+        assert view == {1: Fraction(-1, 3), 2: Fraction(-2, 3)}
+        view[1] = Fraction(7)  # a copy: the series is unchanged
+        assert s.leading() == Fraction(-1, 3) and s.coefficient(3) == 0
+        assert (Series({}, 4).num, Series({}, 4).den) == ({}, 1)
 
     def test_mul_precision_tracking(self):
         a = Series({1: Fraction(1)}, 4)
