@@ -29,7 +29,7 @@ from .poly import (GREVLEX, LEX, MonomialOrder, Polynomial, infer_variables,
                    parse_polynomial)
 from .realroots import (IsolatingInterval, count_distinct_roots,
                         isolate_real_roots, squarefree_decomposition)
-from .resultant import poly_determinant, resultant, sylvester_matrix
+from .resultant import poly_determinant, resultant
 from .semitoric import (Cone, Fan, NumericalSemigroup, OverweightDeformation,
                         OverweightVerdict, PlaneBranch, ResolutionCertificate,
                         Series, ToricIdeal, TransformReport, branch_embedding,

@@ -56,6 +56,12 @@ def _text(raw) -> str:
     return raw.strip()
 
 
+def _path(raw) -> str:
+    if not (text := _text(raw)):  # an empty path would write nothing
+        raise _bad(raw, "a file path")
+    return text
+
+
 def _integer(raw) -> int:
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
@@ -345,7 +351,7 @@ OPS = {
     "degree-scan": _germ_op(
         "alternating-sum invariance over random samples", _degree_scan,
         Field("samples", _integer, "40", low=1), _DELTA,
-        Field("csv", help="write per-sample rows here")),
+        Field("csv", _path, help="write per-sample rows here")),
     "euler-check": _germ_op(
         "Euler characteristic fiber relation (n = 1)", lambda u, v: _report(
             euler_fiber_check(u, v["t"], v["box_radius"])), _T),
@@ -361,8 +367,8 @@ OPS = {
               help="breakpoints, e.g. '-1/2,0;1/2,0'"),
         Field("steps", _integer, "32", low=1), _DELTA,
         Field("hessian_tol", _rational, "1/1000000", low=0),
-        Field("svg", help="write the trace figure here"),
-        Field("csv", help="write per-step critical values here")),
+        Field("svg", _path, help="write the trace figure here"),
+        Field("csv", _path, help="write per-step critical values here")),
     "maxwell": _germ_op(
         "scan for equal-minima parameters",
         lambda u, v: ({"points": serialize.jsonable(maxwell_scan(
@@ -386,7 +392,7 @@ OPS = {
         Field("lambda_range", _RANGE, REQUIRED, help="e.g. '-2,2'"),
         Field("t_range", _RANGE, REQUIRED, help="e.g. '-1,1'"),
         Field("fixed", _seq(_pair(_text, "=")), help="e.g. 't2=-1/2'"),
-        Field("grid", _integer, "32", low=0), Field("svg")),
+        Field("grid", _integer, "32", low=0), Field("svg", _path)),
     "semigroup": Op("semigroup of generators or a branch", _CURVE, _semigroup),
     "toric-ideal": Op("binomial kernel of U_i -> T^g_i", _CURVE, _toric_ideal),
     "toric-resolve": Op("unimodular fan with the generator ray", _CURVE,
@@ -512,7 +518,7 @@ def _validate_manifest(doc) -> list:
     _require(isinstance(outputs, dict), "outputs must be an object", "outputs")
     _only(outputs, ("report", "csv"), "outputs")
     for key, raw in outputs.items():
-        _at("outputs", Field(key).value, raw)
+        _at("outputs", Field(key, _path).value, raw)
     plan = []
     for j, job in enumerate(doc["jobs"]):
         where = f"jobs[{j}]"

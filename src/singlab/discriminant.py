@@ -158,7 +158,7 @@ def _segment_roots(u: Unfolding, path: list[ParameterPoint], i: int,
     dF = F.diff(z)
     C = resultant(dF, dF.diff(z), z)
     D, j = _fiber_determinant(F, z), 0
-    E = resultant(D, D.diff(LAMBDA), LAMBDA)
+    E = resultant(D, D.diff(LAMBDA), LAMBDA)  # the S_j come off its chain
     while E.is_zero():  # S_(deg D - 1) = dD/dlambda has a constant top
         E = subresultant(D, D.diff(LAMBDA), LAMBDA, j := j + 1)[0]
     p = E if j else _crossing_factor(E, C)

@@ -113,10 +113,11 @@ class HermanWitness:
 
 def _real_roots(p: Polynomial, r: Fraction):
     """Isolating intervals of all real roots of p, on a window that holds
-    the Cauchy bound and the box."""
-    coeffs = p.univariate_coeffs()
-    bound = 1 + max((abs(c / coeffs[-1]) for c in coeffs[:-1]), default=-1)
-    window = max(bound, r) + 1
+    the Cauchy bound 1 + max|a_i| / |a_d| and the box."""
+    terms = p.integer_form()[0]
+    top = max(terms, key=sum)  # p has one variable
+    big = max((abs(c) for e, c in terms.items() if e != top), default=0)
+    window = max(1 + Fraction(big, abs(terms[top])), r) + 1
     return isolate_real_roots(p, (-window, window))
 
 
@@ -230,7 +231,7 @@ def _boxes(Ft: Polynomial, grad, z, r: Fraction):
                     "elimination collapsed; system not finite")
             if res.is_constant() or not (roots := _real_roots(res, r)):
                 return []
-            s11, s10 = subresultant(p, q, z[1], 1)
+            s11, s10 = subresultant(p, q, z[1], 1)  # res's chain, kept
             if _separates(res, s11, r):
                 break
         else:

@@ -503,6 +503,34 @@ class TestManifest:
                                 f"{value!r} is not a string"}
         assert not task_csv.exists()
 
+    @pytest.mark.parametrize("key", ["report", "csv"])
+    @pytest.mark.parametrize("value", ["", "   "], ids=["empty", "spaces"])
+    def test_output_path_empty(self, capsys, tmp_path, key, value):
+        # refused at validation: the task's csv is never written
+        task_csv = tmp_path / "scan.csv"
+        doc = {"schema": "singlab-manifest/1", "outputs": {key: value},
+               "jobs": [{"kind": "unfolding", "germ": "z^3",
+                         "tasks": [{"op": "degree-scan", "samples": 3,
+                                    "csv": str(task_csv)}]}]}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "run", str(path))
+        assert code == 2
+        assert out["error"] == {"type": "ManifestError", "field":
+                                f"outputs.{key}", "message":
+                                f"{value!r} is not a file path"}
+        assert not task_csv.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["degree-scan", "z^3", "--samples", "3", "--csv", ""],
+        ["cerf", "z^3", "--path=-1/2;1/2", "--steps", "4", "--svg", " "]],
+        ids=["degree-scan-csv", "cerf-svg"])
+    def test_flag_output_path_empty(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out["error"]["type"] == "InvalidInput"
+        assert "is not a file path" in out["error"]["message"]
+
     def test_unwritable_task_output_recorded_as_task_error(self, tmp_path):
         doc = {"schema": "singlab-manifest/1",
                "jobs": [{"kind": "unfolding", "germ": "z^3",

@@ -1,4 +1,5 @@
-"""Sylvester resultants and fraction-free determinants vs sympy."""
+"""Resultants and subresultants from the subresultant chain, against the
+Sylvester-matrix definition and sympy; fraction-free determinants."""
 
 import random
 from fractions import Fraction
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from singlab.errors import DegreeError, VariableMismatch
 from singlab.poly import Polynomial, integer_terms, parse_polynomial
-from singlab.resultant import poly_determinant, resultant, subresultant
+from singlab.resultant import (_chain, poly_determinant, resultant,
+                               subresultant)
 
 
 @st.composite
@@ -37,6 +39,69 @@ def _to_sympy(p, symbols):
             term *= s ** k
         expr += term
     return expr
+
+
+def _sylvester_matrix(p, q, var):
+    """The Sylvester matrix of p, q in var: n shifted rows of p, then m of
+    q, each from var^(m + n - 1) down."""
+    pc, qc = p.coeffs_in(var), q.coeffs_in(var)
+    m, n = len(pc) - 1, len(qc) - 1
+    zero = Polynomial.zero(pc[0].variables)
+    return [[zero] * i + coeffs[::-1] + [zero] * (count - 1 - i)
+            for coeffs, count in ((pc, n), (qc, m)) for i in range(count)]
+
+
+def _sylvester_subresultant(p, q, var, j):
+    """S_j by its definition: q's coefficients if m = n = j, else the
+    determinants of the Sylvester rows of var^(n-j-1) p, ..., p, var^(m-j-1)
+    q, ..., q over their first m + n - 2j - 1 columns and that of var^i,
+    from i = j down."""
+    m, n = p.degree_in(var), q.degree_in(var)
+    if m == n == j:
+        return q.coeffs_in(var)[::-1]
+    s, k = _sylvester_matrix(p, q, var), m + n - 2 * j - 1
+    rows = s[:n - j] + s[n:n + m - j]
+    return [poly_determinant([row[:k] + [row[c]] for row in rows])
+            for c in range(k, k + j + 1)]
+
+
+def _same(ours, ref):
+    """The same polynomials, with the same terms in the same order."""
+    return [(x.variables, list(x.terms.items())) for x in ours] == \
+        [(x.variables, list(x.terms.items())) for x in ref]
+
+
+@st.composite
+def chain_pairs(draw):
+    """(p, q) in x over 0-2 coefficient variables, with rational
+    coefficients: of any degrees 1-4 (deg p < deg q and deg p = deg q
+    among them), p = a q + r with deg r at most deg q - 3 (a degree gap of
+    2 or more), or p and q with a common factor of degree 1-2."""
+    names = ("x",) + ("y", "u")[:draw(st.integers(0, 2))]
+
+    def poly(degree, dens=(1, 2, 3), cdeg=1):
+        terms = {(degree,) + tuple(draw(st.integers(0, cdeg))
+                                   for _ in names[1:]):
+                 Fraction(draw(st.sampled_from([-3, -1, 1, 2])),
+                          draw(st.sampled_from(dens)))}
+        for _ in range(draw(st.integers(0, 4))):
+            e = (draw(st.integers(0, degree)),) + tuple(
+                draw(st.integers(0, cdeg)) for _ in names[1:])
+            terms[e] = terms.get(e, 0) + Fraction(
+                draw(st.integers(-4, 4)), draw(st.sampled_from(dens)))
+        return Polynomial(names, terms)
+    kind = draw(st.sampled_from(["any", "gap", "common"]))
+    if kind == "gap":
+        n = draw(st.integers(3, 4))
+        q = poly(n)
+        p = poly(draw(st.integers(0, 1)), (1,)) * q + poly(
+            draw(st.integers(0, n - 3)))
+    elif kind == "common":
+        g = poly(draw(st.integers(1, 2)), (1,), 0)
+        p, q = (poly(draw(st.integers(1, 2))) * g for _ in range(2))
+    else:
+        p, q = (poly(draw(st.integers(1, 4))) for _ in range(2))
+    return (q, p) if draw(st.booleans()) else (p, q)
 
 
 def _tuple_mul_terms(acc, a, b):
@@ -213,8 +278,53 @@ class TestResultant:
 
 
 class TestSubresultant:
-    """S_j from Sylvester submatrices: S_0 is the resultant, and the first
-    S_j with a top coefficient that is not 0 is a gcd."""
+    """S_j from the chain: each the Sylvester-submatrix determinant, sign
+    and scale included, S_0 the resultant, and the first S_j with a top
+    coefficient that is not 0 a gcd."""
+
+    @given(chain_pairs())
+    @settings(max_examples=120, deadline=None)
+    @example((P("x^5 + y*x + 1", ("x", "y")), P("2*x^4 - 3", ("x", "y"))))
+    @example((P("x^2 - 1", ("x",)), P("x^4 + x^3 - x - 1", ("x",))))
+    def test_every_s_j_is_the_sylvester_determinant(self, pair):
+        p, q = pair
+        m, n = p.degree_in("x"), q.degree_in("x")
+        if m < 1 or n < 1:
+            return
+        for j in range(min(m, n) + 1):
+            assert _same(subresultant(p, q, "x", j),
+                         _sylvester_subresultant(p, q, "x", j)), j
+        assert _same([resultant(p, q, "x")],
+                     [poly_determinant(_sylvester_matrix(p, q, "x"))])
+
+    @pytest.mark.parametrize("names", [("x", "y"), ("y", "x")])
+    def test_products_reach_twice_the_minor_bound(self, names):
+        # S_j coefficients have degree at most the minor bound n deg_y p +
+        # m deg_y q = 15 in y, and products of two pass it; one division
+        # then pushes a remainder term that no product made, its y-field
+        # past 15, which a packing sized by the bound alone would refuse
+        p = P("y*x^3 + y^2*x^2 + y*x + y^2 + 1", names)
+        q = P("x^3 + y^3*x^2 - (y^3 - 2)*x + y^3", names)
+        for j in range(4):
+            assert _same(subresultant(p, q, "x", j),
+                         _sylvester_subresultant(p, q, "x", j))
+        assert resultant(p, q, "x").degree_in("y") == 14
+
+    def test_one_chain_serves_every_s_j(self):
+        names = ("z", "w")
+        p, q = P("w^3 + z*w - 1", names), P("3*w^2 + z", names)
+        resultant(p, q, "w")
+        misses = _chain.cache_info().misses
+        # equal inputs built anew, as _segment_roots rebuilds dD/dlambda
+        s11, s10 = subresultant(p, P("3*w^2 + z", names), "w", 1)
+        assert _chain.cache_info().misses == misses
+        assert _same([s11, s10], _sylvester_subresultant(p, q, "w", 1))
+
+    def test_j_out_of_range(self):
+        p, q = P("x^3 - 1", ("x",)), P("x^2 + 1", ("x",))
+        for j in (-1, 3):
+            with pytest.raises(DegreeError):
+                subresultant(p, q, "x", j)
 
     @pytest.mark.parametrize("p,q,kind", [
         ("3*z^2 + 5*w^2 + 2*w - 1", "4*w^3 + 2*z*w + z - 2*w + 3", "prem"),
