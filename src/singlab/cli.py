@@ -579,7 +579,7 @@ def run_manifest(doc: dict) -> tuple[dict, bool]:
                 csv_blocks.append((j, payload))
         report["jobs"].append(job_out)
     report["ok"] = all_ok
-    outputs = doc.get("outputs", {})
+    outputs = {k: _path(v) for k, v in doc.get("outputs", {}).items()}
     _write(outputs.get("report"), serialize.dumps, report, "outputs.report")
     _write(outputs.get("csv"), _manifest_csv, csv_blocks, "outputs.csv")
     return report, all_ok

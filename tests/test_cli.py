@@ -521,6 +521,17 @@ class TestManifest:
                                 f"{value!r} is not a file path"}
         assert not task_csv.exists()
 
+    @pytest.mark.parametrize("key", ["report", "csv"])
+    def test_output_path_written_as_validated(self, capsys, tmp_path, key):
+        # validation strips the path, so the file goes where it says
+        target = tmp_path / key
+        doc = {**MANIFEST, "outputs": {key: f" {target} "}}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "run", str(path))
+        assert code == 0 and out["ok"]
+        assert target.read_text()
+
     @pytest.mark.parametrize("argv", [
         ["degree-scan", "z^3", "--samples", "3", "--csv", ""],
         ["cerf", "z^3", "--path=-1/2;1/2", "--steps", "4", "--svg", " "]],
