@@ -128,13 +128,13 @@ def _crossing_factor(E: Polynomial, C: Polynomial) -> Polynomial:
         q = E.exact_div(C ** 3).primitive()
     except ValueError:
         raise IdentityViolation("E is not divisible by C^3") from None
-    c = [int(x) for x in reversed(q.univariate_coeffs())]
+    c = q.univariate_coeffs()[::-1]  # q is integral
     q, c = (q, c) if c[0] > 0 else (-q, [-x for x in c])
     root = [math.isqrt(c[0])]
     for k in range(1, len(c) // 2 + 1):  # X's coefficients, top down
         root.append((c[k] - sum(root[i] * root[k - i] for i in range(1, k)))
                     // (2 * root[0]))
-    X = Polynomial._of(q.variables, {(k,): Fraction(x) for k, x in
+    X = Polynomial._of(q.variables, {(k,): x for k, x in
                                      enumerate(reversed(root)) if x})
     if X * X != q:
         raise IdentityViolation("E / C^3 is not a square")
@@ -180,8 +180,7 @@ class _Root:
         """The root if it is rational: its denominator divides l, p's top
         integer coefficient, so once iv is narrower than 1 / (2 l^2) it is
         the fraction nearest iv's middle with denominator <= l."""
-        ints, _, (d,) = self.p.integer_form()
-        l = abs(ints[(d,)])
+        l = abs(self.p.univariate_coeffs()[-1])
         iv = self.iv.refine(Fraction(1, 2 * l * l))
         x = iv.mid().limit_denominator(l)
         ok = iv.lo <= x <= iv.hi and self.p.evaluate({PATH_S: x}) == 0

@@ -36,7 +36,8 @@ import os
 from fractions import Fraction
 
 from .errors import BudgetExceeded, InvalidInput, VariableMismatch
-from .poly import GREVLEX, LEX, Exponents, MonomialOrder, Packing, Polynomial
+from .poly import (GREVLEX, LEX, Exponents, MonomialOrder, Packing,
+                   Polynomial, lowest_terms)
 
 DEFAULT_BUDGET = 200_000
 
@@ -131,10 +132,10 @@ def normal_form(p: Polynomial, basis: list[Polynomial],
                           key=lambda d: d[0], reverse=True)
         return _reduce(work, divisors, pk, steps)
 
-    pk, rem = _packed_run(run, [p.terms] + [g.terms for g in basis if g.terms],
+    pk, rem = _packed_run(run, [p.num] + [g.num for g in basis if g.num],
                           order, len(p.variables), "normal_form")
-    return Polynomial._of(p.variables,
-                          {pk.unpack(m): Fraction(c) for m, c in rem.items()})
+    num, den = lowest_terms({pk.unpack(m): c for m, c in rem.items()})
+    return Polynomial._of(p.variables, num, den * p.den)
 
 
 def groebner_basis(generators: list[Polynomial],
@@ -144,13 +145,13 @@ def groebner_basis(generators: list[Polynomial],
         raise ValueError("empty generator list")
     variables = generators[0].variables
     _check_variables(generators, variables)
-    maps = [g.terms for g in generators if g.terms]
+    maps = [g.num for g in generators if g.num]
     if not maps:
         return [Polynomial.zero(variables)]
     pk, basis = _packed_run(_buchberger, maps, order, len(variables),
                             "groebner_basis")
-    return [Polynomial._of(variables, {pk.unpack(m): Fraction(c) for m, c in
-                                       g.items()}) for g in basis]
+    return [Polynomial._of(variables, *lowest_terms(
+        {pk.unpack(m): c for m, c in g.items()})) for g in basis]
 
 
 def _buchberger(maps: list[dict], pk: Packing, steps: Budget) -> list[dict]:
@@ -227,7 +228,7 @@ def eliminate(generators: list[Polynomial], drop: list[str]
     front = tuple(v for v in variables if v in drop)
     back = tuple(v for v in variables if v not in drop)
     gb = groebner_basis([g.project(front + back) for g in generators], LEX)
-    kept = [g for g in gb if not any(g.uses(v) for v in front)]
+    kept = [g for g in gb if not any(g.degree_in(v) > 0 for v in front)]
     return [g.project(back) for g in kept]
 
 
@@ -239,7 +240,7 @@ def staircase_monomials(gb: list[Polynomial],
     terms (zero-dimensional ideal).  The box of those powers is charged to
     a step budget before it is walked.
     """
-    leads = [g.leading(order)[0] for g in gb if g.terms]
+    leads = [g.leading(order)[0] for g in gb if g.num]
     if not leads:
         return None
     # the least pure power of each variable (all 0 for the whole ring)

@@ -60,13 +60,12 @@ def integer_box(box) -> dict[str, list[int]]:
 
 
 def enclose(p: Polynomial, box) -> tuple[int, int, int]:
-    """[lo, hi] / den encloses p over an ``integer_box``.  On p's cached
-    integer form, x_v^k, the k-fold interval product, is built once per
+    """[lo, hi] / den encloses p over an ``integer_box``.  On p's integer
+    numerators, x_v^k, the k-fold interval product, is built once per
     variable and scaled to q_v^deg_v: the exact products of a term-by-term
     Fraction loop, over den = den_p * prod q_v^deg_v."""
-    terms, den, degrees = p.integer_form()
-    powers = []  # (i, [q_i^deg_i * x_i^k as integer pairs, k = 0..deg_i])
-    for i, (v, d) in enumerate(zip(p.variables, degrees)):
+    den, powers = p.den, []  # (i, [q_i^deg_i x_i^k as pairs, k = 0..deg_i])
+    for i, (v, d) in enumerate(zip(p.variables, p.degrees())):
         if not d:
             continue
         lo, hi, q = box[v]
@@ -79,7 +78,7 @@ def enclose(p: Polynomial, box) -> tuple[int, int, int]:
         powers.append((i, [(pl * q ** (d - k), ph * q ** (d - k))
                            for k, (pl, ph) in enumerate(pw)]))
     lo = hi = 0
-    for e, c in terms.items():
+    for e, c in p.num.items():
         tl = th = c
         for i, pw in powers:
             pl, ph = pw[e[i]]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import (IdentityViolation, NotCritical, NotIsolated,
                      OrderTooLow, VariableMismatch)
@@ -46,10 +47,10 @@ class Unfolding:
     _by_z: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """F as (e, f_e, ((k, c), ...)) for each (f_e + sum c t_k) z^e."""
+        """F.num as (e, f_e, ((k, c), ...)) for each (f_e + sum c t_k) z^e."""
         n, by_z = self.n, {}
-        for e, c in self.F.terms.items():
-            group = by_z.setdefault(e[:n], [Fraction(0), []])
+        for e, c in self.F.num.items():
+            group = by_z.setdefault(e[:n], [0, []])
             if not any(e[n:]):
                 group[0] = c
             elif sum(e[n:]) == 1:
@@ -72,17 +73,18 @@ class Unfolding:
         return self.analysis.variables
 
     def specialize(self, t: tuple[Fraction, ...]) -> Polynomial:
-        """F_t as a polynomial in the z variables only."""
+        """F_t as a polynomial in the z variables only, on ints: F_t = (f_e q
+        + sum c s_k) z^e / (F.den q) for t = s / q."""
         if len(t) != len(self.parameter_names):
             raise VariableMismatch(
                 f"expected {len(self.parameter_names)} parameters, got {len(t)}")
-        t, terms = tuple(map(Fraction, t)), {}
+        t = tuple(map(Fraction, t))
+        q = lcm(*(x.denominator for x in t))
+        s, num = [x.numerator * (q // x.denominator) for x in t], {}
         for e, c, linear in self._by_z:
-            for k, ck in linear:
-                c += ck * t[k]
-            if c:
-                terms[e] = c
-        return Polynomial._of(self.z_names, terms)
+            if c := c * q + sum(ck * s[k] for k, ck in linear):
+                num[e] = c
+        return Polynomial._of(self.z_names, num, self.F.den * q)
 
 
 def _quadratic_signature(f: Polynomial) -> tuple[int, int]:
@@ -162,15 +164,16 @@ def miniversal_unfolding(a: GermAnalysis) -> Unfolding:
             raise VariableMismatch(f"germ variable {t!r} collides with parameters")
     # mu terms of n + mu exponents each, a step per 1,000 entries
     Budget("miniversal_unfolding").step(a.mu * (a.n + a.mu) // 1000)
-    zeros = (0,) * len(t_names)  # one term map: f's terms, then t_k g_k
-    terms = {e + zeros: c for e, c in a.f.terms.items()}
-    terms.update((e + zeros[:k] + (1,) + zeros[k + 1:], c)
-                 for k, g in enumerate(monomials) for e, c in g.terms.items())
+    # f's numerators, then t_k g_k (g_k a monic monomial), over f's den
+    zeros, den = (0,) * len(t_names), a.f.den
+    num = {e + zeros: c for e, c in a.f.num.items()}
+    num.update((e + zeros[:k] + (1,) + zeros[k + 1:], den)
+               for k, g in enumerate(monomials) for e in g.num)
     return Unfolding(
         analysis=a,
         deformation_monomials=tuple(monomials),
         parameter_names=t_names,
-        F=Polynomial._of(names + t_names, terms),
+        F=Polynomial._of(names + t_names, num, den),
     )
 
 

@@ -34,9 +34,8 @@ from .milnor import Unfolding
 from .poly import Polynomial
 # squarefree_decomposition is not called here, but bench/tracing.py wraps
 # this module's binding of it, so the import stays
-from .realroots import (IsolatingInterval, _gcd, _integer,
-                        count_distinct_roots, isolate_real_roots,
-                        squarefree_decomposition)
+from .realroots import (IsolatingInterval, _gcd, count_distinct_roots,
+                        isolate_real_roots, squarefree_decomposition)
 from .resultant import resultant, subresultant
 
 DEFAULT_BOX_RADIUS = Fraction(4)
@@ -114,10 +113,10 @@ class HermanWitness:
 def _real_roots(p: Polynomial, r: Fraction):
     """Isolating intervals of all real roots of p, on a window that holds
     the Cauchy bound 1 + max|a_i| / |a_d| and the box."""
-    terms = p.integer_form()[0]
-    top = max(terms, key=sum)  # p has one variable
-    big = max((abs(c) for e, c in terms.items() if e != top), default=0)
-    window = max(1 + Fraction(big, abs(terms[top])), r) + 1
+    num = p.num
+    top = max(num, key=sum)  # p has one variable
+    big = max((abs(c) for e, c in num.items() if e != top), default=0)
+    window = max(1 + Fraction(big, abs(num[top])), r) + 1
     return isolate_real_roots(p, (-window, window))
 
 
@@ -149,10 +148,10 @@ def _separates(res: Polynomial, s11: Polynomial, r: Fraction) -> bool:
     the real roots of gcd(res, s11), which are the common ones."""
     if s11.is_constant():
         return not s11.is_zero()
-    g = _gcd(_integer(res.univariate_coeffs()),
-             _integer(s11.univariate_coeffs()))[0]
+    g = _gcd(res.univariate_coeffs(), s11.univariate_coeffs())[0]
     return len(g) == 1 or not _real_roots(
-        Polynomial(res.variables, {(i,): c for i, c in enumerate(g)}), r)
+        Polynomial._of(res.variables, {(i,): c for i, c in enumerate(g)
+                                       if c}), r)
 
 
 # -- boxes -----------------------------------------------------------------
@@ -216,14 +215,14 @@ def _boxes(Ft: Polynomial, grad, z, r: Fraction):
             raise DegenerateParameter("derivative vanishes identically")
         roots = _real_roots(grad[0], r)
     else:
-        d = max(map(sum, Ft.terms), default=0)
+        d = max(map(sum, Ft.num), default=0)
         b = (d - 1) ** 2  # Bezout's bound on the number of points
         for k in range(2 * d + b * (b + 1) // 2 + 1):
             p, q = [_sheared(Ft, k, z).diff(v) for v in z] if k else grad
             n = q.degree_in(z[1])
             # G_z has w, and G_w no z^i w^n, i > 0, so its lead is constant
             if p.degree_in(z[1]) < 1 or n < 1 or any(
-                    i for i, j in q.terms if j == n):
+                    i for i, j in q.num if j == n):
                 continue
             res = resultant(p, q, z[1])
             if res.is_zero():

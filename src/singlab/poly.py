@@ -1,14 +1,15 @@
 """Exact multivariate polynomials over the rationals.
 
-Terms are stored as a map from exponent tuples to nonzero Fraction
-coefficients, so equal polynomials have identical canonical form and all
-arithmetic is exact.  The constructor checks and sums outside terms;
-results derived from valid polynomials are built by ``Polynomial._of``,
-which checks nothing: its terms are already nonzero Fractions on int
-tuples of the ring's length.  Monomial orders (grevlex and lex) are key
-functions on exponent tuples; lex with the eliminated variables first
-serves as the elimination order.  Exact quotients run on term maps whose
-exponents ``Packing`` packs, as do ``resultant`` and ``groebner``.
+A polynomial holds nonzero int numerators ``num`` on exponent tuples over
+one denominator ``den`` > 0 in lowest terms, so equal polynomials have
+identical canonical form, and its arithmetic runs on ints with one gcd
+pass per result; ``terms`` is a read-only Fraction view, built on request.
+The constructor checks and sums outside terms; results derived from valid
+polynomials are built by ``Polynomial._of``, which checks nothing.
+Monomial orders (grevlex and lex) are key functions on exponent tuples;
+lex with the eliminated variables first serves as the elimination order.
+Exact quotients run on term maps whose exponents ``Packing`` packs, as do
+``resultant`` and ``groebner``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import re
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, mul
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (DegreeError, InvalidInput, VariableMismatch,
@@ -101,53 +103,71 @@ def _as_fraction(c) -> Fraction:
                     f"got {type(c).__name__}")
 
 
+def lowest_terms(terms: Mapping) -> tuple[dict, int]:
+    """A term map of nonzero ints and Fractions as integer numerators over
+    their least common denominator, which shares no factor with them all."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator)
+            for e, c in terms.items()}, den
+
+
 class Polynomial:
     """Immutable exact polynomial over a declared variable tuple."""
 
-    __slots__ = ("variables", "terms", "_hash", "_int")
+    __slots__ = ("variables", "num", "den", "_hash")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Fraction]):
-        variables = tuple(variables)
-        clean: dict[Exponents, Fraction] = {}
+        variables, clean = tuple(variables), {}
         n = len(variables)
         for exps, c in terms.items():
-            c = _as_fraction(c)
-            if c == 0:
-                continue
-            ints = tuple(int(e) for e in exps)
-            if (len(ints) != n or ints != tuple(exps)
-                    or any(e < 0 for e in ints)):
-                raise ValueError(
-                    f"bad exponent vector {tuple(exps)} for {n} variables")
-            clean[ints] = clean.get(ints, Fraction(0)) + c
-        self.variables = variables
-        self.terms = {e: c for e, c in clean.items() if c != 0}
-        self._hash = self._int = None
+            if c := _as_fraction(c):
+                ints = tuple(int(e) for e in exps)
+                if (len(ints) != n or ints != tuple(exps)
+                        or any(e < 0 for e in ints)):
+                    raise ValueError(
+                        f"bad exponent vector {tuple(exps)} for {n} variables")
+                clean[ints] = clean.get(ints, 0) + c
+        self.variables, self._hash = variables, None
+        self.num, self.den = lowest_terms(
+            {e: c for e, c in clean.items() if c})
 
     @classmethod
-    def _of(cls, variables: tuple[str, ...], terms: dict) -> "Polynomial":
-        """The polynomial of a clean term map, taken as it is."""
+    def _of(cls, variables: tuple[str, ...], num: dict,
+            den: int = 1) -> "Polynomial":
+        """num / den, unchecked, for nonzero int numerators on int tuples of
+        the ring's length and an int den != 0: one gcd pass, none for 1."""
+        if den != 1:
+            g = gcd(den, *num.values()) * (1 if den > 0 else -1)
+            if g != 1:
+                num, den = {e: c // g for e, c in num.items()}, den // g
         p = object.__new__(cls)
-        p.variables, p.terms, p._hash, p._int = variables, terms, None, None
+        p.variables, p.num, p.den, p._hash = variables, num, den, None
         return p
+
+    @property
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        """The coefficients as a read-only Fraction view, built per call."""
+        return MappingProxyType({e: Fraction(c, self.den)
+                                 for e, c in self.num.items()})
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, variables: Iterable[str]) -> "Polynomial":
-        return cls(variables, {})
+        return cls._of(tuple(variables), {})
 
     @classmethod
     def constant(cls, c, variables: Iterable[str]) -> "Polynomial":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): _as_fraction(c)})
+        variables, c = tuple(variables), _as_fraction(c)
+        return cls._of(variables, {(0,) * len(variables): c.numerator}
+                       if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, name: str, variables: Iterable[str]) -> "Polynomial":
         variables = tuple(variables)
         i = variables.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {exps: Fraction(1)})
+        return cls._of(variables, {exps: 1})
 
     @classmethod
     def monomial(cls, exps: Exponents, c, variables: Iterable[str]) -> "Polynomial":
@@ -156,34 +176,34 @@ class Polynomial:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(map(any, self.num))
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
+        return Fraction(self.num.get((0,) * len(self.variables), 0), self.den)
 
     def order(self) -> int:
         """Order of vanishing at the origin (min total degree of support)."""
-        if not self.terms:
+        if not self.num:
             raise ZeroPolynomial("order of the zero polynomial")
-        return min(sum(e) for e in self.terms)
+        return min(map(sum, self.num))
 
     def degree_in(self, var: str) -> int:
         i = self.variables.index(var)
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
+        return max((e[i] for e in self.num), default=-1)
 
-    def uses(self, var: str) -> bool:
-        return self.degree_in(var) > 0
+    def degrees(self) -> Exponents:
+        """The degree in each variable, 0 throughout for 0."""
+        return tuple(map(max, zip(*self.num))) if self.num else \
+            (0,) * len(self.variables)
 
     def leading(self, order: MonomialOrder) -> tuple[Exponents, Fraction]:
-        if not self.terms:
+        if not self.num:
             raise ZeroPolynomial("leading term of zero")
-        e = max(self.terms, key=order.key)
-        return e, self.terms[e]
+        e = max(self.num, key=order.key)
+        return e, Fraction(self.num[e], self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -193,39 +213,44 @@ class Polynomial:
                 f"{self.variables} vs {other.variables}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             other = Polynomial.constant(other, self.variables)
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return self._of(self.variables, {e: c for e, c in terms.items() if c})
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        num = {e: c * a for e, c in self.num.items()}
+        for e, c in other.num.items():
+            num[e] = num.get(e, 0) + c * b
+        return self._of(self.variables,
+                        {e: c for e, c in num.items() if c}, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._of(self.variables, {e: -c for e, c in self.terms.items()})
+        return self._of(self.variables,
+                        {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.variables)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             c = _as_fraction(other)
-            return self._of(self.variables,
-                            {e: c * v for e, v in self.terms.items() if c})
+            a = c.numerator
+            return self._of(self.variables, {
+                e: v * a for e, v in self.num.items()} if a else {},
+                self.den * c.denominator)
         self._check(other)
-        terms: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        num: dict[Exponents, int] = {}
+        for e1, c1 in self.num.items():
+            for e2, c2 in other.num.items():
                 e = tuple(map(add, e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return self._of(self.variables, {e: c for e, c in terms.items() if c})
+                num[e] = num.get(e, 0) + c1 * c2
+        return self._of(self.variables, {e: c for e, c in num.items() if c},
+                        self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -246,21 +271,14 @@ class Polynomial:
             other = Polynomial.constant(other, self.variables)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (self.variables == other.variables and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.variables,
-                               tuple(sorted(self.terms.items()))))
+            self._hash = hash((self.variables, self.den,
+                               tuple(sorted(self.num.items()))))
         return self._hash
-
-    def integer_form(self) -> tuple[dict[Exponents, int], int, Exponents]:
-        """integer_terms of p and its degree in each variable (() when p is
-        zero), computed once; this cache takes no part in == or hash."""
-        if self._int is None:
-            (ints,), den = integer_terms([self.terms])
-            self._int = ints, den, tuple(map(max, zip(*ints)))
-        return self._int
 
     # -- calculus and evaluation ------------------------------------------
 
@@ -269,30 +287,29 @@ class Polynomial:
         # e -> e - unit_i is one-to-one, so no two terms meet
         return self._of(self.variables, {
             e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
-            for e, c in self.terms.items() if e[i]})
+            for e, c in self.num.items() if e[i]}, self.den)
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
-        """Evaluate at a full assignment of exact rationals."""
+        """Evaluate at a full assignment of exact rationals (ints or
+        Fractions), on integers: for x_v = p_v / q_v and d_v the degree in
+        v, the sum of num_e prod p_v^e_v q_v^(d_v - e_v) over den prod
+        q_v^d_v."""
         missing = [v for v in self.variables if v not in values]
         if missing:
             raise VariableMismatch(f"missing values for {missing}")
-        total = Fraction(0)
-        vals = [Fraction(values[v]) for v in self.variables]
-        for e, c in self.terms.items():
-            prod = c
-            for x, k in zip(vals, e):
-                if k:
-                    prod *= x ** k
-            total += prod
-        return total
+        den, tables = self.den, []
+        for v, d in zip(self.variables, self.degrees()):
+            x = _as_fraction(values[v])
+            tables.append([x.numerator ** k * x.denominator ** (d - k)
+                           for k in range(d + 1)])
+            den *= x.denominator ** d
+        return Fraction(sum(c * prod(map(list.__getitem__, tables, e))
+                            for e, c in self.num.items()), den)
 
     def restrict(self) -> "Polynomial":
         """Drop variables that do not occur."""
-        used = tuple(v for i, v in enumerate(self.variables)
-                     if any(e[i] for e in self.terms))
-        if used == self.variables:
-            return self
-        return self.project(used)
+        used = tuple(v for v, d in zip(self.variables, self.degrees()) if d)
+        return self if used == self.variables else self.project(used)
 
     def project(self, variables: Iterable[str]) -> "Polynomial":
         """Reinterpret over another variable tuple, in any order, that may
@@ -300,8 +317,8 @@ class Polynomial:
         variables = tuple(variables)
         pos = [variables.index(v) if v in variables else None
                for v in self.variables]
-        terms: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
+        num: dict[Exponents, int] = {}
+        for e, c in self.num.items():
             ne = [0] * len(variables)
             for i, k in zip(pos, e):
                 if k:
@@ -309,72 +326,62 @@ class Polynomial:
                         raise VariableMismatch(
                             "polynomial uses a dropped variable")
                     ne[i] = k
-            terms[tuple(ne)] = c
-        return self._of(variables, terms)
+            num[tuple(ne)] = c
+        return self._of(variables, num, self.den)
 
     # -- univariate views --------------------------------------------------
 
     def coeffs_in(self, var: str) -> list["Polynomial"]:
         """Dense ascending coefficient list w.r.t. var, over the other vars."""
         i = self.variables.index(var)
-        rest = tuple(v for v in self.variables if v != var)
-        d = self.degree_in(var)
-        if d < 0:
-            return []
-        coeffs = [dict() for _ in range(d + 1)]
-        for e, c in self.terms.items():
-            ne = tuple(x for j, x in enumerate(e) if j != i)
-            coeffs[e[i]][ne] = c
-        return [self._of(rest, t) for t in coeffs]
+        rest = self.variables[:i] + self.variables[i + 1:]
+        coeffs: list[dict] = [{} for _ in range(self.degree_in(var) + 1)]
+        for e, c in self.num.items():
+            coeffs[e[i]][e[:i] + e[i + 1:]] = c
+        return [self._of(rest, t, self.den) for t in coeffs]
 
-    def univariate_coeffs(self) -> list[Fraction]:
-        """Dense ascending Fraction coefficients; requires <= 1 active var."""
-        active = [i for i in range(len(self.variables))
-                  if any(e[i] for e in self.terms)]
-        if len(active) > 1:
+    def univariate_coeffs(self) -> list[int]:
+        """Dense ascending coefficients of den * self, which are ints;
+        requires <= 1 active variable."""
+        if sum(map(bool, degrees := self.degrees())) > 1:
             raise DegreeError("polynomial is not univariate")
-        if not active:
-            return [self.constant_term()] if self.terms else []
-        i = active[0]
-        d = max(e[i] for e in self.terms)
-        out = [Fraction(0)] * (d + 1)
-        for e, c in self.terms.items():
-            out[e[i]] = c
+        out = [0] * (sum(degrees) + 1) if self.num else []
+        for e, c in self.num.items():
+            out[sum(e)] = c  # e's one nonzero entry, if any
         return out
 
     # -- normalization -----------------------------------------------------
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integral and primitive; 0 for 0."""
-        (ints,), den = integer_terms([self.terms])
-        return Fraction(gcd(*ints.values()), den)
+        return Fraction(gcd(*self.num.values()), self.den)
 
     def primitive(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        return self * (1 / self.content())
+        g = gcd(*self.num.values()) or 1
+        return self._of(self.variables,
+                        {e: c // g for e, c in self.num.items()})
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Exact quotient self/divisor; raises if division is not exact."""
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        # self/divisor = a/b over one denominator, and by Gauss's lemma
-        # a/(b/g) is integral when it exists, b/g being primitive
-        (a, b), _ = integer_terms([self.terms, divisor.terms])
+        # self/divisor = (a/b) (den_b/den_a), and by Gauss's lemma a/(b/g)
+        # is integral when it exists, b/g being primitive
+        a, b = self.num, divisor.num
         g = gcd(*b.values())
         big = max((x for e in (*a, *b) for x in e), default=0)
         pk = Packing(LEX, len(self.variables), big.bit_length())
         q = div_terms(pk.pack_terms(a),
                       pk.pack_terms({e: c // g for e, c in b.items()}),
                       pk.guard)
-        return self._of(self.variables,
-                        {pk.unpack(e): Fraction(c, g) for e, c in q.items()})
+        return self._of(self.variables, {pk.unpack(e): c * divisor.den
+                                         for e, c in q.items()}, g * self.den)
 
     # -- formatting --------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for e, c in sorted(self.terms.items(),
@@ -399,13 +406,6 @@ class Polynomial:
 
 
 # -- term maps ---------------------------------------------------------------
-
-def integer_terms(maps: list[Mapping]) -> tuple[list[dict], int]:
-    """Fraction term maps on integers over their least common denominator."""
-    den = lcm(*(c.denominator for m in maps for c in m.values()))
-    return [{e: c.numerator * (den // c.denominator)
-             for e, c in m.items()} for m in maps], den
-
 
 def div_terms(rem: dict[int, int], divisor: Mapping[int, int],
               guard: int) -> dict[int, int]:

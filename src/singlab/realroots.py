@@ -6,12 +6,12 @@ halved apart.  Each call builds one Sturm chain, that of the square-free
 part; a root's multiplicity is that of the one factor of Yun's square-free
 factorization whose sign changes on its interval.
 Where a root lies against any other point is the caller's to decide, by
-refining its interval.  Every decision is an integer sign: polynomials
-are scaled once to primitive integer coefficients and evaluated at p/q
-(q > 0) as sum a_i p^i q^(d-i), on intervals (a/d, b/d] as integer_interval
-triples a, b, d.  Refinement ends in the cell that bisection ends in,
-reached by quadratic interval refinement (Abbott 2014; Kerber & Sagraloff
-2011).
+refining its interval.  Every decision is an integer sign: a
+polynomial's integer numerators are made primitive once and evaluated at
+p/q (q > 0) as sum a_i p^i q^(d-i), on intervals (a/d, b/d] as
+integer_interval triples a, b, d.  Refinement ends in the cell that
+bisection ends in, reached by quadratic interval refinement (Abbott 2014;
+Kerber & Sagraloff 2011).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd
 from operator import ne
 
 from .errors import InvalidInput, ZeroPolynomial
@@ -41,12 +41,10 @@ def _diff(c):
     return [a * k for k, a in enumerate(c)][1:]
 
 
-def _integer(c) -> Coeffs:
-    """The primitive integer multiple of c (rationals) by a positive factor."""
-    den = lcm(*(a.denominator for a in c))
-    ints = [a.numerator * (den // a.denominator) for a in c]
-    g = gcd(*ints)
-    return tuple(a // g for a in ints)
+def _primitive(c) -> Coeffs:
+    """c (ints, not all 0) over the gcd of its entries."""
+    g = gcd(*c)
+    return tuple(a // g for a in c)
 
 
 def _positive(c) -> Coeffs:
@@ -83,19 +81,19 @@ def _gcd(a, b) -> tuple[Coeffs, tuple[Coeffs, ...]]:
     for b = a' the Sturm chain of a (Basu, Pollack & Roy, ch. 2)."""
     seq = [a, b]
     while r := _prem(seq[-2], seq[-1]):
-        seq.append(_integer([-x for x in r]))
-    return _positive(_integer(seq[-1])), tuple(seq)
+        seq.append(_primitive([-x for x in r]))
+    return _positive(_primitive(seq[-1])), tuple(seq)
 
 
 def squarefree_decomposition(c) -> list[tuple[Coeffs, int]]:
-    """Yun's algorithm on ascending rational coefficients c, computed over
-    the integers: [(square-free factor, multiplicity), ...], each factor
-    primitive with positive leading coefficient."""
+    """Yun's algorithm on ascending integer coefficients c: [(square-free
+    factor, multiplicity), ...], each factor primitive with positive
+    leading coefficient."""
     if len(c) < 2:  # constant
         return []
-    c = _positive(_integer(c))
+    c = _positive(_primitive(c))
     d = _diff(c)
-    g = _gcd(c, _integer(d))[0]
+    g = _gcd(c, _primitive(d))[0]
     out = []
     # w and z keep one common scale, which Yun's step z - w' needs
     w, z = _exquo(c, g), _exquo(d, g)
@@ -113,15 +111,15 @@ def squarefree_decomposition(c) -> list[tuple[Coeffs, int]]:
 
 
 def _chain(c) -> tuple[tuple[Coeffs, ...], bool]:
-    """The Sturm chain of the square-free part of c (ascending rational
+    """The Sturm chain of the square-free part of c (ascending integer
     coefficients, not constant), primitive: the remainder sequence of the
     primitive c and c', or of c / gcd(c, c') when that gcd is not
     constant; and whether c is square-free."""
-    c = _positive(_integer(c))
-    g, chain = _gcd(c, _integer(_diff(c)))
+    c = _positive(_primitive(c))
+    g, chain = _gcd(c, _primitive(_diff(c)))
     if len(g) > 1:
         f = _exquo(c, g)
-        chain = _gcd(f, _integer(_diff(f)))[1]
+        chain = _gcd(f, _primitive(_diff(f)))[1]
     return chain, len(g) == 1
 
 

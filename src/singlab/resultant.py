@@ -11,11 +11,11 @@ other variables, packed by one lex ``poly.Packing``; every division is exact.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .errors import DegreeError, VariableMismatch
-from .poly import LEX, Packing, Polynomial, div_terms, integer_terms
+from .poly import LEX, Packing, Polynomial, div_terms
 
 
 def _sum(pairs) -> dict:
@@ -45,12 +45,12 @@ def poly_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
         return matrix[0][0]
     # every entry is a minor, of degree in a variable at most the sum of
     # the rows' largest degrees in it; a product of two, twice that
-    bound = [2 * sum(max((e[v] for p in row for e in p.terms), default=0)
+    bound = [2 * sum(max((e[v] for p in row for e in p.num), default=0)
                      for row in matrix) for v in range(len(variables))]
     pk = Packing(LEX, len(variables), max(bound, default=0).bit_length())
-    flat, den = integer_terms([p.terms for row in matrix for p in row])
-    flat = list(map(pk.pack_terms, flat))
-    m = [flat[i * n:(i + 1) * n] for i in range(n)]
+    den = lcm(*(p.den for row in matrix for p in row))
+    m = [[{e: c * (den // p.den) for e, c in pk.pack_terms(p.num).items()}
+          for p in row] for row in matrix]
     sign = 1
     prev = {0: 1}
     for k in range(n - 1):
@@ -70,8 +70,8 @@ def poly_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
                     neg_ik, m[k][j]))), prev, pk.guard)
         prev = pivot
     scale = sign * den ** n  # det(den * matrix) = den^n det(matrix)
-    return Polynomial._of(variables, {pk.unpack(e): Fraction(c, scale)
-                                      for e, c in m[n - 1][n - 1].items()})
+    return Polynomial._of(variables, {
+        pk.unpack(e): c for e, c in m[n - 1][n - 1].items()}, scale)
 
 
 @functools.lru_cache(maxsize=1)
@@ -85,15 +85,14 @@ def _chain(p: Polynomial, q: Polynomial, var: str):
     if m <= 0 or n <= 0:
         raise DegreeError(f"both inputs need positive degree in {var}")
     i = p.variables.index(var)
-    (pt, dp, degp), (qt, dq, degq) = p.integer_form(), q.integer_form()
     # an S_j coefficient is a Sylvester minor, of degree at most n deg p +
     # m deg q in a variable, and a product of two at most twice that
-    bound = max((n * x + m * y for k, (x, y) in enumerate(zip(degp, degq))
-                 if k != i), default=0)
-    pk = Packing(LEX, len(degp) - 1, (2 * bound).bit_length())
+    bound = max((n * x + m * y for k, (x, y) in enumerate(zip(
+        p.degrees(), q.degrees())) if k != i), default=0)
+    pk = Packing(LEX, len(p.variables) - 1, (2 * bound).bit_length())
     g, w = pk.guard, pk.weights[:i] + [0] + pk.weights[i:]
     a, b = ([{sum(map(mul, e, w)): c for e, c in terms.items() if e[i] == k}
-             for k in range(d + 1)] for terms, d in ((pt, m), (qt, n)))
+             for k in range(d + 1)] for terms, d in ((p.num, m), (q.num, n)))
     a, b = (b, a) if m < n else (a, b)
     gap, lb, s, out = len(a) - len(b), b[-1], {0: 1}, {}
     for _ in range(gap):  # S_(deg B) = lc(B)^(gap - 1) B, s its top one
@@ -128,7 +127,7 @@ def _chain(p: Polynomial, q: Polynomial, var: str):
         r = [div_terms(_sum(((lb, x), (lb, y), (top, z))), s, g)
              for x, y, z in zip([{}] + hs[-1][:-1], dd, b)]
         a, b, s = c, r if (d - e) % 2 else list(map(_neg, r)), c[-1]
-    return pk, p.variables[:i] + p.variables[i + 1:], out, dp, dq
+    return pk, p.variables[:i] + p.variables[i + 1:], out, p.den, q.den
 
 
 def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
@@ -151,6 +150,6 @@ def subresultant(p: Polynomial, q: Polynomial, var: str,
     # coefficients and m - j in q's
     d = (-1) ** ((m < n) * (m - j) * (n - j)) * dp ** (n - j) * dq ** (m - j)
     poly = out.get(j, [])
-    return [Polynomial._of(ring, {pk.unpack(e): Fraction(c, d) for e, c in
-                                  sorted(t.items(), reverse=True)})
+    return [Polynomial._of(ring, {pk.unpack(e): c for e, c in
+                                  sorted(t.items(), reverse=True)}, d)
             for t in reversed(poly + [{}] * (j + 1 - len(poly)))]

@@ -26,7 +26,7 @@ from .errors import (GcdNotOne, IdentityViolation, InvalidInput,
                      NonBinomialElement, NotABranch, OrderMismatch,
                      RegularizationBudget, TruncationInsufficient)
 from .groebner import Budget, eliminate
-from .poly import Polynomial, integer_terms
+from .poly import Polynomial, lowest_terms
 
 Vector = tuple[int, ...]
 MAX_SUBDIVISIONS = 500  # stellar subdivisions before RegularizationBudget
@@ -150,14 +150,14 @@ def toric_ideal(gamma: NumericalSemigroup) -> ToricIdeal:
     unames = tuple(f"U{i}" for i in range(len(gens)))
     ring, zeros = ("T",) + unames, (0,) * len(gens)
     ideal = [Polynomial._of(ring, {(0,) + zeros[:i] + (1,) + zeros[i + 1:]:
-                                   Fraction(1), (g,) + zeros: Fraction(-1)})
+                                   1, (g,) + zeros: -1})
              for i, g in enumerate(gens)]
     kernel = eliminate(ideal, ["T"])
     for p in kernel:
-        if len(p.terms) != 2:
+        if len(p.num) != 2:
             raise NonBinomialElement(f"{p} is not a binomial")
-        (e1, c1), (e2, c2) = sorted(p.terms.items())
-        if {c1, c2} != {Fraction(1), Fraction(-1)}:
+        (e1, c1), (e2, c2) = sorted(p.num.items())
+        if p.den != 1 or {c1, c2} != {1, -1}:
             raise NonBinomialElement(f"{p} has non-unit coefficients")
         if _weight_of_exps(e1, gens) != _weight_of_exps(e2, gens):
             raise NonBinomialElement(f"{p} is not weight-homogeneous")
@@ -371,7 +371,7 @@ class Series:
         """The series sum terms[e] t^e / den; int or Fraction terms."""
         num = {e: c for e, c in terms.items() if c and e < prec}
         if any(type(c) is not int for c in num.values()):
-            (num,), d = integer_terms([num])
+            num, d = lowest_terms(num)
             den *= d
         g = math.gcd(den, *num.values()) * (1 if den > 0 else -1)
         self.num = num if g == 1 else {e: c // g for e, c in num.items()}
@@ -571,7 +571,7 @@ def weight(series: Polynomial, weights) -> int | float:
     """Monomial valuation: min weight over the support; inf for zero."""
     if series.is_zero():
         return math.inf
-    return min(_weight_of_exps(e, weights) for e in series.terms)
+    return min(_weight_of_exps(e, weights) for e in series.num)
 
 
 @dataclass(frozen=True)
@@ -592,19 +592,18 @@ class OverweightVerdict:
 def overweight_check(d: OverweightDeformation) -> list[OverweightVerdict]:
     """PASS iff each series' minimal-weight part is its expected binomial."""
     for b in d.expected_initials:
-        if len(b.terms) != 2:
+        if len(b.num) != 2:
             raise InvalidInput(f"expected initial {b} is not a binomial")
-        (e1, _), (e2, _) = b.terms.items()
+        (e1, _), (e2, _) = b.num.items()
         if _weight_of_exps(e1, d.weights) != _weight_of_exps(e2, d.weights):
             raise InvalidInput(
                 f"expected initial {b} is not weight-homogeneous")
     out = []
     for s, expected in zip(d.series, d.expected_initials):
         w = weight(s, d.weights)
-        initial = Polynomial(
-            s.variables,
-            {e: c for e, c in s.terms.items()
-             if _weight_of_exps(e, d.weights) == w})
+        initial = Polynomial._of(s.variables, {
+            e: c for e, c in s.num.items()
+            if _weight_of_exps(e, d.weights) == w}, s.den)
         ok = initial == expected.project(s.variables)
         detail = "initial form matches; all other terms heavier" if ok else \
             f"initial form {initial} at weight {w} differs from {expected}"

@@ -293,7 +293,7 @@ def _lcm_keyed_basis(gens, order):
     pk, basis = groebner._packed_run(_lcm_keyed_buchberger,
                                      [g.terms for g in gens], order,
                                      len(variables), "reference")
-    return [Polynomial._of(variables, {pk.unpack(m): c for m, c in g.items()})
+    return [Polynomial(variables, {pk.unpack(m): c for m, c in g.items()})
             for g in basis]
 
 

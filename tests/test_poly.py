@@ -1,12 +1,16 @@
 """Exact polynomial arithmetic, canonical form, parsing, monomial orders."""
 
+import itertools
+import math
+import operator
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlab.errors import InvalidInput, VariableMismatch
+from singlab.errors import DegreeError, InvalidInput, VariableMismatch
 from singlab.groebner import groebner_basis, normal_form
 from singlab.milnor import unfold_germ
 from singlab.poly import (GREVLEX, LEX, MAX_NESTING, MonomialOrder, Packing,
@@ -14,6 +18,7 @@ from singlab.poly import (GREVLEX, LEX, MAX_NESTING, MonomialOrder, Packing,
                           parse_polynomial)
 from singlab.resultant import poly_determinant
 from test_discriminant import germs_1d
+from test_groebner import _as_sympy_set, _sympy_groebner
 
 VARS = ("z", "w")
 
@@ -93,57 +98,177 @@ class TestArithmetic:
         assert a + b == b + a
 
 
-def assert_clean(p):
-    """p is what the validating constructor makes of its own term map, and
-    holds only nonzero Fractions on int tuples of the ring's length."""
-    assert p == Polynomial(p.variables, p.terms)
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_scale(a, c):
+    return {e: c * x for e, x in a.items() if c}
+
+
+def _ref_constant(c, n):
+    return {(0,) * n: Fraction(c)} if c else {}
+
+
+def _ref_project(a, names, variables):
+    pos = [variables.index(v) if v in variables else None for v in names]
+    out = {}
+    for e, c in a.items():
+        ne = [0] * len(variables)
+        for i, k in zip(pos, e):
+            if k:
+                ne[i] = k
+        out[tuple(ne)] = c
+    return out
+
+
+def _ref_determinant(rows):
+    """Leibniz's sum over permutations, on Fraction term maps in VARS."""
+    n, out = len(rows), {}
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in itertools.combinations(range(n), 2))
+        term = _ref_constant((-1) ** inversions, len(VARS))
+        for i, j in enumerate(perm):
+            term = _ref_mul(term, rows[i][j])
+        out = _ref_add(out, term)
+    return out
+
+
+def _ref_normal_form(terms, divisors, order):
+    """The remainder of terms under full division by divisors, on Fraction
+    term maps: unique when they are a Groebner basis for order."""
+    work, rem = dict(terms), {}
+    leads = [(max(g, key=order.key), g) for g in divisors]
+    while work:
+        e = max(work, key=order.key)
+        c = work.pop(e)
+        for le, g in leads:
+            if all(map(operator.ge, e, le)):
+                shift, q = tuple(map(operator.sub, e, le)), c / g[le]
+                for ge, gc in g.items():
+                    if ge != le:
+                        m = tuple(map(add, ge, shift))
+                        work[m] = work.get(m, 0) - q * gc
+                        if not work[m]:
+                            del work[m]
+                break
+        else:
+            rem[e] = c
+    return rem
+
+
+def assert_clean(p, want):
+    """p holds nonzero int numerators on int tuples of the ring's length,
+    over an int den > 0 that shares no factor with all of them; its
+    Fraction terms are want, the same operation's result on Fraction term
+    maps; and p is what the validating constructor makes of want."""
     assert type(p.variables) is tuple
-    for e, c in p.terms.items():
-        assert type(c) is Fraction and c != 0
+    assert type(p.den) is int and p.den > 0
+    assert math.gcd(p.den, *p.num.values()) == 1
+    for e, c in p.num.items():
+        assert type(c) is int and c != 0
         assert type(e) is tuple and len(e) == len(p.variables)
         assert all(type(k) is int and k >= 0 for k in e)
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert dict(p.terms) == want
+    q = Polynomial(p.variables, want)
+    assert p == q and hash(p) == hash(q)
 
 
 small = st.fractions(-3, 3, max_denominator=4)
 
 
 class TestTrustedResults:
-    """Results built on Polynomial._of, without the constructor's checks."""
+    """Results built on Polynomial._of and Polynomial._reduced, without the
+    constructor's checks, against the Fraction term maps of each
+    operation."""
 
     @given(polynomials(), polynomials(), small)
     @settings(max_examples=100, deadline=None)
     def test_arithmetic(self, a, b, c):
-        for p in (-a, a + b, a - b, a - a, (a + b) - b, a * b, a * c,
-                  a * 0, (a + b) * (a - b) - a * a, a ** 2, a + c):
-            assert_clean(p)
+        x, y, n = dict(a.terms), dict(b.terms), len(a.variables)
+        minus_y = _ref_scale(y, -1)
+        x_plus_y, x_minus_y = _ref_add(x, y), _ref_add(x, minus_y)
+        for p, want in (
+                (-a, _ref_scale(x, -1)), (a + b, x_plus_y), (a - b, x_minus_y),
+                (a - a, {}), ((a + b) - b, x), (a * b, _ref_mul(x, y)),
+                (a * c, _ref_scale(x, c)), (a * 0, {}),
+                ((a + b) * (a - b) - a * a,
+                 _ref_add(_ref_mul(x_plus_y, x_minus_y),
+                          _ref_scale(_ref_mul(x, x), -1))),
+                (a ** 2, _ref_mul(x, x)),
+                (a + c, _ref_add(x, _ref_constant(c, n))),
+                (c - a, _ref_add(_ref_constant(c, n), _ref_scale(x, -1)))):
+            assert_clean(p, want)
 
     @given(polynomials(max_exp=6), st.sampled_from(VARS))
     @settings(max_examples=100, deadline=None)
     def test_calculus_and_views(self, p, v):
+        x, i = dict(p.terms), VARS.index(v)
         wide = p.project(("u",) + VARS)
-        results = [p.diff("z"), p.diff("w"), *p.coeffs_in(v), wide,
-                   p.project(VARS[::-1] + ("u",)), wide.project(VARS),
-                   p.restrict()]
+        results = [
+            (p.diff(v), {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                         for e, c in x.items() if e[i]}),
+            (wide, _ref_project(x, VARS, ("u",) + VARS)),
+            (p.project(VARS[::-1] + ("u",)),
+             _ref_project(x, VARS, VARS[::-1] + ("u",))),
+            (wide.project(VARS), x)]
+        used = tuple(w for k, w in enumerate(VARS) if any(e[k] for e in x))
+        results.append((p.restrict(), _ref_project(x, VARS, used)))
+        for k, q in enumerate(p.coeffs_in(v)):
+            results.append((q, {e[:i] + e[i + 1:]: c for e, c in x.items()
+                                if e[i] == k}))
         assert wide.project(VARS) == p
         if not p.is_zero():
-            results.append((p * (p + 1)).exact_div(p))
-        for q in results:
-            assert_clean(q)
+            results.append(((p * (p + 1)).exact_div(p),
+                            _ref_add(x, _ref_constant(1, 2))))
+            content = p.content()
+            assert content > 0
+            results.append((p.primitive(), _ref_scale(x, 1 / content)))
+        for q, want in results:
+            assert_clean(q, want)
+
+    @given(polynomials(), st.tuples(small, small))
+    @settings(max_examples=100, deadline=None)
+    def test_evaluate_is_the_fraction_sum(self, p, point):
+        want = sum((c * point[0] ** e[0] * point[1] ** e[1]
+                    for e, c in p.terms.items()), Fraction(0))
+        got = p.evaluate(dict(zip(VARS, point)))
+        assert type(got) is Fraction and got == want
 
     @given(st.integers(1, 3).flatmap(lambda n: st.lists(
         st.lists(polynomials(max_terms=3, max_exp=2), min_size=n,
                  max_size=n), min_size=n, max_size=n)))
     @settings(max_examples=60, deadline=None)
     def test_determinant(self, matrix):
-        assert_clean(poly_determinant(matrix))
+        assert_clean(poly_determinant(matrix), _ref_determinant(
+            [[dict(p.terms) for p in row] for row in matrix]))
 
     @given(st.lists(polynomials(max_terms=3, max_exp=3), min_size=1,
                     max_size=3), polynomials(), st.sampled_from([GREVLEX, LEX]))
     @settings(max_examples=60, deadline=None)
     def test_groebner_basis_and_normal_form(self, gens, p, order):
         basis = groebner_basis(gens, order)
-        for q in basis + [normal_form(p, basis, order)]:
-            assert_clean(q)
+        if any(g.terms for g in gens):
+            want = _sympy_groebner(gens, VARS, order.value)
+            assert _as_sympy_set(basis, VARS, order.value) == want
+        for q in basis:  # monic, so its terms are the sympy element's
+            assert_clean(q, dict(q.terms))
+        assert_clean(normal_form(p, basis, order), _ref_normal_form(
+            dict(p.terms), [dict(g.terms) for g in basis if g.terms], order))
 
     @given(st.one_of(germs_1d(6).map(lambda f: unfold_germ(f)),
                      st.sampled_from(["z^3 + w^3", "z^3 + w^4",
@@ -159,7 +284,78 @@ class TestTrustedResults:
             z = data.draw(st.tuples(*(small for _ in u.z_names)))
             assert got.evaluate(dict(zip(u.z_names, z))) == u.F.evaluate(
                 dict(zip(u.parameter_names + u.z_names, t + z)))
-        assert_clean(got)
+        n, want = u.n, {}
+        for e, c in u.F.terms.items():
+            for x, k in zip(t, e[n:]):
+                c *= x ** k
+            want[e[:n]] = want.get(e[:n], 0) + c
+        assert_clean(got, {e: c for e, c in want.items() if c})
+
+
+class TestCanonicalForm:
+    @given(polynomials())
+    @settings(max_examples=100, deadline=None)
+    def test_every_route_builds_one_form(self, p):
+        # equal polynomials are equal and hash alike however they are
+        # built, as the subresultant chain's cache needs
+        for q in (Polynomial(p.variables, p.terms),
+                  Polynomial._of(p.variables, dict(p.num), p.den),
+                  parse_polynomial(str(p), p.variables),
+                  (p + p) * Fraction(1, 2), p * 3 - p * 2, -(-p),
+                  p.project(p.variables), p + 0, p * 1):
+            assert (q.num, q.den) == (p.num, p.den)
+            assert q == p and hash(q) == hash(p)
+
+    def test_lowest_terms_from_every_route(self):
+        half = Polynomial(VARS, {(1, 0): Fraction(1, 2),
+                                 (0, 1): Fraction(-3, 4)})
+        for p in (half, P("z/2 - 3*w/4"), P("2*z - 3*w") * Fraction(1, 4),
+                  Polynomial._of(VARS, {(1, 0): 2, (0, 1): -3}, 4)):
+            assert (p.num, p.den) == ({(1, 0): 2, (0, 1): -3}, 4)
+            assert p == half and hash(p) == hash(half)
+        assert len({half, P("z/2 - 3*w/4"), P("(4*z - 6*w) / 8")}) == 1
+
+    def test_denominator_takes_part_in_equality(self):
+        assert P("z/2") != P("z") and P("z/2") != P("z/4")
+        assert P("z/2 + w/3") == Polynomial(VARS, {(1, 0): Fraction(1, 2),
+                                                   (0, 1): Fraction(1, 3)})
+
+    def test_univariate_coeffs_are_den_times_the_coefficients(self):
+        p = parse_polynomial("z^3/2 - 3/4", ("z",))
+        assert (p.num, p.den) == ({(3,): 2, (0,): -3}, 4)
+        assert p.univariate_coeffs() == [-3, 0, 0, 2]
+        assert P("w^2/6 - w/4").univariate_coeffs() == [0, -3, 2]
+        assert P("-5/3").univariate_coeffs() == [-5]
+        assert P("0").univariate_coeffs() == []
+        with pytest.raises(DegreeError, match="not univariate"):
+            P("z*w").univariate_coeffs()
+
+    def test_terms_is_a_read_only_view(self):
+        p = P("z/2 + w")
+        with pytest.raises(TypeError):
+            p.terms[(0, 0)] = Fraction(1)
+        with pytest.raises(TypeError):
+            del p.terms[(1, 0)]
+        with pytest.raises(AttributeError):
+            p.terms = {}
+        assert p == P("z/2 + w") and p.terms == {(1, 0): Fraction(1, 2),
+                                                  (0, 1): Fraction(1)}
+
+    @pytest.mark.parametrize("value", [1.4142135623730951, 1.5, "3/2",
+                                       None])
+    def test_evaluate_refuses_inexact_values(self, value):
+        # Fraction(1.4142135623730951) is a binary rational, and z^2 - 2
+        # at '3/2' was 1/4: the constructor and RatInterval refuse both
+        with pytest.raises(TypeError, match="exact rational"):
+            P("z^2 - 2", ("z",)).evaluate({"z": value})
+        with pytest.raises(TypeError, match="exact rational"):
+            P("z*w + 1").evaluate({"z": Fraction(1, 2), "w": value})
+
+    def test_evaluate_ints_and_fractions(self):
+        p = P("z^2 - 2", ("z",))
+        assert p.evaluate({"z": 3}) == 7
+        assert p.evaluate({"z": Fraction(3, 2)}) == Fraction(1, 4)
+        assert P("0", ("z",)).evaluate({"z": 5}) == 0
 
 
 class TestParsing:

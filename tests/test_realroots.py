@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -168,6 +169,14 @@ def _first_boxes(expr, r):
 def _ascending(expr):
     return [Fraction(int(c.p), int(c.q))
             for c in reversed(sympy.Poly(expr, Z).all_coeffs())]
+
+
+def _primitive(c):
+    """The primitive integer multiple of rationals c by a positive factor."""
+    den = lcm(*(a.denominator for a in c))
+    ints = [a.numerator * (den // a.denominator) for a in c]
+    g = gcd(*ints)
+    return tuple(a // g for a in ints)
 
 
 def _sqfree(expr):
@@ -440,9 +449,10 @@ class TestSquarefree:
             return
         f = _sqfree(expr)
         f = f if f[-1] > 0 else [-x for x in f]
-        want = tuple(realroots._integer(m) for m in _ref_chain(f))
+        want = tuple(_primitive(m) for m in _ref_chain(f))
         squarefree = sympy.Poly(expr, Z).is_sqf
-        assert realroots._chain(_ascending(expr)) == (want, squarefree)
+        assert realroots._chain(_singlab_poly(expr).univariate_coeffs()) == \
+            (want, squarefree)
         for iv in isolate_real_roots(_singlab_poly(expr),
                                      (Fraction(-16), Fraction(16))):
             assert iv._chain == want
@@ -452,7 +462,7 @@ def _sturm_owner(factors, a, b, d):
     """The multiplicity of the one Yun factor with a root in (a/d, b/d], by
     a Sturm count on each factor's own chain."""
     return next(m for g, m in factors if realroots._count(
-        realroots._gcd(g, realroots._integer(realroots._diff(g)))[1],
+        realroots._gcd(g, realroots._primitive(realroots._diff(g)))[1],
         a, b, d))
 
 
@@ -483,7 +493,7 @@ class TestOwningFactor:
         got = isolate_real_roots(_singlab_poly(expr), window)
         assert [[iv.lo, iv.hi, iv.multiplicity] for iv in got] == \
             _ref_isolate(expr, *window)
-        yun = squarefree_decomposition(_ascending(expr))
+        yun = squarefree_decomposition(_singlab_poly(expr).univariate_coeffs())
         for iv in got:
             a, b, d = realroots.integer_interval(iv.lo, iv.hi)
             assert iv.multiplicity == _sturm_owner(yun, a, b, d)

@@ -4,7 +4,9 @@ Sylvester-matrix definition and sympy; fraction-free determinants."""
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import lcm
 from operator import add, neg, sub
+from typing import Mapping
 
 import pytest
 import sympy
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singlab.errors import DegreeError, VariableMismatch
-from singlab.poly import Polynomial, integer_terms, parse_polynomial
+from singlab.poly import Polynomial, parse_polynomial
 from singlab.resultant import (_chain, poly_determinant, resultant,
                                subresultant)
 
@@ -138,6 +140,13 @@ def _tuple_div_terms(rem, divisor):
     return q
 
 
+def integer_terms(maps: list[Mapping]) -> tuple[list[dict], int]:
+    """Fraction term maps on integers over their least common denominator."""
+    den = lcm(*(c.denominator for m in maps for c in m.values()))
+    return [{e: c.numerator * (den // c.denominator)
+             for e, c in m.items()} for m in maps], den
+
+
 def _tuple_bareiss(matrix):
     """The reference integer Bareiss determinant on exponent tuples."""
     n = len(matrix)
@@ -165,8 +174,8 @@ def _tuple_bareiss(matrix):
                     _tuple_mul_terms(num, neg_ik, m[k][j])
                 m[i][j] = _tuple_div_terms(num, prev)
         prev = pivot
-    return Polynomial._of(variables, {e: Fraction(c, sign * den ** n)
-                                      for e, c in m[n - 1][n - 1].items()})
+    return Polynomial(variables, {e: Fraction(c, sign * den ** n)
+                                  for e, c in m[n - 1][n - 1].items()})
 
 
 @st.composite
